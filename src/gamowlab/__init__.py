@@ -15,7 +15,16 @@ from .channels import (
     damping_limit,
     iterate_heisenberg,
 )
-from .cmatrix import adjoint, approx_eq, as_complex_matrix, commutator, frobenius_norm, mul
+from .cmatrix import (
+    adjoint,
+    approx_eq,
+    as_complex_matrix,
+    as_complex_stack,
+    commutator,
+    frobenius_norm,
+    mul,
+    pair_commutator_norms,
+)
 from .commutators import (
     AnsatzReport,
     CommutatorTrajectory,

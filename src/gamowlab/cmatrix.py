@@ -6,21 +6,35 @@ This module wraps the handful of primitives everything else consumes,
 with explicit shape errors and finiteness checks on construction.
 
 Dimensions stay tiny (a few dozen at most), so everything is dense
-``numpy.complex128``.
+``numpy.complex128``. Families of observables travel as ``(k, d, d)``
+stacks, so one numpy call serves the whole family.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
+import math
 
 import numpy as np
 
 __all__ = [
     "as_complex_matrix",
+    "as_complex_stack",
     "mul",
     "adjoint",
     "commutator",
     "frobenius_norm",
+    "pair_commutator_norms",
     "approx_eq",
 ]
+
+# A plain sum of squared moduli inside [_SUMSQ_TINY, _SUMSQ_HUGE] is exact
+# to roundoff; outside it, squares may have underflowed or overflowed, and
+# the norm is recomputed on entries scaled by the largest modulus (Blue,
+# ACM TOMS 4(1), 1978; Anderson, ACM TOMS 44(1), 2017).
+_SUMSQ_TINY = 2.0**-600
+_SUMSQ_HUGE = 2.0**600
 
 
 def as_complex_matrix(data) -> np.ndarray:
@@ -34,6 +48,16 @@ def as_complex_matrix(data) -> np.ndarray:
     if not np.isfinite(mat).all():
         raise ValueError("matrix entries must be finite (no NaN or Inf)")
     return mat
+
+
+def as_complex_stack(data) -> np.ndarray:
+    """Coerce ``data`` to a (k, d, d) complex128 stack of square matrices, rejecting NaN/Inf."""
+    stack = np.asarray(data, dtype=np.complex128)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
+        raise ValueError(f"expected a (k, d, d) stack of square matrices, got shape {stack.shape}")
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix entries must be finite (no NaN or Inf)")
+    return stack
 
 
 def mul(a, b) -> np.ndarray:
@@ -61,9 +85,56 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
+def _scaled_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of a (P, n) array, each row divided by its largest modulus first."""
+    moduli = np.abs(rows)
+    scale = moduli.max(axis=1, keepdims=True)
+    unit = np.divide(moduli, scale, out=np.zeros_like(moduli), where=scale > 0)
+    return scale[:, 0] * np.sqrt((unit * unit).sum(axis=1))
+
+
 def frobenius_norm(a) -> float:
-    """Square root of the sum of squared entry moduli."""
-    return float(np.linalg.norm(as_complex_matrix(a)))
+    """Square root of the sum of squared entry moduli, safe from underflow and overflow."""
+    a = as_complex_matrix(a)
+    sumsq = np.vdot(a, a).real
+    if _SUMSQ_TINY <= sumsq <= _SUMSQ_HUGE or not a.any():
+        return math.sqrt(sumsq)
+    return float(_scaled_norms(a.reshape(1, -1))[0])
+
+
+@functools.lru_cache(maxsize=64)
+def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of every pair i < j, in row-major order; read-only, as they are shared."""
+    pairs = np.array(list(itertools.combinations(range(k), 2)), dtype=np.intp).reshape(-1, 2)
+    pairs.setflags(write=False)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def pair_commutator_norms(stack) -> np.ndarray:
+    """Frobenius norms of [X_i, X_j] for every pair i < j of a (k, d, d) stack.
+
+    Pairs come in row-major order (0,1), (0,2), ..., (0,k-1), (1,2), ...,
+    the order of ``np.triu_indices(k, 1)``, so ``np.argmax`` of the result
+    names the first maximal pair. Norms are scaled like
+    :func:`frobenius_norm`.
+    """
+    x = as_complex_stack(stack)
+    i, j = _pairs(len(x))
+    a, b = x[i], x[j]
+    comm = (a @ b - b @ a).reshape(len(i), x.shape[1] ** 2)
+    # Squared norms as batched inner products, and the range test by
+    # Python's sum and min over a list: this keeps the kernel on numpy
+    # routines a damping step already runs, with no numpy comparison or
+    # reduction code mapped in just for it. The sum also catches NaN.
+    sumsq = (comm.conj()[:, None, :] @ comm[:, :, None]).reshape(-1).real
+    norms = np.sqrt(sumsq)
+    listed = sumsq.tolist()
+    if listed and not (sum(listed) <= _SUMSQ_HUGE and min(listed) >= _SUMSQ_TINY):
+        rescale = ~((sumsq >= _SUMSQ_TINY) & (sumsq <= _SUMSQ_HUGE))
+        norms[rescale] = _scaled_norms(comm[rescale])
+        if not np.isfinite(norms).all():
+            raise ValueError("commutator entries overflow")
+    return norms
 
 
 def approx_eq(a, b, tol: float) -> bool:
@@ -74,4 +145,4 @@ def approx_eq(a, b, tol: float) -> bool:
         raise ValueError(f"cannot compare shapes {a.shape} and {b.shape}")
     if tol < 0:
         raise ValueError(f"tolerance must be nonnegative, got {tol}")
-    return float(np.linalg.norm(a - b)) <= tol
+    return frobenius_norm(a - b) <= tol

@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cmatrix import as_complex_matrix, commutator, frobenius_norm
+from .cmatrix import as_complex_matrix, commutator, frobenius_norm, pair_commutator_norms
 
 __all__ = [
     "Projector",
@@ -215,12 +215,12 @@ def abelian_certificate(observables: Sequence, tol: float) -> AbelianCertificate
     dims = {m.shape for m in mats}
     if len(dims) != 1 or any(s[0] != s[1] for s in dims):
         raise ValueError(f"observables must be square and share a dimension, got {sorted(dims)}")
-    worst_pair: tuple[int, int] | None = None
-    worst_norm = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            norm = frobenius_norm(commutator(mats[i], mats[j]))
-            if worst_pair is None or norm > worst_norm:
-                worst_pair = (i, j)
-                worst_norm = norm
-    return AbelianCertificate(abelian=worst_norm <= tol, worst_pair=worst_pair, worst_norm=worst_norm)
+    norms = pair_commutator_norms(np.stack(mats))
+    if norms.size == 0:
+        return AbelianCertificate(abelian=True, worst_pair=None, worst_norm=0.0)
+    worst = int(np.argmax(norms))
+    i, j = np.triu_indices(len(mats), 1)
+    worst_norm = float(norms[worst])
+    return AbelianCertificate(
+        abelian=worst_norm <= tol, worst_pair=(int(i[worst]), int(j[worst])), worst_norm=worst_norm
+    )

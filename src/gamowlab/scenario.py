@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import channels, commutators, qlattice
-from .cmatrix import commutator, frobenius_norm
+from .cmatrix import pair_commutator_norms
 from .evolution import EvolutionVariant
 from .gamow import GamowSpace, Resonance, new_space
 
@@ -243,16 +243,13 @@ def _fmt(x: float) -> str:
 
 def _run_damping(sc: Scenario, outdir: Path) -> str:
     ch = channels.damping_channel(sc.p)
-    evolved = [np.array(o, dtype=complex) for o in sc.observables]
+    evolved = np.stack(sc.observables)
     rows = []
     first_below: int | None = None
     for n in range(sc.n_max + 1):
         if n > 0:
-            evolved = [channels.apply_heisenberg(ch, o) for o in evolved]
-        worst = 0.0
-        for i in range(len(evolved)):
-            for j in range(i + 1, len(evolved)):
-                worst = max(worst, frobenius_norm(commutator(evolved[i], evolved[j])))
+            evolved = channels.apply_heisenberg(ch, evolved)
+        worst = max(pair_commutator_norms(evolved).tolist())
         rows.append((n, worst))
         if first_below is None and worst < sc.eps:
             first_below = n

@@ -10,7 +10,6 @@ from gamowlab.channels import (
     damping_closed_form,
     damping_limit,
     iterate_heisenberg,
-    jacobi_eigenvalues,
 )
 from gamowlab.cmatrix import commutator, frobenius_norm
 from support import SIGMA_X, SIGMA_Y, SIGMA_Z, random_density, random_hermitian, random_kraus_family
@@ -23,22 +22,6 @@ def direct_heisenberg(kraus, obs):
 
 def direct_schrodinger(kraus, rho):
     return sum(k @ rho @ k.conj().T for k in kraus)
-
-
-# ---------------------------------------------------------------- jacobi
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
-def test_jacobi_matches_lapack(dim):
-    rng = np.random.default_rng(11 + dim)
-    for _ in range(5):
-        h = random_hermitian(rng, dim, scale=3.0)
-        np.testing.assert_allclose(jacobi_eigenvalues(h), np.linalg.eigvalsh(h), atol=1e-11)
-
-
-def test_jacobi_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="Hermitian"):
-        jacobi_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 # ---------------------------------------------------------------- channel types
@@ -287,18 +270,74 @@ def test_pauli_commutators_die_under_damping():
             assert frobenius_norm(commutator(evolved[i], evolved[j])) < 1e-10
 
 
-def test_jacobi_handles_degenerate_and_trivial_cases():
-    np.testing.assert_allclose(jacobi_eigenvalues(np.eye(4)), np.ones(4), atol=0)
-    np.testing.assert_allclose(jacobi_eigenvalues(np.zeros((3, 3))), np.zeros(3), atol=0)
-    np.testing.assert_allclose(jacobi_eigenvalues(np.array([[2.5]])), [2.5], atol=0)
-    # doubly degenerate spectrum with off-diagonal coupling
-    h = np.array([[1, 0, 1], [0, 2, 0], [1, 0, 1]], dtype=complex)
-    np.testing.assert_allclose(jacobi_eigenvalues(h), [0.0, 2.0, 2.0], atol=1e-12)
-
-
 def test_heisenberg_leaves_non_hermitian_inputs_unsymmetrized():
     ch = damping_channel(0.5)
     upper = np.array([[0, 1], [0, 0]], dtype=complex)
     out = apply_heisenberg(ch, upper)
     # dual of a strictly upper-triangular input stays strictly upper-triangular
     np.testing.assert_allclose(out, np.array([[0, np.sqrt(0.5)], [0, 0]]), atol=1e-15)
+
+
+# ---------------------------------------------------------------- superoperator
+
+
+def test_batched_heisenberg_matches_per_matrix_results():
+    rng = np.random.default_rng(37)
+    ch = KrausChannel(dim=3, kraus=tuple(random_kraus_family(rng, 3, 3)))
+    mixed = [random_hermitian(rng, 3), rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))]
+    mixed += [random_hermitian(rng, 3), np.triu(np.ones((3, 3)), 1).astype(complex)]
+    stack = np.stack(mixed)
+    out = apply_heisenberg(ch, stack)
+    assert out.shape == stack.shape
+    for member, obs in zip(out, mixed):
+        # one GEMM for the stack and one per matrix may round differently
+        np.testing.assert_allclose(member, apply_heisenberg(ch, obs), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(member, direct_heisenberg(ch.kraus, obs), rtol=0, atol=1e-14)
+    for k in (0, 2):
+        np.testing.assert_array_equal(out[k], out[k].conj().T)
+    assert frobenius_norm(out[1] - out[1].conj().T) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [[np.nan, 0], [0, 1]],
+        [[np.inf, 0], [0, 1]],
+        [[1, np.inf], [np.inf, 1]],
+        [[complex(0, np.inf), 0], [0, 1]],
+        [[[1, 0], [0, 1]], [[0, 1], [1, np.inf]]],
+    ],
+)
+def test_heisenberg_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="finite"):
+        apply_heisenberg(damping_channel(0.5), np.array(bad, dtype=complex))
+
+
+def test_batched_heisenberg_rejects_dimension_mismatch():
+    with pytest.raises(ValueError, match="does not match channel dimension"):
+        apply_heisenberg(damping_channel(0.5), np.zeros((4, 3, 3)))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.2, 0.7, 1.0])
+def test_damping_superoperator_spectrum(p):
+    spectrum = np.sort_complex(np.linalg.eigvals(damping_channel(p).superop))
+    expected = np.sort_complex(np.array([1.0, np.sqrt(1 - p), np.sqrt(1 - p), 1 - p], dtype=complex))
+    np.testing.assert_allclose(spectrum, expected, atol=1e-12)
+
+
+def test_superoperator_adjoint_is_the_schrodinger_map():
+    rng = np.random.default_rng(41)
+    ch = KrausChannel(dim=2, kraus=tuple(random_kraus_family(rng, 2, 3)))
+    rho = random_density(rng, 2)
+    out = (ch.superop.conj().T @ rho.reshape(-1)).reshape(2, 2)
+    np.testing.assert_allclose(out, direct_schrodinger(ch.kraus, rho), atol=1e-15)
+
+
+def test_iterate_by_squaring_matches_stepwise_iteration():
+    rng = np.random.default_rng(43)
+    ch = KrausChannel(dim=2, kraus=tuple(random_kraus_family(rng, 2, 2)))
+    obs = random_hermitian(rng, 2)
+    current = obs
+    for n in range(1, 38):
+        current = apply_heisenberg(ch, current)
+        np.testing.assert_allclose(iterate_heisenberg(ch, obs, n), current, atol=1e-13)

@@ -4,8 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gamowlab.cmatrix import adjoint, approx_eq, as_complex_matrix, commutator, frobenius_norm, mul
-from support import SIGMA_X, SIGMA_Y
+from gamowlab.cmatrix import (
+    adjoint,
+    approx_eq,
+    as_complex_matrix,
+    as_complex_stack,
+    commutator,
+    frobenius_norm,
+    mul,
+    pair_commutator_norms,
+)
+from support import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 finite_complex = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
 
@@ -106,6 +115,25 @@ def test_approx_eq_shape_error():
         approx_eq(np.eye(2), np.eye(3), 1.0)
 
 
+def test_frobenius_norm_keeps_digits_of_subnormal_squares():
+    # |a a|^2 = 4.7e-315 is subnormal; an unscaled norm loses ~10 digits here
+    a = np.array([[2.622e-79]], dtype=complex)
+    lhs = frobenius_norm(mul(a, a))
+    assert lhs <= frobenius_norm(a) ** 2 * (1 + 1e-12)
+    assert lhs == pytest.approx(2.622e-79**2, rel=1e-15)
+
+
+def test_frobenius_norm_scaled_extremes():
+    assert frobenius_norm([[1e-170, 0], [0, 1e-170]]) == pytest.approx(np.sqrt(2) * 1e-170, rel=1e-15)
+    assert frobenius_norm([[3e200, 4e200j]]) == pytest.approx(5e200, rel=1e-15)
+    assert frobenius_norm([[1e-320]]) == 1e-320
+
+
+def test_approx_eq_uses_the_scaled_norm():
+    assert approx_eq([[1e200]], [[0.0]], 2e200)
+    assert not approx_eq([[1e-170]], [[0.0]], 1e-171)
+
+
 @settings(max_examples=50, deadline=None)
 @given(matrix_pairs())
 def test_submultiplicativity(pair):
@@ -127,3 +155,52 @@ def test_adjoint_reverses_products(pair):
 def test_commutator_antisymmetric_exactly(pair):
     a, b = pair
     np.testing.assert_array_equal(commutator(a, b), -commutator(b, a))
+
+
+def _loop_pair_norms(stack):
+    return [
+        frobenius_norm(commutator(stack[i], stack[j]))
+        for i in range(len(stack))
+        for j in range(i + 1, len(stack))
+    ]
+
+
+def test_pair_commutator_norms_match_the_loop():
+    rng = np.random.default_rng(5)
+    for k, d in ((2, 2), (5, 2), (4, 3)):
+        stack = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+        np.testing.assert_allclose(pair_commutator_norms(stack), _loop_pair_norms(stack), rtol=1e-13)
+
+
+def test_pair_commutator_norms_order_names_the_first_maximal_pair():
+    # X commutes with 2X; [2X, Y] and [2X, Z] tie at the maximum 4 sqrt(2)
+    stack = np.stack([SIGMA_X, 2 * SIGMA_X, SIGMA_Y, SIGMA_Z])
+    norms = pair_commutator_norms(stack)
+    pairs = list(zip(*np.triu_indices(4, 1)))
+    assert pairs == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    np.testing.assert_array_equal(norms, _loop_pair_norms(stack))
+    np.testing.assert_array_equal(norms, np.sqrt([0, 8, 8, 32, 32, 8]))
+    assert pairs[int(np.argmax(norms))] == (1, 2)
+
+
+def test_pair_commutator_norms_small_and_scaled():
+    assert pair_commutator_norms(np.stack([SIGMA_X])).shape == (0,)
+    tiny = np.stack([SIGMA_X, SIGMA_Y]) * 1e-100
+    np.testing.assert_allclose(pair_commutator_norms(tiny), [2 * np.sqrt(2) * 1e-200], rtol=1e-15)
+
+
+def test_pair_commutator_norms_reject_overflow():
+    # products of A, B and the Paulis overflow (inf, and inf - inf = NaN in [A, B]): an error, not a NaN norm
+    a = np.array([[1e200, 0], [1e200, 0]], dtype=complex)
+    b = np.array([[1e200, 1e200], [0, 0]], dtype=complex)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="overflow"):
+        pair_commutator_norms(np.stack([SIGMA_X, SIGMA_Y, a, b]))
+
+
+def test_as_complex_stack_rejects_bad_input():
+    with pytest.raises(ValueError, match=r"\(k, d, d\)"):
+        as_complex_stack(np.eye(2))
+    with pytest.raises(ValueError, match=r"\(k, d, d\)"):
+        as_complex_stack(np.ones((3, 2, 4)))
+    with pytest.raises(ValueError, match="finite"):
+        as_complex_stack(np.full((1, 2, 2), np.nan))
