@@ -36,7 +36,7 @@ import numpy as np
 
 from .cmatrix import as_complex_matrix, commutator, frobenius_norm
 from .evolution import EvolutionVariant, evolution_operator, heisenberg_evolve
-from .gamow import GamowSpace, basis_index
+from .gamow import GamowSpace
 
 __all__ = [
     "CommutatorTrajectory",
@@ -58,12 +58,12 @@ UNDERFLOW_FLOOR = 1e-280
 
 @dataclass(frozen=True)
 class CommutatorTrajectory:
-    """Commutator matrices [O1(t), O2(t)] and their norms over a time grid."""
+    """Commutators [O1(t), O2(t)], stacked as one (T, d, d) array, and their norms."""
 
     space: GamowSpace
     variant: EvolutionVariant
     times: np.ndarray
-    values: tuple[np.ndarray, ...] = field(repr=False)
+    values: np.ndarray = field(repr=False)
     norms: np.ndarray = field(repr=False)
 
 
@@ -114,14 +114,13 @@ def trajectory(space: GamowSpace, o1, o2, times, variant=EvolutionVariant.HERMIT
         raise ValueError(
             f"observables must be {dim}x{dim} for this space, got {o1.shape} and {o2.shape}"
         )
-    values = []
+    values = np.empty((ts.size, dim, dim), dtype=complex)
     norms = np.empty(ts.size)
     for k, t in enumerate(ts):
         op = evolution_operator(space, t, variant)
-        val = commutator(heisenberg_evolve(op, o1), heisenberg_evolve(op, o2))
-        values.append(val)
-        norms[k] = frobenius_norm(val)
-    return CommutatorTrajectory(space=space, variant=variant, times=ts, values=tuple(values), norms=norms)
+        values[k] = commutator(heisenberg_evolve(op, o1), heisenberg_evolve(op, o2))
+        norms[k] = frobenius_norm(values[k])
+    return CommutatorTrajectory(space=space, variant=variant, times=ts, values=values, norms=norms)
 
 
 def factored_commutator(space: GamowSpace, o1, o2, t: float) -> np.ndarray:
@@ -134,9 +133,9 @@ def factored_commutator(space: GamowSpace, o1, o2, t: float) -> np.ndarray:
     """
     if space.n_resonances != 1:
         raise ValueError("factored form is defined for a single resonance")
-    u = evolution_operator(space, t, EvolutionVariant.HERMITIAN).mat
+    u = evolution_operator(space, t, EvolutionVariant.HERMITIAN).diag
     k = commutator(as_complex_matrix(o1), as_complex_matrix(o2))
-    return np.exp(-t * space.resonances[0].width) * (u @ k @ u)
+    return np.exp(-t * space.resonances[0].width) * (u[:, None] * k * u)
 
 
 def envelope_fit(traj: CommutatorTrajectory, window_fraction: float | None = None) -> DecayFit:
@@ -171,18 +170,15 @@ def ansatz_report(space: GamowSpace, traj: CommutatorTrajectory, k: int) -> Ansa
         raise ValueError(f"time index {k} out of range 0..{traj.times.size - 1}")
     t = float(traj.times[k])
     val = traj.values[k]
-    n = space.n_resonances
-    alphas = np.empty(n, dtype=complex)
-    betas = np.empty(n, dtype=complex)
-    for j in range(1, n + 1):
-        scale = np.exp(2.0 * t * space.resonances[j - 1].width)
-        alphas[j - 1] = scale * val[basis_index(space, j, "D"), basis_index(space, j, "D")]
-        betas[j - 1] = scale * val[basis_index(space, j, "G"), basis_index(space, j, "G")]
+    scale = np.exp(2.0 * t * np.array(space.widths))
+    alphas = scale * np.diagonal(val)[0::2]
+    betas = scale * np.diagonal(val)[1::2]
     total = frobenius_norm(val)
     if total <= UNDERFLOW_FLOOR:
         residual = 0.0
     else:
-        off = val - np.diag(np.diag(val))
+        off = val.copy()
+        np.fill_diagonal(off, 0.0)
         residual = min(1.0, frobenius_norm(off) / total)
     return AnsatzReport(t=t, alphas=alphas, betas=betas, residual=residual)
 

@@ -20,6 +20,9 @@ A U^dag A = U); SEMIGROUP_D has no canonical conjugation rule, so
 U(t) O U(t)^dag is provided with a RuntimeWarning -- treat its results
 as an extrapolation, not a prescription.
 
+Every operator is stored as its diagonal ``diag`` (D slots [0::2], G
+slots [1::2]), so each conjugation is the entrywise scaling O_ab u_a v_b.
+
 Time is in inverse-energy units with hbar = 1, so widths are inverse
 lifetimes. Negative t is always computed; ``taqm_validity`` tells you
 whether a semigroup domain covers it (decaying vectors propagate
@@ -77,7 +80,7 @@ class HamiltonianKind(enum.Enum):
 class GamowHamiltonian:
     space: GamowSpace
     kind: HamiltonianKind
-    mat: np.ndarray = field(repr=False)
+    diag: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,7 @@ class EvolutionOperator:
     space: GamowSpace
     t: float
     variant: EvolutionVariant
-    mat: np.ndarray = field(repr=False)
+    diag: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -107,12 +110,12 @@ class TaqmValidity:
 def hamiltonian(space: GamowSpace, kind: HamiltonianKind) -> GamowHamiltonian:
     """Diagonal Hamiltonian on the Gamow sector, per ``kind``."""
     kind = HamiltonianKind(kind)
+    poles = np.array(space.poles)
     diag = np.zeros(space.dim, dtype=complex)
-    for j, res in enumerate(space.resonances, start=1):
-        diag[basis_index(space, j, "D")] = res.pole
-        if kind is HamiltonianKind.FULL_HERMITIAN:
-            diag[basis_index(space, j, "G")] = res.conjugate_pole
-    return GamowHamiltonian(space=space, kind=kind, mat=np.diag(diag))
+    diag[0::2] = poles
+    if kind is HamiltonianKind.FULL_HERMITIAN:
+        diag[1::2] = poles.conj()
+    return GamowHamiltonian(space=space, kind=kind, diag=diag)
 
 
 def evolution_operator(space: GamowSpace, t: float, variant: EvolutionVariant) -> EvolutionOperator:
@@ -120,15 +123,14 @@ def evolution_operator(space: GamowSpace, t: float, variant: EvolutionVariant) -
     variant = EvolutionVariant(variant)
     if not np.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
+    poles = np.array(space.poles)
     diag = np.zeros(space.dim, dtype=complex)
-    for j, res in enumerate(space.resonances, start=1):
-        z = res.pole
-        diag[basis_index(space, j, "D")] = np.exp(-1j * t * z)
-        if variant is EvolutionVariant.INVERTIBLE:
-            diag[basis_index(space, j, "G")] = np.exp(-1j * t * np.conj(z))
-        elif variant is EvolutionVariant.HERMITIAN:
-            diag[basis_index(space, j, "G")] = np.exp(+1j * t * np.conj(z))
-    return EvolutionOperator(space=space, t=float(t), variant=variant, mat=np.diag(diag))
+    diag[0::2] = np.exp(-1j * t * poles)
+    if variant is EvolutionVariant.INVERTIBLE:
+        diag[1::2] = np.exp(-1j * t * poles.conj())
+    elif variant is EvolutionVariant.HERMITIAN:
+        diag[1::2] = np.exp(+1j * t * poles.conj())
+    return EvolutionOperator(space=space, t=float(t), variant=variant, diag=diag)
 
 
 def inverse(op: EvolutionOperator) -> EvolutionOperator:
@@ -144,7 +146,7 @@ def inverse(op: EvolutionOperator) -> EvolutionOperator:
 
 
 def hermitian_square_law(space: GamowSpace, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Return (U(t) @ U(t), D(t)) for the HERMITIAN variant.
+    """Return (U(t) @ U(t), D(t)) for the HERMITIAN variant, as dense matrices.
 
     D(t) is the predicted decay envelope: diagonal with e^{-t Gamma_j} on
     both slots of resonance j (for a single resonance, e^{-t Gamma} times
@@ -153,12 +155,11 @@ def hermitian_square_law(space: GamowSpace, t: float) -> tuple[np.ndarray, np.nd
     phases e^{-2 i t E_j} / e^{+2 i t E_j} and only the entry moduli
     follow D(t).
     """
-    u = evolution_operator(space, t, EvolutionVariant.HERMITIAN).mat
-    envelope = np.zeros(space.dim)
-    for j, res in enumerate(space.resonances, start=1):
-        envelope[basis_index(space, j, "D")] = np.exp(-t * res.width)
-        envelope[basis_index(space, j, "G")] = np.exp(-t * res.width)
-    return u @ u, np.diag(envelope).astype(complex)
+    u = evolution_operator(space, t, EvolutionVariant.HERMITIAN).diag
+    square, envelope = np.zeros((2, space.dim, space.dim), dtype=complex)
+    np.fill_diagonal(square, u * u)
+    np.fill_diagonal(envelope, np.repeat(np.exp(-t * np.array(space.widths)), 2))
+    return square, envelope
 
 
 def heisenberg_evolve(op: EvolutionOperator, obs) -> np.ndarray:
@@ -167,18 +168,18 @@ def heisenberg_evolve(op: EvolutionOperator, obs) -> np.ndarray:
     dim = op.space.dim
     if obs.shape != (dim, dim):
         raise ValueError(f"observable shape {obs.shape} does not match space dimension {dim}")
+    u = op.diag
     if op.variant is EvolutionVariant.INVERTIBLE:
-        u_minus = evolution_operator(op.space, -op.t, EvolutionVariant.INVERTIBLE).mat
-        return op.mat @ obs @ u_minus
+        return u[:, None] * obs * inverse(op).diag
     if op.variant is EvolutionVariant.HERMITIAN:
-        return op.mat @ obs @ op.mat
+        return u[:, None] * obs * u
     warnings.warn(
         "SEMIGROUP_D has no canonical Heisenberg conjugation; using U O U^dag as an "
         "extrapolation",
         RuntimeWarning,
         stacklevel=2,
     )
-    return op.mat @ obs @ op.mat.conj().T
+    return u[:, None] * obs * u.conj()
 
 
 def taqm_validity(kind: str, t: float) -> TaqmValidity:
@@ -191,30 +192,20 @@ def taqm_validity(kind: str, t: float) -> TaqmValidity:
     return TaqmValidity(kind=k, t=t, valid=t <= 0, valid_converted=t >= 0)
 
 
-def _plain_dyad_decaying(space: GamowSpace, j: int) -> np.ndarray:
-    """Coordinate matrix of the plain-bracket dyad |psi_j^D><psi_j^G|.
+def _plain_dyad(space: GamowSpace, j: int, kind: str) -> np.ndarray:
+    """Coordinate matrix of the plain dyad |psi_j^D><psi_j^G| ('D') or |psi_j^G><psi_j^D| ('G').
 
-    The root transport B |psi_j^D> = |psi_j^D) (with the matching bra
-    rule) realizes this dyad as C E C, E being the unit matrix at the D
-    diagonal slot, so that B (C E C) B collapses onto the round dyad.
+    With E the unit matrix at the ``kind`` diagonal slot, the root transport
+    B |psi_j^D> = |psi_j^D) realizes the D dyad as C E C, so that
+    B (C E C) B collapses onto the round dyad; mirrored, the transport
+    |psi_j^G) = C |psi_j^G> realizes the G dyad as B E B, and
+    C (B E B) C collapses onto the round dyad.
     """
     e = np.zeros((space.dim, space.dim), dtype=complex)
-    idx = basis_index(space, j, "D")
+    idx = basis_index(space, j, kind)
     e[idx, idx] = 1.0
-    return space.root_c @ e @ space.root_c
-
-
-def _plain_dyad_growing(space: GamowSpace, j: int) -> np.ndarray:
-    """Coordinate matrix of |psi_j^G><psi_j^D|, realized as B E B.
-
-    Mirror of :func:`_plain_dyad_decaying`: the transport
-    |psi_j^G) = C |psi_j^G> makes C (B E B) C collapse onto the round
-    dyad at the G diagonal slot.
-    """
-    e = np.zeros((space.dim, space.dim), dtype=complex)
-    idx = basis_index(space, j, "G")
-    e[idx, idx] = 1.0
-    return space.root_b @ e @ space.root_b
+    root = space.root_c if kind == "D" else space.root_b
+    return root @ e @ root
 
 
 def semigroup_via_roots(space: GamowSpace, t: float) -> np.ndarray:
@@ -227,7 +218,7 @@ def semigroup_via_roots(space: GamowSpace, t: float) -> np.ndarray:
     """
     inner = np.zeros((space.dim, space.dim), dtype=complex)
     for j, res in enumerate(space.resonances, start=1):
-        inner += np.exp(-1j * t * res.pole) * _plain_dyad_decaying(space, j)
+        inner += np.exp(-1j * t * res.pole) * _plain_dyad(space, j, "D")
     return space.root_b @ inner @ space.root_b
 
 
@@ -242,6 +233,6 @@ def full_hermitian_via_roots(space: GamowSpace) -> np.ndarray:
     first = np.zeros((space.dim, space.dim), dtype=complex)
     second = np.zeros((space.dim, space.dim), dtype=complex)
     for j, res in enumerate(space.resonances, start=1):
-        first += res.pole * _plain_dyad_decaying(space, j)
-        second += np.conj(res.pole) * _plain_dyad_growing(space, j)
+        first += res.pole * _plain_dyad(space, j, "D")
+        second += np.conj(res.pole) * _plain_dyad(space, j, "G")
     return space.root_b @ first @ space.root_b + space.root_c @ second @ space.root_c

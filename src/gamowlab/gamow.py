@@ -65,16 +65,20 @@ _ROOT_BOX = np.exp(-1j * np.pi / 4) * (np.sqrt(2) / 2) * np.array([[1j, 1], [1, 
 
 @dataclass(frozen=True)
 class Resonance:
-    """A resonance pole pair, parametrized by real energy and width > 0."""
+    """A resonance pole pair, parametrized by real energy and width > 0.
+
+    Construction errors start with the offending field: ``width: ...``.
+    """
 
     energy: float
     width: float
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.energy) or not np.isfinite(self.width):
-            raise ValueError(f"resonance parameters must be finite, got {self}")
+        for name in ("energy", "width"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: must be finite, got {getattr(self, name)}")
         if self.width <= 0:
-            raise ValueError(f"resonance width must be positive, got {self.width}")
+            raise ValueError(f"width: must be positive (> 0), got {self.width}")
 
     @property
     def pole(self) -> complex:

@@ -42,15 +42,12 @@ class Scenario:
     p: float | None = None
     n_max: int | None = None
     eps: float | None = None
-    resonances: tuple[Resonance, ...] = ()
+    space: GamowSpace | None = None
     variant: EvolutionVariant | None = None
     t_start: float | None = None
     t_end: float | None = None
     steps: int | None = None
     fit_window: float | None = None
-
-    def space(self) -> GamowSpace:
-        return new_space(self.resonances)
 
 
 def _parse_matrix(raw, label: str, diagnostics: list[str]) -> np.ndarray | None:
@@ -144,10 +141,16 @@ def _validate_dict(data) -> tuple[list[str], Scenario | None]:
                 if not isinstance(width, (int, float)) or isinstance(width, bool):
                     diagnostics.append(f"resonances[{i}].width: must be a number")
                     continue
-                if width <= 0:
-                    diagnostics.append(f"resonances[{i}].width: must be > 0, got {width}")
-                    continue
-                resonances.append(Resonance(energy=float(energy), width=float(width)))
+                try:
+                    resonances.append(Resonance(energy=float(energy), width=float(width)))
+                except ValueError as exc:
+                    diagnostics.append(f"resonances[{i}].{exc}")
+        space = None
+        if not diagnostics:
+            try:
+                space = new_space(resonances)
+            except ValueError as exc:
+                diagnostics.append(f"resonances: {exc}")
         variant_name = data.get("variant")
         if variant_name not in _VARIANTS:
             diagnostics.append(f"variant: must be one of {'|'.join(_VARIANTS)}, got {variant_name!r}")
@@ -177,11 +180,11 @@ def _validate_dict(data) -> tuple[list[str], Scenario | None]:
                 f"observables: resonance scenarios need exactly two matrices, got {len(observables)}"
             )
         if not diagnostics:
-            dim = 2 * len(resonances)
+            dim = space.dim
             for i, mat in enumerate(observables):
                 if mat.shape != (dim, dim):
                     diagnostics.append(
-                        f"observables[{i}]: must be {dim}x{dim} to match {len(resonances)} "
+                        f"observables[{i}]: must be {dim}x{dim} to match {space.n_resonances} "
                         f"resonance(s), got {mat.shape[0]}x{mat.shape[1]}"
                     )
         if diagnostics:
@@ -190,7 +193,7 @@ def _validate_dict(data) -> tuple[list[str], Scenario | None]:
             kind=kind,
             observables=tuple(observables),
             eps=eps,
-            resonances=tuple(resonances),
+            space=space,
             variant=EvolutionVariant(variant_name),
             t_start=t_start,
             t_end=t_end,
@@ -241,7 +244,7 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _run_damping(sc: Scenario, outdir: Path) -> str:
+def _run_damping(sc: Scenario) -> tuple[dict[str, list[str]], str]:
     ch = channels.damping_channel(sc.p)
     evolved = np.stack(sc.observables)
     rows = []
@@ -255,16 +258,15 @@ def _run_damping(sc: Scenario, outdir: Path) -> str:
             first_below = n
     lines = ["n,norm"]
     lines += [f"{n},{_fmt(norm)}" for n, norm in rows]
-    (outdir / "commutators.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     reached = f"commuting at n={first_below}" if first_below is not None else "eps not reached"
-    return (
+    return {"commutators.csv": lines}, (
         f"damping: p={sc.p}, n_max={sc.n_max}, worst-pair norm "
         f"{rows[0][1]:.6g} -> {rows[-1][1]:.6g}, {reached}"
     )
 
 
-def _run_resonance(sc: Scenario, outdir: Path) -> str:
-    space = sc.space()
+def _run_resonance(sc: Scenario) -> tuple[dict[str, list[str]], str]:
+    space = sc.space
     times = np.linspace(sc.t_start, sc.t_end, sc.steps)
     traj = commutators.trajectory(space, sc.observables[0], sc.observables[1], times, sc.variant)
     slow = int(np.argmin(space.widths))
@@ -279,7 +281,6 @@ def _run_resonance(sc: Scenario, outdir: Path) -> str:
             f"{_fmt(t)},{_fmt(norm)},{_fmt(log_norm)},{_fmt(alpha.real)},{_fmt(alpha.imag)},"
             f"{_fmt(beta.real)},{_fmt(beta.imag)},{_fmt(rep.residual)},{str(t >= 0).lower()}"
         )
-    (outdir / "commutators.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     fit = commutators.envelope_fit(traj, sc.fit_window)
     expected = -2.0 * min(space.widths)
@@ -294,14 +295,13 @@ def _run_resonance(sc: Scenario, outdir: Path) -> str:
         f"abs_deviation = {_fmt(deviation)}",
         f"t_c(eps={_fmt(sc.eps)}) = {t_c_text}",
     ]
-    (outdir / "fit.txt").write_text("\n".join(fit_lines) + "\n", encoding="utf-8")
-    return (
+    return {"commutators.csv": lines, "fit.txt": fit_lines}, (
         f"resonance: N={space.n_resonances}, variant={sc.variant.value}, "
         f"slope={fit.slope:.9g}, expected={expected:.9g}, |dev|={deviation:.3g}, t_c={t_c_text}"
     )
 
 
-def _run_lattice(sc: Scenario, outdir: Path) -> str:
+def _run_lattice(sc: Scenario) -> tuple[dict[str, list[str]], str]:
     a, b, c = (qlattice.Projector(m) for m in sc.observables)
     report = qlattice.distributivity_check(a, b, c)
     meet_word = "SATISFIED" if report.meet_equal else "VIOLATED"
@@ -317,29 +317,29 @@ def _run_lattice(sc: Scenario, outdir: Path) -> str:
         f"rank (avb)^(avc) = {report.rhs_join.rank}",
         f"pairwise compatible: {str(qlattice.compatible(a, b) and qlattice.compatible(a, c) and qlattice.compatible(b, c)).lower()}",
     ]
-    (outdir / "lattice.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return (
+    return {"lattice.txt": lines}, (
         f"lattice: meet distributivity: {meet_word}, join distributivity: {join_word}, "
         f"inequalities: {ineq_word}"
     )
 
 
 def run_file(path, outdir) -> int:
-    """Run a scenario file; returns 0 (ok), 2 (validation) or 3 (runtime)."""
+    """Run a scenario file; returns 0 (ok), 2 (validation) or 3 (runtime).
+
+    The output files are written only once the whole run has succeeded.
+    """
     diagnostics, sc = load_scenario(path)
     if diagnostics:
         for d in diagnostics:
             print(f"invalid scenario: {d}")
         return 2
     out = Path(outdir)
+    run = {"damping": _run_damping, "resonance": _run_resonance, "lattice": _run_lattice}[sc.kind]
     try:
+        files, summary = run(sc)
         out.mkdir(parents=True, exist_ok=True)
-        if sc.kind == "damping":
-            summary = _run_damping(sc, out)
-        elif sc.kind == "resonance":
-            summary = _run_resonance(sc, out)
-        else:
-            summary = _run_lattice(sc, out)
+        for name, lines in files.items():
+            (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
     except (ValueError, OSError) as exc:
         print(f"runtime error: {exc}")
         return 3

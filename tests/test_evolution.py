@@ -39,18 +39,18 @@ def spaces_for_tests():
 def test_effective_hamiltonian_single_resonance():
     space = new_space([Resonance(1.0, 0.5)])
     h = hamiltonian(space, HamiltonianKind.EFFECTIVE)
-    np.testing.assert_array_equal(h.mat, np.diag([1.0 - 0.25j, 0.0]))
+    np.testing.assert_array_equal(np.diag(h.diag), np.diag([1.0 - 0.25j, 0.0]))
 
 
 def test_full_hermitian_hamiltonian_single_resonance():
     space = new_space([Resonance(1.0, 0.5)])
     h = hamiltonian(space, HamiltonianKind.FULL_HERMITIAN)
-    np.testing.assert_array_equal(h.mat, np.diag([1.0 - 0.25j, 1.0 + 0.25j]))
+    np.testing.assert_array_equal(np.diag(h.diag), np.diag([1.0 - 0.25j, 1.0 + 0.25j]))
 
 
 def test_full_hermitian_powers():
     space = new_space([Resonance(1.0, 0.5)])
-    h = hamiltonian(space, HamiltonianKind.FULL_HERMITIAN).mat
+    h = np.diag(hamiltonian(space, HamiltonianKind.FULL_HERMITIAN).diag)
     z = 1.0 - 0.25j
     np.testing.assert_allclose(
         np.linalg.matrix_power(h, 5), np.diag([z**5, np.conj(z) ** 5]), atol=1e-13
@@ -59,7 +59,7 @@ def test_full_hermitian_powers():
 
 def test_full_hermitian_is_pseudo_hermitian():
     for space in spaces_for_tests():
-        h = hamiltonian(space, HamiltonianKind.FULL_HERMITIAN).mat
+        h = np.diag(hamiltonian(space, HamiltonianKind.FULL_HERMITIAN).diag)
         a = space.metric
         assert np.abs(a @ h.conj().T @ a - h).max() <= 1e-13
 
@@ -69,14 +69,15 @@ def test_full_hermitian_is_pseudo_hermitian():
 
 def test_hermitian_at_zero_is_identity():
     for space in spaces_for_tests():
-        np.testing.assert_array_equal(evolution_operator(space, 0.0, HERM).mat, np.eye(space.dim))
-        np.testing.assert_array_equal(evolution_operator(space, 0.0, INV).mat, np.eye(space.dim))
+        for variant in (HERM, INV):
+            u0 = np.diag(evolution_operator(space, 0.0, variant).diag)
+            np.testing.assert_array_equal(u0, np.eye(space.dim))
 
 
 def test_semigroup_at_zero_is_decaying_projector():
     space = new_space([Resonance(1.0, 0.5), Resonance(0.0, 2.0)])
     np.testing.assert_array_equal(
-        evolution_operator(space, 0.0, SEMI).mat, np.diag([1.0, 0.0, 1.0, 0.0])
+        np.diag(evolution_operator(space, 0.0, SEMI).diag), np.diag([1.0, 0.0, 1.0, 0.0])
     )
 
 
@@ -84,7 +85,7 @@ def test_hermitian_zero_energy_is_scalar_decay():
     space = new_space([Resonance(0.0, 2.0)])
     for t in (0.5, 1.0, 3.0):
         np.testing.assert_allclose(
-            evolution_operator(space, t, HERM).mat, np.exp(-t) * np.eye(2), atol=1e-15
+            np.diag(evolution_operator(space, t, HERM).diag), np.exp(-t) * np.eye(2), atol=1e-15
         )
 
 
@@ -93,13 +94,14 @@ def test_invertible_diagonal_values():
     z = 1.0 - 0.25j
     t = 0.8
     expected = np.diag([cmath.exp(-1j * t * z), cmath.exp(-1j * t * z.conjugate())])
-    np.testing.assert_allclose(evolution_operator(space, t, INV).mat, expected, atol=1e-15)
+    u = np.diag(evolution_operator(space, t, INV).diag)
+    np.testing.assert_allclose(u, expected, atol=1e-15)
 
 
 def test_hermitian_entry_moduli():
     space = new_space([Resonance(1.7, 0.5), Resonance(-0.4, 2.0)])
     t = 1.3
-    mat = evolution_operator(space, t, HERM).mat
+    mat = np.diag(evolution_operator(space, t, HERM).diag)
     moduli = np.abs(np.diag(mat))
     expected = [np.exp(-t * 0.25), np.exp(-t * 0.25), np.exp(-t * 1.0), np.exp(-t * 1.0)]
     np.testing.assert_allclose(moduli, expected, rtol=1e-14)
@@ -108,14 +110,14 @@ def test_hermitian_entry_moduli():
 def test_operators_are_symmetric_matrices():
     for space in spaces_for_tests():
         for variant in (HERM, INV, SEMI):
-            mat = evolution_operator(space, 0.9, variant).mat
+            mat = np.diag(evolution_operator(space, 0.9, variant).diag)
             np.testing.assert_array_equal(mat, mat.T)
 
 
 def test_hermitian_is_pseudo_self_adjoint():
     for space in spaces_for_tests():
         a = space.metric
-        u = evolution_operator(space, 1.1, HERM).mat
+        u = np.diag(evolution_operator(space, 1.1, HERM).diag)
         assert np.abs(a @ u.conj().T @ a - u).max() <= 1e-13
 
 
@@ -134,7 +136,8 @@ def test_inverse_roundtrip():
         op = evolution_operator(space, t, INV)
         inv_op = inverse(op)
         assert inv_op.t == -t
-        np.testing.assert_allclose(op.mat @ inv_op.mat, np.eye(space.dim), atol=1e-12)
+        product = np.diag(op.diag) @ np.diag(inv_op.diag)
+        np.testing.assert_allclose(product, np.eye(space.dim), atol=1e-12)
 
 
 def test_inverse_rejects_other_variants():
@@ -227,6 +230,42 @@ def test_heisenberg_evolve_shape_check():
         heisenberg_evolve(op, np.eye(3))
 
 
+def dense_operator(space, t, variant):
+    """U(t) as a dense matrix, built slot by slot from the poles."""
+    entries = []
+    for z in space.poles:
+        growing = {
+            HERM: cmath.exp(1j * t * z.conjugate()),
+            INV: cmath.exp(-1j * t * z.conjugate()),
+            SEMI: 0.0,
+        }[variant]
+        entries += [cmath.exp(-1j * t * z), growing]
+    return np.diag(entries)
+
+
+@pytest.mark.filterwarnings("ignore:SEMIGROUP_D has no canonical")
+@pytest.mark.parametrize("variant", [HERM, INV, SEMI])
+def test_heisenberg_evolve_matches_dense_product(variant):
+    rng = np.random.default_rng(17)
+    space = new_space([Resonance(0.3, 0.4), Resonance(-1.2, 1.0), Resonance(2.0, 3.0)])
+    obs = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    for t in (-1.3, 0.0, 0.7, 3.1):
+        u = dense_operator(space, t, variant)
+        v = {HERM: u, INV: dense_operator(space, -t, INV), SEMI: u.conj().T}[variant]
+        evolved = heisenberg_evolve(evolution_operator(space, t, variant), obs)
+        np.testing.assert_allclose(evolved, u @ obs @ v, rtol=1e-14, atol=0)
+
+
+def test_square_law_matches_dense_product():
+    space = new_space([Resonance(0.3, 0.4), Resonance(-1.2, 1.0), Resonance(2.0, 3.0)])
+    for t in (-0.8, 0.0, 1.9):
+        u = dense_operator(space, t, HERM)
+        squared, envelope = hermitian_square_law(space, t)
+        np.testing.assert_allclose(squared, u @ u, rtol=1e-14, atol=0)
+        expected = np.diag(np.exp(-t * np.array([0.4, 0.4, 1.0, 1.0, 3.0, 3.0])))
+        np.testing.assert_allclose(envelope, expected, rtol=1e-14, atol=0)
+
+
 # ---------------------------------------------------------------- semigroup property
 
 
@@ -235,8 +274,10 @@ def test_invertible_group_property():
     space = new_space([Resonance(1.0, 0.5), Resonance(-2.0, 1.5)])
     for _ in range(10):
         t1, t2 = rng.uniform(-5, 5, size=2)
-        lhs = evolution_operator(space, t1, INV).mat @ evolution_operator(space, t2, INV).mat
-        rhs = evolution_operator(space, t1 + t2, INV).mat
+        lhs = np.diag(evolution_operator(space, t1, INV).diag) @ np.diag(
+            evolution_operator(space, t2, INV).diag
+        )
+        rhs = np.diag(evolution_operator(space, t1 + t2, INV).diag)
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
 
 
@@ -245,8 +286,10 @@ def test_semigroup_property_on_decaying_sector():
     space = new_space([Resonance(1.0, 0.5), Resonance(-2.0, 1.5)])
     for _ in range(10):
         t1, t2 = rng.uniform(-5, 5, size=2)
-        lhs = evolution_operator(space, t1, SEMI).mat @ evolution_operator(space, t2, SEMI).mat
-        rhs = evolution_operator(space, t1 + t2, SEMI).mat
+        lhs = np.diag(evolution_operator(space, t1, SEMI).diag) @ np.diag(
+            evolution_operator(space, t2, SEMI).diag
+        )
+        rhs = np.diag(evolution_operator(space, t1 + t2, SEMI).diag)
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
 
 
@@ -255,18 +298,18 @@ def test_semigroup_property_on_decaying_sector():
 
 def test_generator_consistency_invertible():
     space = new_space([Resonance(1.0, 0.5), Resonance(-0.5, 2.0)])
-    h = hamiltonian(space, HamiltonianKind.FULL_HERMITIAN).mat
+    h = np.diag(hamiltonian(space, HamiltonianKind.FULL_HERMITIAN).diag)
     for t in (1e-4, -1e-4, 5e-5):
-        u = evolution_operator(space, t, INV).mat
+        u = np.diag(evolution_operator(space, t, INV).diag)
         assert np.abs(u - (np.eye(space.dim) - 1j * t * h)).max() <= 1e-7
 
 
 def test_generator_consistency_semigroup_on_decaying_sector():
     space = new_space([Resonance(1.0, 0.5), Resonance(-0.5, 2.0)])
-    h = hamiltonian(space, HamiltonianKind.EFFECTIVE).mat
+    h = np.diag(hamiltonian(space, HamiltonianKind.EFFECTIVE).diag)
     proj = np.diag([1.0, 0.0, 1.0, 0.0])
     for t in (1e-4, -1e-4):
-        u = evolution_operator(space, t, SEMI).mat
+        u = np.diag(evolution_operator(space, t, SEMI).diag)
         approx = proj @ (np.eye(space.dim) - 1j * t * h) @ proj
         assert np.abs(u - approx).max() <= 1e-7
 
@@ -295,22 +338,23 @@ def test_semigroup_reconstruction_via_roots():
     for space in spaces_for_tests():
         for t in (-1.0, 0.0, 0.7, 3.2):
             recon = semigroup_via_roots(space, t)
-            direct = evolution_operator(space, t, SEMI).mat
+            direct = np.diag(evolution_operator(space, t, SEMI).diag)
             assert np.abs(recon - direct).max() <= 1e-12 * max(1.0, np.abs(direct).max())
 
 
 def test_full_hermitian_reconstruction_via_roots():
     for space in spaces_for_tests():
         recon = full_hermitian_via_roots(space)
-        direct = hamiltonian(space, HamiltonianKind.FULL_HERMITIAN).mat
+        direct = np.diag(hamiltonian(space, HamiltonianKind.FULL_HERMITIAN).diag)
         assert np.abs(recon - direct).max() <= 1e-13 * max(1.0, np.abs(direct).max())
 
 
 def test_variant_and_kind_accept_value_strings():
     space = new_space([Resonance(0.0, 1.0)])
-    by_enum = evolution_operator(space, 0.5, HERM).mat
-    by_name = evolution_operator(space, 0.5, "hermitian").mat
+    by_enum = np.diag(evolution_operator(space, 0.5, HERM).diag)
+    by_name = np.diag(evolution_operator(space, 0.5, "hermitian").diag)
     np.testing.assert_array_equal(by_enum, by_name)
     np.testing.assert_array_equal(
-        hamiltonian(space, "effective").mat, hamiltonian(space, HamiltonianKind.EFFECTIVE).mat
+        np.diag(hamiltonian(space, "effective").diag),
+        np.diag(hamiltonian(space, HamiltonianKind.EFFECTIVE).diag),
     )

@@ -98,6 +98,32 @@ def test_validate_resonance_dimension_mismatch(tmp_path):
     assert any("4x4" in d for d in diagnostics)
 
 
+@pytest.mark.parametrize(
+    "resonance, field",
+    [
+        ({"energy": float("nan"), "width": 0.5}, "energy"),
+        ({"energy": 0.0, "width": float("inf")}, "width"),
+    ],
+)
+def test_non_finite_resonance_is_a_diagnostic(tmp_path, resonance, field):
+    # json writes these as NaN and Infinity, which json.loads accepts
+    path = write_scenario(tmp_path, resonance_payload(resonances=[resonance]))
+    diagnostics = scenario.validate_file(path)
+    assert any(d.startswith(f"resonances[0].{field}:") and "finite" in d for d in diagnostics)
+    assert scenario.run_file(path, tmp_path / "out") == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_resonance_cap_is_a_diagnostic_for_validate_and_run(tmp_path):
+    zeros = encode(np.zeros((130, 130)))
+    payload = resonance_payload(
+        resonances=[{"energy": 0.0, "width": 0.5}] * 65, observables=[zeros, zeros]
+    )
+    path = write_scenario(tmp_path, payload)
+    assert any("cap of 64" in d for d in scenario.validate_file(path))
+    assert scenario.run_file(path, tmp_path / "out") == 2
+
+
 def test_validate_lattice_rejects_non_projector(tmp_path):
     payload = {"kind": "lattice", "observables": [SIGMA_X, SIGMA_Y, SIGMA_Z]}
     path = write_scenario(tmp_path, payload)
@@ -170,7 +196,44 @@ def test_run_returns_3_on_runtime_error(tmp_path):
     assert scenario.run_file(path, tmp_path / "out") == 3
 
 
+def test_runtime_error_leaves_no_output(tmp_path):
+    # the commutator underflows long before t = 1e6, so the fit has fewer
+    # than two usable points; commutators.csv must not be left behind
+    payload = resonance_payload(
+        resonances=[{"energy": 0.3, "width": 0.5}],
+        grid={"t_start": 0.0, "t_end": 1e6, "steps": 11},
+    )
+    path = write_scenario(tmp_path, payload)
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert scenario.run_file(path, out) == 3
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- determinism
+
+
+# Reference demo scenarios and their outputs. A refactor leaves these bytes
+# unchanged; regenerate them only for an intended change of output.
+GOLDEN = Path(__file__).parent / "data" / "demo"
+
+
+def test_demo_files_match_golden(tmp_path):
+    written = scenario.write_demo_files(tmp_path)
+    assert sorted(p.name for p in written) == sorted(p.name for p in GOLDEN.glob("*.json"))
+    for path in written:
+        assert path.read_bytes() == (GOLDEN / path.name).read_bytes()
+
+
+@pytest.mark.parametrize("demo", ["demo_damping", "demo_resonance", "demo_lattice"])
+def test_demo_outputs_match_golden(tmp_path, demo):
+    scenario.write_demo_files(tmp_path)
+    out = tmp_path / "out"
+    assert scenario.run_file(tmp_path / f"{demo}.json", out) == 0
+    expected = sorted((GOLDEN / demo).iterdir())
+    assert sorted(p.name for p in out.iterdir()) == [p.name for p in expected]
+    for golden in expected:
+        assert (out / golden.name).read_bytes() == golden.read_bytes()
 
 
 def test_runs_are_byte_identical(tmp_path):
