@@ -8,7 +8,6 @@ import sys
 from . import scenario
 
 EXIT_OK = 0
-EXIT_VALIDATION = 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,9 +40,7 @@ def main(argv=None) -> int:
     if args.command == "validate":
         diagnostics = scenario.validate_file(args.scenario)
         if diagnostics:
-            for d in diagnostics:
-                print(f"invalid scenario: {d}")
-            return EXIT_VALIDATION
+            return scenario.report_invalid(diagnostics)
         print("scenario is valid")
         return EXIT_OK
     written = scenario.write_demo_files(args.out)

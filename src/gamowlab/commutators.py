@@ -42,8 +42,10 @@ __all__ = [
     "CommutatorTrajectory",
     "DecayFit",
     "AnsatzReport",
+    "time_grid",
     "trajectory",
     "factored_commutator",
+    "fit_window_start",
     "envelope_fit",
     "ansatz_report",
     "phase_constancy_check",
@@ -99,14 +101,18 @@ class AnsatzReport:
     residual: float
 
 
+def time_grid(times) -> np.ndarray:
+    """The grid as a float array; it must be nonempty, 1-d and strictly increasing."""
+    ts = np.asarray(times, dtype=float)
+    if ts.ndim != 1 or ts.size == 0 or not np.all(np.diff(ts) > 0):
+        raise ValueError("time grid must be a nonempty, strictly increasing 1-d sequence")
+    return ts
+
+
 def trajectory(space: GamowSpace, o1, o2, times, variant=EvolutionVariant.HERMITIAN) -> CommutatorTrajectory:
     """Evolve both observables and commute them at each grid time."""
     variant = EvolutionVariant(variant)
-    ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise ValueError("time grid must be a nonempty 1-d sequence")
-    if ts.size > 1 and not np.all(np.diff(ts) > 0):
-        raise ValueError("time grid must be strictly increasing")
+    ts = time_grid(times)
     o1 = as_complex_matrix(o1)
     o2 = as_complex_matrix(o2)
     dim = space.dim
@@ -138,20 +144,28 @@ def factored_commutator(space: GamowSpace, o1, o2, t: float) -> np.ndarray:
     return np.exp(-t * space.resonances[0].width) * (u[:, None] * k * u)
 
 
-def envelope_fit(traj: CommutatorTrajectory, window_fraction: float | None = None) -> DecayFit:
-    """Least-squares slope of log norm versus time.
+def fit_window_start(n_times: int, n_resonances: int, window_fraction: float | None = None) -> int:
+    """Start index of the envelope fit's window: the trailing ``window_fraction`` of the grid.
 
-    ``window_fraction`` selects the trailing fraction of the grid to fit
-    on; the default is the full grid for a single resonance and the last
-    half for several, so the slowest mode dominates. Points at or below
-    the underflow floor are dropped.
+    The default is the full grid for one resonance and the last half for several,
+    so the slowest mode dominates. The window must hold two grid points or more.
     """
     if window_fraction is None:
-        window_fraction = 1.0 if traj.space.n_resonances == 1 else 0.5
+        window_fraction = 1.0 if n_resonances == 1 else 0.5
     if not 0.0 < window_fraction <= 1.0:
         raise ValueError(f"window fraction must lie in (0, 1], got {window_fraction}")
-    n = traj.times.size
-    start = int(round((1.0 - window_fraction) * (n - 1)))
+    start = int(round((1.0 - window_fraction) * (n_times - 1)))
+    if n_times - start < 2:
+        raise ValueError(f"window holds {n_times - start} grid point(s); the fit needs at least 2")
+    return start
+
+
+def envelope_fit(traj: CommutatorTrajectory, window_fraction: float | None = None) -> DecayFit:
+    """Least-squares slope of log norm versus time on the :func:`fit_window_start` window.
+
+    Points at or below the underflow floor are dropped.
+    """
+    start = fit_window_start(traj.times.size, traj.space.n_resonances, window_fraction)
     ts = traj.times[start:]
     norms = traj.norms[start:]
     usable = norms > UNDERFLOW_FLOOR
@@ -170,10 +184,10 @@ def ansatz_report(space: GamowSpace, traj: CommutatorTrajectory, k: int) -> Ansa
         raise ValueError(f"time index {k} out of range 0..{traj.times.size - 1}")
     t = float(traj.times[k])
     val = traj.values[k]
-    scale = np.exp(2.0 * t * np.array(space.widths))
+    scale = np.exp(2.0 * t * space.widths)
     alphas = scale * np.diagonal(val)[0::2]
     betas = scale * np.diagonal(val)[1::2]
-    total = frobenius_norm(val)
+    total = float(traj.norms[k])
     if total <= UNDERFLOW_FLOOR:
         residual = 0.0
     else:

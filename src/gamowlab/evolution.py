@@ -110,11 +110,10 @@ class TaqmValidity:
 def hamiltonian(space: GamowSpace, kind: HamiltonianKind) -> GamowHamiltonian:
     """Diagonal Hamiltonian on the Gamow sector, per ``kind``."""
     kind = HamiltonianKind(kind)
-    poles = np.array(space.poles)
     diag = np.zeros(space.dim, dtype=complex)
-    diag[0::2] = poles
+    diag[0::2] = space.poles
     if kind is HamiltonianKind.FULL_HERMITIAN:
-        diag[1::2] = poles.conj()
+        diag[1::2] = space.poles.conj()
     return GamowHamiltonian(space=space, kind=kind, diag=diag)
 
 
@@ -123,13 +122,12 @@ def evolution_operator(space: GamowSpace, t: float, variant: EvolutionVariant) -
     variant = EvolutionVariant(variant)
     if not np.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
-    poles = np.array(space.poles)
     diag = np.zeros(space.dim, dtype=complex)
-    diag[0::2] = np.exp(-1j * t * poles)
+    diag[0::2] = np.exp(-1j * t * space.poles)
     if variant is EvolutionVariant.INVERTIBLE:
-        diag[1::2] = np.exp(-1j * t * poles.conj())
+        diag[1::2] = np.exp(-1j * t * space.poles.conj())
     elif variant is EvolutionVariant.HERMITIAN:
-        diag[1::2] = np.exp(+1j * t * poles.conj())
+        diag[1::2] = np.exp(+1j * t * space.poles.conj())
     return EvolutionOperator(space=space, t=float(t), variant=variant, diag=diag)
 
 
@@ -158,7 +156,7 @@ def hermitian_square_law(space: GamowSpace, t: float) -> tuple[np.ndarray, np.nd
     u = evolution_operator(space, t, EvolutionVariant.HERMITIAN).diag
     square, envelope = np.zeros((2, space.dim, space.dim), dtype=complex)
     np.fill_diagonal(square, u * u)
-    np.fill_diagonal(envelope, np.repeat(np.exp(-t * np.array(space.widths)), 2))
+    np.fill_diagonal(envelope, np.repeat(np.exp(-t * space.widths), 2))
     return square, envelope
 
 

@@ -43,6 +43,8 @@ corresponding round dyad.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,8 +77,9 @@ class Resonance:
 
     def __post_init__(self) -> None:
         for name in ("energy", "width"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name}: must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{name}: must be a finite number, got {value!r}")
         if self.width <= 0:
             raise ValueError(f"width: must be positive (> 0), got {self.width}")
 
@@ -100,12 +103,15 @@ class GamowSpace:
         metric: the 2N x 2N block-antidiagonal pairing matrix A (A @ A = I).
         root_b: principal square root B of A.
         root_c: adjoint square root C = B^dag, also with C @ C = A.
+        poles, widths: the N decaying poles z_j and widths Gamma_j, in basis order.
     """
 
     resonances: tuple[Resonance, ...]
     metric: np.ndarray = field(repr=False)
     root_b: np.ndarray = field(repr=False)
     root_c: np.ndarray = field(repr=False)
+    poles: np.ndarray = field(repr=False)
+    widths: np.ndarray = field(repr=False)
 
     @property
     def n_resonances(self) -> int:
@@ -114,14 +120,6 @@ class GamowSpace:
     @property
     def dim(self) -> int:
         return 2 * len(self.resonances)
-
-    @property
-    def poles(self) -> tuple[complex, ...]:
-        return tuple(r.pole for r in self.resonances)
-
-    @property
-    def widths(self) -> tuple[float, ...]:
-        return tuple(r.width for r in self.resonances)
 
 
 def new_space(resonances, max_resonances: int = DEFAULT_MAX_RESONANCES) -> GamowSpace:
@@ -142,7 +140,8 @@ def new_space(resonances, max_resonances: int = DEFAULT_MAX_RESONANCES) -> Gamow
         sl = slice(2 * j, 2 * j + 2)
         metric[sl, sl] = box
         root_b[sl, sl] = _ROOT_BOX
-    return GamowSpace(resonances=res, metric=metric, root_b=root_b, root_c=root_b.conj().T)
+    poles, widths = np.array([r.pole for r in res], dtype=complex), np.array([r.width for r in res], dtype=float)
+    return GamowSpace(resonances=res, metric=metric, root_b=root_b, root_c=root_b.conj().T, poles=poles, widths=widths)
 
 
 def basis_index(space: GamowSpace, j: int, kind: str) -> int:

@@ -1,15 +1,18 @@
-"""Declarative scenario files: schema, validation and execution.
+"""Declarative scenario files: field tables, validation and execution.
 
 A scenario is a JSON object with a ``kind`` of ``damping``, ``resonance``
 or ``lattice``. Complex matrix entries are written as two-element
 ``[re, im]`` arrays, so a 2x2 identity reads
 ``[[[1,0],[0,0]],[[0,0],[1,0]]]``.
 
-damping:   p, n_max, observables (two or more 2x2 matrices), eps
+damping:   p, n_max, observables (2 to 64 2x2 matrices), eps
 resonance: resonances ([{energy, width}, ...]), variant, observables
            (exactly two 2N x 2N matrices), grid ({t_start, t_end, steps}),
            eps, optional fit_window
 lattice:   observables (exactly three projector matrices of equal size)
+
+Validation builds every object a run uses from its kind's field table; constructor
+errors become ``field: message`` diagnostics. ``MAX_*`` cap the size of a run.
 
 Outputs are written with shortest round-trip float formatting and fixed
 row order, so identical scenarios produce byte-identical files.
@@ -27,43 +30,87 @@ import numpy as np
 from . import channels, commutators, qlattice
 from .cmatrix import pair_commutator_norms
 from .evolution import EvolutionVariant
-from .gamow import GamowSpace, Resonance, new_space
+from .gamow import Resonance, new_space
 
-__all__ = ["Scenario", "load_scenario", "validate_file", "run_file", "write_demo_files"]
+__all__ = ["Scenario", "load_scenario", "validate_file", "report_invalid", "run_file", "write_demo_files"]
 
-_KINDS = ("damping", "resonance", "lattice")
-_VARIANTS = tuple(v.value for v in EvolutionVariant)
+MAX_GRID_STEPS = 100_000
+MAX_TRAJECTORY_ENTRIES = 2**24  # steps * (2N)^2; the run keeps them all, 16 bytes each
+MAX_N_MAX = 1_000_000
+MAX_DAMPING_OBSERVABLES = 64  # the pair kernel holds k(k-1)/2 commutators per step
+MAX_LATTICE_DIM = 256
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """A validated scenario: its kind and the built objects its run uses, by name."""
+
     kind: str
-    observables: tuple[np.ndarray, ...]
-    p: float | None = None
-    n_max: int | None = None
-    eps: float | None = None
-    space: GamowSpace | None = None
-    variant: EvolutionVariant | None = None
-    t_start: float | None = None
-    t_end: float | None = None
-    steps: int | None = None
-    fit_window: float | None = None
+    objects: dict
 
 
-def _parse_matrix(raw, label: str, diagnostics: list[str]) -> np.ndarray | None:
+class _Absent:
+    def __repr__(self) -> str:
+        return "missing"
+
+
+_ABSENT = _Absent()  # the value of a key the scenario leaves out
+
+
+class _Invalid(ValueError):
+    """An error in part of a field; ``path`` (``[i]``, ``.name``) is appended to its label."""
+
+    def __init__(self, path: str, error) -> None:
+        super().__init__(str(error))
+        self.path = path + getattr(error, "path", "")
+
+
+def _number(raw, above: float = -math.inf) -> float:
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool) or not math.isfinite(raw):
+        raise ValueError("must be a finite number")
+    if not raw > above:
+        raise ValueError(f"must be > {above}, got {float(raw)}")
+    return float(raw)
+
+
+def _capped(value: int, cap: int, what: str) -> int:
+    if value > cap:
+        raise ValueError(f"{value} {what} exceed the cap of {cap}")
+    return value
+
+
+def _integer(raw, low: int, cap: int, what: str) -> int:
+    if not isinstance(raw, int) or isinstance(raw, bool) or raw < low:
+        raise ValueError(f"must be an integer >= {low}, got {raw!r}")
+    return _capped(raw, cap, what)
+
+
+def _each(raw, build, count: int | None = None) -> list:
+    """Build every item of a nonempty list, of ``count`` items if given."""
+    if not isinstance(raw, list) or not raw:
+        raise ValueError("must be a nonempty list")
+    if count is not None and len(raw) != count:
+        raise ValueError(f"must hold exactly {count} items, got {len(raw)}")
+    items = []
+    for i, item in enumerate(raw):
+        try:
+            items.append(build(item))
+        except ValueError as exc:
+            raise _Invalid(f"[{i}]", exc) from None
+    return items
+
+
+def _matrix(raw, dim: int | None = None) -> np.ndarray:
     try:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError):
-        diagnostics.append(f"{label}: entries must be [re, im] pairs of numbers")
-        return None
+        raise ValueError("entries must be [re, im] pairs of numbers") from None
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
-        diagnostics.append(
-            f"{label}: must be a square matrix of [re, im] pairs, got shape {arr.shape}"
-        )
-        return None
+        raise ValueError(f"must be a square matrix of [re, im] pairs, got shape {arr.shape}")
+    if dim is not None and arr.shape[0] != dim:
+        raise ValueError(f"must be {dim}x{dim}, got {arr.shape[0]}x{arr.shape[1]}")
     if not np.all(np.isfinite(arr)):
-        diagnostics.append(f"{label}: entries must be finite")
-        return None
+        raise ValueError("entries must be finite")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -71,204 +118,148 @@ def _encode_matrix(mat: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(mat, dtype=complex)]
 
 
-def _require_number(data, key: str, diagnostics: list[str], label: str | None = None) -> float | None:
-    val = data.get(key)
-    if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
-        diagnostics.append(f"{label or key}: must be a finite number")
-        return None
-    return float(val)
+def _damping_stack(raw, _) -> np.ndarray:
+    mats = _each(raw, lambda m: _matrix(m, 2))
+    if len(mats) < 2:
+        raise ValueError("damping scenarios need at least two matrices")
+    _capped(len(mats), MAX_DAMPING_OBSERVABLES, "observables")
+    return np.stack(mats)
 
 
-def _validate_dict(data) -> tuple[list[str], Scenario | None]:
+def _resonance(item) -> Resonance:
+    if not isinstance(item, dict):
+        raise ValueError("must be an object with energy and width")
+    try:
+        return Resonance(energy=item.get("energy"), width=item.get("width"))
+    except ValueError as exc:
+        name, _, message = str(exc).partition(": ")
+        raise _Invalid(f".{name}", message) from None
+
+
+def _times(_, b) -> np.ndarray:
+    if not b["t_end"] > b["t_start"]:
+        raise ValueError(f"t_end must exceed t_start, got [{b['t_start']}, {b['t_end']}]")
+    return commutators.time_grid(np.linspace(b["t_start"], b["t_end"], b["steps"]))
+
+
+def _fit_window(raw, b) -> float | None:
+    fraction = None if raw is _ABSENT else _number(raw)
+    commutators.fit_window_start(b["times"].size, b["space"].n_resonances, fraction)
+    return fraction
+
+
+def _projectors(raw, _) -> list[qlattice.Projector]:
+    mats = _each(raw, _matrix, 3)
+    if len({m.shape for m in mats}) != 1:
+        raise ValueError("lattice projectors must share a dimension")
+    _capped(mats[0].shape[0], MAX_LATTICE_DIM, "matrix rows")
+    return _each(mats, qlattice.Projector)
+
+
+_DAMPING_FIELDS = (
+    ("p", "p", lambda raw, _: _number(raw)),
+    ("channel", "p", lambda _, b: channels.damping_channel(b["p"])),
+    ("n_max", "n_max", lambda raw, _: _integer(raw, 1, MAX_N_MAX, "channel steps")),
+    ("eps", "eps", lambda raw, _: _number(raw, above=0)),
+    ("observables", "observables", _damping_stack),
+)
+_RESONANCE_FIELDS = (
+    ("space", "resonances", lambda raw, _: new_space(_each(raw, _resonance))),
+    ("variant", "variant", lambda raw, _: EvolutionVariant(raw)),
+    ("t_start", "grid.t_start", lambda raw, _: _number(raw)),
+    ("t_end", "grid.t_end", lambda raw, _: _number(raw)),
+    ("steps", "grid.steps", lambda raw, _: _integer(raw, 2, MAX_GRID_STEPS, "grid steps")),
+    ("times", "grid", _times),
+    (None, "grid", lambda _, b: _capped(b["times"].size * b["space"].dim**2, MAX_TRAJECTORY_ENTRIES, "trajectory entries")),
+    ("eps", "eps", lambda raw, _: _number(raw, above=0)),
+    ("fit_window", "fit_window", _fit_window),
+    ("observables", "observables", lambda raw, b: _each(raw, lambda m: _matrix(m, b["space"].dim), 2)),
+)
+_LATTICE_FIELDS = (("projectors", "observables", _projectors),)
+
+
+def _build(data, fields) -> tuple[list[str], dict]:
+    """Run a field table of (key, label, build) rows; return the diagnostics and the objects.
+
+    ``build(raw, built)`` gets the value at the label's dotted path and the objects built
+    so far; a KeyError skips a row that needs a failed one. Results are stored under ``key``.
+    """
+    built: dict = {}
     diagnostics: list[str] = []
-    if not isinstance(data, dict):
-        return ["scenario: top level must be a JSON object"], None
-    kind = data.get("kind")
-    if kind not in _KINDS:
-        return [f"kind: must be one of {'|'.join(_KINDS)}, got {kind!r}"], None
-
-    raw_obs = data.get("observables")
-    observables: list[np.ndarray] = []
-    if not isinstance(raw_obs, list) or len(raw_obs) == 0:
-        diagnostics.append("observables: must be a nonempty list of matrices")
-    else:
-        for i, raw in enumerate(raw_obs):
-            mat = _parse_matrix(raw, f"observables[{i}]", diagnostics)
-            if mat is not None:
-                observables.append(mat)
-    if diagnostics:
-        return diagnostics, None
-
-    if kind == "damping":
-        p = _require_number(data, "p", diagnostics)
-        if p is not None and not 0.0 <= p <= 1.0:
-            diagnostics.append(f"p: must lie in [0, 1], got {p}")
-        n_max = data.get("n_max")
-        if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
-            diagnostics.append(f"n_max: must be an integer >= 1, got {n_max!r}")
-        eps = _require_number(data, "eps", diagnostics)
-        if eps is not None and eps <= 0:
-            diagnostics.append(f"eps: must be > 0, got {eps}")
-        if len(observables) < 2:
-            diagnostics.append("observables: damping scenarios need at least two matrices")
-        for i, mat in enumerate(observables):
-            if mat.shape != (2, 2):
-                diagnostics.append(
-                    f"observables[{i}]: must be 2x2 for damping scenarios, got "
-                    f"{mat.shape[0]}x{mat.shape[1]}"
-                )
-        if diagnostics:
-            return diagnostics, None
-        return [], Scenario(
-            kind=kind, observables=tuple(observables), p=p, n_max=n_max, eps=eps
-        )
-
-    if kind == "resonance":
-        raw_res = data.get("resonances")
-        resonances: list[Resonance] = []
-        if not isinstance(raw_res, list) or len(raw_res) == 0:
-            diagnostics.append("resonances: must be a nonempty list of {energy, width} objects")
-        else:
-            for i, item in enumerate(raw_res):
-                if not isinstance(item, dict):
-                    diagnostics.append(f"resonances[{i}]: must be an object with energy and width")
-                    continue
-                energy = item.get("energy")
-                width = item.get("width")
-                if not isinstance(energy, (int, float)) or isinstance(energy, bool):
-                    diagnostics.append(f"resonances[{i}].energy: must be a number")
-                    continue
-                if not isinstance(width, (int, float)) or isinstance(width, bool):
-                    diagnostics.append(f"resonances[{i}].width: must be a number")
-                    continue
-                try:
-                    resonances.append(Resonance(energy=float(energy), width=float(width)))
-                except ValueError as exc:
-                    diagnostics.append(f"resonances[{i}].{exc}")
-        space = None
-        if not diagnostics:
-            try:
-                space = new_space(resonances)
-            except ValueError as exc:
-                diagnostics.append(f"resonances: {exc}")
-        variant_name = data.get("variant")
-        if variant_name not in _VARIANTS:
-            diagnostics.append(f"variant: must be one of {'|'.join(_VARIANTS)}, got {variant_name!r}")
-        grid = data.get("grid")
-        t_start = t_end = None
-        steps = None
-        if not isinstance(grid, dict):
-            diagnostics.append("grid: must be an object with t_start, t_end and steps")
-        else:
-            t_start = _require_number(grid, "t_start", diagnostics, label="grid.t_start")
-            t_end = _require_number(grid, "t_end", diagnostics, label="grid.t_end")
-            steps = grid.get("steps")
-            if not isinstance(steps, int) or isinstance(steps, bool) or steps < 2:
-                diagnostics.append(f"grid.steps: must be an integer >= 2, got {steps!r}")
-            if t_start is not None and t_end is not None and not t_end > t_start:
-                diagnostics.append(f"grid: t_end must exceed t_start, got [{t_start}, {t_end}]")
-        eps = _require_number(data, "eps", diagnostics)
-        if eps is not None and eps <= 0:
-            diagnostics.append(f"eps: must be > 0, got {eps}")
-        fit_window = None
-        if "fit_window" in data:
-            fit_window = _require_number(data, "fit_window", diagnostics)
-            if fit_window is not None and not 0.0 < fit_window <= 1.0:
-                diagnostics.append(f"fit_window: must lie in (0, 1], got {fit_window}")
-        if len(observables) != 2:
-            diagnostics.append(
-                f"observables: resonance scenarios need exactly two matrices, got {len(observables)}"
-            )
-        if not diagnostics:
-            dim = space.dim
-            for i, mat in enumerate(observables):
-                if mat.shape != (dim, dim):
-                    diagnostics.append(
-                        f"observables[{i}]: must be {dim}x{dim} to match {space.n_resonances} "
-                        f"resonance(s), got {mat.shape[0]}x{mat.shape[1]}"
-                    )
-        if diagnostics:
-            return diagnostics, None
-        return [], Scenario(
-            kind=kind,
-            observables=tuple(observables),
-            eps=eps,
-            space=space,
-            variant=EvolutionVariant(variant_name),
-            t_start=t_start,
-            t_end=t_end,
-            steps=steps,
-            fit_window=fit_window,
-        )
-
-    # lattice
-    if len(observables) != 3:
-        diagnostics.append(
-            f"observables: lattice scenarios need exactly three projectors, got {len(observables)}"
-        )
-    else:
-        dims = {m.shape for m in observables}
-        if len(dims) != 1:
-            diagnostics.append("observables: lattice projectors must share a dimension")
-        else:
-            for i, mat in enumerate(observables):
-                try:
-                    qlattice.Projector(mat)
-                except ValueError as exc:
-                    diagnostics.append(f"observables[{i}]: {exc}")
-    if diagnostics:
-        return diagnostics, None
-    return [], Scenario(kind="lattice", observables=tuple(observables))
+    for key, label, build in fields:
+        raw = data
+        for name in label.split("."):
+            raw = raw.get(name, _ABSENT) if isinstance(raw, dict) else _ABSENT
+        try:
+            value = build(raw, built)
+        except KeyError:
+            continue
+        except (ValueError, OverflowError) as exc:
+            diagnostics.append(f"{label}{getattr(exc, 'path', '')}: {exc}")
+            continue
+        if key is not None:
+            built[key] = value
+    return diagnostics, built
 
 
 def load_scenario(path) -> tuple[list[str], Scenario | None]:
-    """Parse and validate a scenario file; diagnostics are the findings."""
+    """Parse a scenario file and build its objects; diagnostics are the findings."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         return [f"file: cannot read {path}: {exc}"], None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past the digit limit
         return [f"file: invalid JSON: {exc}"], None
-    return _validate_dict(data)
+    if not isinstance(data, dict):
+        return ["scenario: top level must be a JSON object"], None
+    kind = data.get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        return [f"kind: must be one of {'|'.join(_KINDS)}, got {kind!r}"], None
+    diagnostics, built = _build(data, _KINDS[kind][0])
+    return diagnostics, None if diagnostics else Scenario(kind, built)
 
 
 def validate_file(path) -> list[str]:
-    """Full schema and invariant check without running the scenario."""
-    diagnostics, _ = load_scenario(path)
-    return diagnostics
+    """Build everything a run of the scenario would use, without running it."""
+    return load_scenario(path)[0]
+
+
+def report_invalid(diagnostics: list[str]) -> int:
+    """Print each diagnostic and return the validation exit code, 2."""
+    for d in diagnostics:
+        print(f"invalid scenario: {d}")
+    return 2
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _run_damping(sc: Scenario) -> tuple[dict[str, list[str]], str]:
-    ch = channels.damping_channel(sc.p)
-    evolved = np.stack(sc.observables)
+def _run_damping(o: dict) -> tuple[dict[str, list[str]], str]:
+    evolved = o["observables"]
     rows = []
     first_below: int | None = None
-    for n in range(sc.n_max + 1):
+    for n in range(o["n_max"] + 1):
         if n > 0:
-            evolved = channels.apply_heisenberg(ch, evolved)
+            evolved = channels.apply_heisenberg(o["channel"], evolved)
         worst = max(pair_commutator_norms(evolved).tolist())
         rows.append((n, worst))
-        if first_below is None and worst < sc.eps:
+        if first_below is None and worst < o["eps"]:
             first_below = n
     lines = ["n,norm"]
     lines += [f"{n},{_fmt(norm)}" for n, norm in rows]
     reached = f"commuting at n={first_below}" if first_below is not None else "eps not reached"
     return {"commutators.csv": lines}, (
-        f"damping: p={sc.p}, n_max={sc.n_max}, worst-pair norm "
+        f"damping: p={o['p']}, n_max={o['n_max']}, worst-pair norm "
         f"{rows[0][1]:.6g} -> {rows[-1][1]:.6g}, {reached}"
     )
 
 
-def _run_resonance(sc: Scenario) -> tuple[dict[str, list[str]], str]:
-    space = sc.space
-    times = np.linspace(sc.t_start, sc.t_end, sc.steps)
-    traj = commutators.trajectory(space, sc.observables[0], sc.observables[1], times, sc.variant)
+def _run_resonance(o: dict) -> tuple[dict[str, list[str]], str]:
+    space, times, eps = o["space"], o["times"], o["eps"]
+    traj = commutators.trajectory(space, *o["observables"], times, o["variant"])
     slow = int(np.argmin(space.widths))
     lines = ["t,norm,log_norm,alpha_re,alpha_im,beta_re,beta_im,ansatz_residual,taqm_valid"]
     for k, t in enumerate(times):
@@ -282,27 +273,26 @@ def _run_resonance(sc: Scenario) -> tuple[dict[str, list[str]], str]:
             f"{_fmt(beta.real)},{_fmt(beta.imag)},{_fmt(rep.residual)},{str(t >= 0).lower()}"
         )
 
-    fit = commutators.envelope_fit(traj, sc.fit_window)
+    fit = commutators.envelope_fit(traj, o["fit_window"])
     expected = -2.0 * min(space.widths)
     deviation = abs(fit.slope - expected)
-    below = np.nonzero(traj.norms < sc.eps)[0]
-    t_c = float(times[below[0]]) if below.size else None
-    t_c_text = _fmt(t_c) if t_c is not None else f"not reached by t_end={_fmt(sc.t_end)}"
+    below = np.nonzero(traj.norms < eps)[0]
+    t_c_text = _fmt(times[below[0]]) if below.size else f"not reached by t_end={_fmt(times[-1])}"
     fit_lines = [
         f"slope = {_fmt(fit.slope)}",
         f"intercept = {_fmt(fit.intercept)}",
         f"expected_slope = {_fmt(expected)}",
         f"abs_deviation = {_fmt(deviation)}",
-        f"t_c(eps={_fmt(sc.eps)}) = {t_c_text}",
+        f"t_c(eps={_fmt(eps)}) = {t_c_text}",
     ]
     return {"commutators.csv": lines, "fit.txt": fit_lines}, (
-        f"resonance: N={space.n_resonances}, variant={sc.variant.value}, "
+        f"resonance: N={space.n_resonances}, variant={o['variant'].value}, "
         f"slope={fit.slope:.9g}, expected={expected:.9g}, |dev|={deviation:.3g}, t_c={t_c_text}"
     )
 
 
-def _run_lattice(sc: Scenario) -> tuple[dict[str, list[str]], str]:
-    a, b, c = (qlattice.Projector(m) for m in sc.observables)
+def _run_lattice(o: dict) -> tuple[dict[str, list[str]], str]:
+    a, b, c = o["projectors"]
     report = qlattice.distributivity_check(a, b, c)
     meet_word = "SATISFIED" if report.meet_equal else "VIOLATED"
     join_word = "SATISFIED" if report.join_equal else "VIOLATED"
@@ -323,6 +313,10 @@ def _run_lattice(sc: Scenario) -> tuple[dict[str, list[str]], str]:
     )
 
 
+_KINDS = {"damping": (_DAMPING_FIELDS, _run_damping), "resonance": (_RESONANCE_FIELDS, _run_resonance),
+          "lattice": (_LATTICE_FIELDS, _run_lattice)}
+
+
 def run_file(path, outdir) -> int:
     """Run a scenario file; returns 0 (ok), 2 (validation) or 3 (runtime).
 
@@ -330,13 +324,10 @@ def run_file(path, outdir) -> int:
     """
     diagnostics, sc = load_scenario(path)
     if diagnostics:
-        for d in diagnostics:
-            print(f"invalid scenario: {d}")
-        return 2
+        return report_invalid(diagnostics)
     out = Path(outdir)
-    run = {"damping": _run_damping, "resonance": _run_resonance, "lattice": _run_lattice}[sc.kind]
     try:
-        files, summary = run(sc)
+        files, summary = _KINDS[sc.kind][1](sc.objects)
         out.mkdir(parents=True, exist_ok=True)
         for name, lines in files.items():
             (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")

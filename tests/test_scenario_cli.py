@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gamowlab import scenario
 from gamowlab.cli import main
@@ -73,6 +76,9 @@ def test_validate_bad_json_and_missing_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
     assert any("invalid JSON" in d for d in scenario.validate_file(path))
+    # json.loads refuses integer literals past 4300 digits with a plain ValueError
+    path.write_text('{"kind": "damping", "p": ' + "1" * 5000 + "}", encoding="utf-8")
+    assert any("invalid JSON" in d for d in scenario.validate_file(path))
     assert any("cannot read" in d for d in scenario.validate_file(tmp_path / "nope.json"))
 
 
@@ -129,6 +135,55 @@ def test_validate_lattice_rejects_non_projector(tmp_path):
     path = write_scenario(tmp_path, payload)
     diagnostics = scenario.validate_file(path)
     assert any("idempotent" in d for d in diagnostics)
+
+
+@pytest.mark.parametrize(
+    "overrides, expected",
+    [
+        # t_end > t_start, but the three linspace points collapse
+        ({"grid": {"t_start": 0.0, "t_end": 5e-324, "steps": 3}}, "grid: time grid must be a nonempty, strictly increasing"),
+        # round(0.999 * 100) = 100 leaves one of the 101 grid points in the window
+        ({"fit_window": 0.001}, "fit_window: window holds 1 grid point(s)"),
+    ],
+    ids=["collapsed-grid", "one-point-fit-window"],
+)
+def test_validate_rejects_what_run_cannot_execute(tmp_path, overrides, expected):
+    path = write_scenario(tmp_path, resonance_payload(**overrides))
+    assert any(d.startswith(expected) for d in scenario.validate_file(path))
+    assert scenario.run_file(path, tmp_path / "out") == 2
+    assert not (tmp_path / "out").exists()
+
+
+def zero_matrices(count, dim):
+    return [encode(np.zeros((dim, dim)))] * count
+
+
+@pytest.mark.parametrize(
+    "payload, cap",
+    [
+        (resonance_payload(grid={"t_start": 0.0, "t_end": 5.0, "steps": scenario.MAX_GRID_STEPS + 1}),
+         scenario.MAX_GRID_STEPS),
+        # 1025 steps of a 128x128 trajectory: 1025 * 128**2 > 2**24
+        (resonance_payload(resonances=[{"energy": 0.0, "width": 0.5}] * 64,
+                           grid={"t_start": 0.0, "t_end": 5.0, "steps": 1025},
+                           observables=zero_matrices(2, 128)),
+         scenario.MAX_TRAJECTORY_ENTRIES),
+        ({"kind": "damping", "p": 0.5, "n_max": scenario.MAX_N_MAX + 1, "eps": 1e-6,
+          "observables": [SIGMA_X, SIGMA_Y]},
+         scenario.MAX_N_MAX),
+        ({"kind": "damping", "p": 0.5, "n_max": 5, "eps": 1e-6,
+          "observables": [SIGMA_X] * (scenario.MAX_DAMPING_OBSERVABLES + 1)},
+         scenario.MAX_DAMPING_OBSERVABLES),
+        ({"kind": "lattice", "observables": zero_matrices(3, scenario.MAX_LATTICE_DIM + 1)},
+         scenario.MAX_LATTICE_DIM),
+    ],
+    ids=["grid-steps", "trajectory-entries", "n-max", "damping-observables", "lattice-dimension"],
+)
+def test_over_cap_input_is_a_diagnostic(tmp_path, payload, cap):
+    path = write_scenario(tmp_path, payload)
+    assert any(f"exceed the cap of {cap}" in d for d in scenario.validate_file(path))
+    assert scenario.run_file(path, tmp_path / "out") == 2
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------- runs
@@ -343,3 +398,46 @@ def test_run_multi_resonance_scenario(tmp_path):
     assert float(first[3]) == pytest.approx(k_slow[0, 0].real, abs=1e-12)
     assert float(first[4]) == pytest.approx(k_slow[0, 0].imag, abs=1e-12)
     assert all(float(r.split(",")[7]) <= 1e-12 for r in rows)
+
+
+# ---------------------------------------------------------------- validate == run
+
+
+def leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaf_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+DEMO_LEAVES = [
+    (demo.name, path) for demo in sorted(GOLDEN.glob("*.json")) for path in leaf_paths(json.loads(demo.read_text()))
+]
+MUTATIONS = [None, "x", True, -1, 0, 0.5, 5e-324, 1e308, float("nan"), float("inf"), [], {}, 10**7]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(DEMO_LEAVES), st.sampled_from(MUTATIONS))
+@example(("demo_lattice.json", ("kind",)), [])  # an unhashable kind
+def test_validate_and_run_agree_on_mutated_demos(leaf, value):
+    # one leaf of a demo scenario replaced: validate finds diagnostics exactly
+    # when run exits 2, neither raises, and a failed run leaves no output
+    name, path = leaf
+    payload = json.loads((GOLDEN / name).read_text())
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        scen = write_scenario(Path(tmp), payload)
+        out = Path(tmp) / "out"
+        with np.errstate(all="ignore"):
+            diagnostics = scenario.validate_file(scen)
+            code = scenario.run_file(scen, out)
+        assert code in (0, 2, 3)
+        assert (code == 2) == bool(diagnostics)
+        assert out.exists() == (code == 0)
