@@ -12,10 +12,13 @@ with equality exactly on Boolean (mutually compatible) families; the
 violation of the equalities by non-commuting projectors is the lattice
 face of quantum incompatibility.
 
-Subspace computations use SVD with a fixed rank cutoff of 1e-10:
-projector spectra sit near {0, 1}, so a mid-gap cutoff is robust. Meet
-and join re-symmetrize and spectrally round their output so the lattice
-stays closed under the operations to tolerance.
+Meet is the only subspace computation: one SVD of the stacked
+complements (I - p; I - q), whose null space is range(p) intersect
+range(q), cut at a fixed singular-value cutoff of 1e-10 (projector
+spectra sit near {0, 1}, so a mid-gap cutoff is robust). Join follows
+from meet by De Morgan, p v q = ~(~p ^ ~q), and containment
+range(q) subset range(p) is p q = q. Every result is B B^dagger for an
+orthonormal SVD basis B, built through the Projector checks.
 """
 
 from __future__ import annotations
@@ -60,6 +63,9 @@ class Projector:
         m = as_complex_matrix(self.mat)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"projector must be square, got {m.shape}")
+        # |P_ij|^2 <= P_ii P_jj <= 1; larger entries would also overflow the checks below
+        if max(np.abs(m.real).max(), np.abs(m.imag).max()) > 1 + _IDEMPOTENT_TOL:
+            raise ValueError("projector entries need real and imaginary parts of size <= 1 + 1e-10")
         if frobenius_norm(m - m.conj().T) > _HERMITIAN_TOL:
             raise ValueError("projector is not Hermitian to 1e-12")
         if frobenius_norm(m @ m - m) > _IDEMPOTENT_TOL:
@@ -107,26 +113,9 @@ def projector_onto(vectors) -> Projector:
         arr = arr.T  # sequence of vectors comes in as rows
     else:
         raise ValueError(f"expected a vector or a sequence of vectors, got shape {arr.shape}")
-    basis = _orthonormal_columns(arr)
-    return _rounded_projector(basis @ basis.conj().T)
-
-
-def _orthonormal_columns(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column space, rank-cut at RANK_CUTOFF."""
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    return u[:, s > RANK_CUTOFF]
-
-
-def _range_basis(p: Projector) -> np.ndarray:
-    return _orthonormal_columns(p.mat)
-
-
-def _rounded_projector(mat: np.ndarray) -> Projector:
-    """Re-symmetrize and round eigenvalues to {0, 1}."""
-    herm = (mat + mat.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(herm)
-    keep = vecs[:, vals > 0.5]
-    return Projector(keep @ keep.conj().T)
+    u, s, _ = np.linalg.svd(arr, full_matrices=False)
+    basis = u[:, s > RANK_CUTOFF]
+    return Projector(basis @ basis.conj().T)
 
 
 def _check_same_dim(*ps: Projector) -> int:
@@ -148,19 +137,12 @@ def meet(p: Projector, q: Projector) -> Projector:
     stacked = np.vstack([eye - p.mat, eye - q.mat])
     _, s, vh = np.linalg.svd(stacked)  # s has d entries for the 2d x d stack
     null_basis = vh[s <= RANK_CUTOFF].conj().T
-    if null_basis.shape[1] == 0:
-        return Projector(np.zeros((d, d), dtype=complex))
-    return _rounded_projector(null_basis @ null_basis.conj().T)
+    return Projector(null_basis @ null_basis.conj().T)
 
 
 def join(p: Projector, q: Projector) -> Projector:
-    """Projector onto the span of range(p) union range(q)."""
-    d = _check_same_dim(p, q)
-    stacked = np.hstack([_range_basis(p), _range_basis(q)])
-    if stacked.shape[1] == 0:
-        return Projector(np.zeros((d, d), dtype=complex))
-    basis = _orthonormal_columns(stacked)
-    return _rounded_projector(basis @ basis.conj().T)
+    """Projector onto the span of range(p) union range(q), by De Morgan: ~(~p ^ ~q)."""
+    return ortho(meet(ortho(p), ortho(q)))
 
 
 def ortho(p: Projector) -> Projector:
@@ -169,8 +151,8 @@ def ortho(p: Projector) -> Projector:
 
 
 def _contains(larger: Projector, smaller: Projector, tol: float = EQUALITY_TOL) -> bool:
-    """range(smaller) subset of range(larger), checked via the meet."""
-    return frobenius_norm(meet(larger, smaller).mat - smaller.mat) <= tol
+    """range(smaller) subset of range(larger), that is larger @ smaller == smaller."""
+    return frobenius_norm(larger.mat @ smaller.mat - smaller.mat) <= tol
 
 
 def distributivity_check(a: Projector, b: Projector, c: Projector) -> DistributivityReport:

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -320,18 +322,29 @@ _KINDS = {"damping": (_DAMPING_FIELDS, _run_damping), "resonance": (_RESONANCE_F
 def run_file(path, outdir) -> int:
     """Run a scenario file; returns 0 (ok), 2 (validation) or 3 (runtime).
 
-    The output files are written only once the whole run has succeeded.
+    The output files are written only once the whole run has succeeded, each
+    under a temporary name in ``outdir`` and renamed into place once all are
+    written. On failure the temporaries go, and ``outdir`` too if this call made it.
     """
     diagnostics, sc = load_scenario(path)
     if diagnostics:
         return report_invalid(diagnostics)
     out = Path(outdir)
+    created = not out.exists()
+    temps: list[Path] = []
     try:
         files, summary = _KINDS[sc.kind][1](sc.objects)
         out.mkdir(parents=True, exist_ok=True)
         for name, lines in files.items():
-            (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            temps.append(out / f".{name}.partial")
+            temps[-1].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for temp, name in zip(temps, files):
+            os.replace(temp, out / name)
     except (ValueError, OSError) as exc:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        if created:
+            shutil.rmtree(out, ignore_errors=True)
         print(f"runtime error: {exc}")
         return 3
     print(summary)

@@ -5,6 +5,7 @@ from gamowlab.channels import damping_limit
 from gamowlab.cmatrix import frobenius_norm
 from gamowlab.qlattice import (
     Projector,
+    _contains,
     abelian_certificate,
     compatible,
     distributivity_check,
@@ -176,6 +177,43 @@ def test_de_morgan_on_random_pairs():
         lhs = ortho(join(p, q))
         rhs = meet(ortho(p), ortho(q))
         assert frobenius_norm(lhs.mat - rhs.mat) <= 1e-9
+
+
+def test_join_matches_span_of_both_ranges():
+    # an independent reference: the projector onto the columns of p and q together
+    rng = np.random.default_rng(4)
+    zero, eye = proj(np.zeros((3, 3))), proj(np.eye(3))
+    pairs = [(zero, zero), (zero, eye), (eye, eye), (zero, proj(random_projector(rng, 3)))]
+    for _ in range(30):
+        d = int(rng.integers(2, 8))
+        pairs.append((proj(random_projector(rng, d)), proj(random_projector(rng, d))))
+    for p, q in pairs:
+        reference = projector_onto(np.hstack([p.mat, q.mat]).T)
+        assert frobenius_norm(join(p, q).mat - reference.mat) <= 1e-9
+
+
+def test_generic_ranks_at_benchmark_size():
+    # d = 16 with ranks 4-12: the rank cut alone decides every meet and join
+    rng = np.random.default_rng(13)
+    d = 16
+    for _ in range(4):
+        ranks = rng.integers(4, 13, size=3)
+        triple = [proj(random_projector(rng, d, int(r))) for r in ranks]
+        for i, j in [(0, 1), (0, 2), (1, 2)]:
+            assert meet(triple[i], triple[j]).rank == max(0, ranks[i] + ranks[j] - d)
+            assert join(triple[i], triple[j]).rank == min(d, ranks[i] + ranks[j])
+        assert distributivity_check(*triple).inequality_holds
+
+
+def test_contains():
+    rng = np.random.default_rng(17)
+    a = proj(random_projector(rng, 16, 10))
+    b = proj(random_projector(rng, 16, 10))
+    ab = meet(a, b)
+    assert ab.rank == 4
+    assert _contains(a, ab) and _contains(b, ab) and _contains(join(a, b), a)
+    assert not _contains(ab, a)
+    assert not _contains(proj(P_ZERO), proj(P_PLUS))
 
 
 def test_distributive_inequalities_on_random_triples():

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,23 @@ def test_validate_lattice_rejects_non_projector(tmp_path):
     assert any("idempotent" in d for d in diagnostics)
 
 
+def test_lattice_entry_beyond_projector_bound_is_a_diagnostic(tmp_path, capsys):
+    # |P_ij| <= 1 for every orthogonal projector; a finite 1e308 entry is
+    # reported as such, without overflowing the Hermitian and idempotent checks
+    big = [[[1e308, 0], [0, 0]], [[0, 0], [0, 0]]]
+    p_zero = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+    p_plus = [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]
+    path = write_scenario(tmp_path, {"kind": "lattice", "observables": [big, p_zero, p_plus]})
+    expected = "invalid scenario: observables[0]: projector entries need real and imaginary parts of size <= 1 + 1e-10"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out.splitlines() == [expected]
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().out.splitlines() == [expected]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "overrides, expected",
     [
@@ -263,6 +281,29 @@ def test_runtime_error_leaves_no_output(tmp_path):
     with np.errstate(over="ignore", invalid="ignore"):
         assert scenario.run_file(path, out) == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+def test_failed_write_leaves_no_output(tmp_path, monkeypatch, existing):
+    # the second of the two resonance outputs fails to write: the first must not be left behind
+    path = write_scenario(tmp_path, resonance_payload())
+    out = tmp_path / "out"
+    if existing:
+        out.mkdir()
+    write_text = Path.write_text
+    calls = []
+
+    def failing_second_write(self, *args, **kwargs):
+        calls.append(self.name)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing_second_write)
+    assert scenario.run_file(path, out) == 3
+    assert len(calls) == 2
+    assert out.exists() == existing
+    assert not existing or list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------- determinism
