@@ -29,6 +29,7 @@ from .commutators import (
     AnsatzReport,
     CommutatorTrajectory,
     DecayFit,
+    ansatz_coefficients,
     ansatz_report,
     commutation_time,
     envelope_fit,

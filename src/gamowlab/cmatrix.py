@@ -121,17 +121,26 @@ def pair_commutator_norms(stack) -> np.ndarray:
     x = as_complex_stack(stack)
     i, j = _pairs(len(x))
     a, b = x[i], x[j]
-    comm = (a @ b - b @ a).reshape(len(i), x.shape[1] ** 2)
+    return _commutator_norms(a @ b - b @ a)
+
+
+def _commutator_norms(comm: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a (P, d, d) stack of computed commutators, scaled like :func:`frobenius_norm`.
+
+    Shared by the pair kernel and the commutator trajectories. Raises
+    ValueError if an entry overflowed (is not finite).
+    """
+    rows = comm.reshape(len(comm), comm.shape[1] * comm.shape[2])
     # Squared norms as batched inner products, and the range test by
     # Python's sum and min over a list: this keeps the kernel on numpy
     # routines a damping step already runs, with no numpy comparison or
     # reduction code mapped in just for it. The sum also catches NaN.
-    sumsq = (comm.conj()[:, None, :] @ comm[:, :, None]).reshape(-1).real
+    sumsq = (rows.conj()[:, None, :] @ rows[:, :, None]).reshape(-1).real
     norms = np.sqrt(sumsq)
     listed = sumsq.tolist()
     if listed and not (sum(listed) <= _SUMSQ_HUGE and min(listed) >= _SUMSQ_TINY):
         rescale = ~((sumsq >= _SUMSQ_TINY) & (sumsq <= _SUMSQ_HUGE))
-        norms[rescale] = _scaled_norms(comm[rescale])
+        norms[rescale] = _scaled_norms(rows[rescale])
         if not np.isfinite(norms).all():
             raise ValueError("commutator entries overflow")
     return norms

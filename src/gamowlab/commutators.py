@@ -5,6 +5,13 @@ evolution variant, where O(t) = heisenberg_evolve(U(t), O). The HERMITIAN
 variant is the default for commutator studies; INVERTIBLE is kept for the
 growth counterexample.
 
+The grid is walked in chunks of consecutive times whose (chunk, d, d)
+stacks hold at most :data:`CHUNK_BYTES` each: one evolution operator over
+the chunk's times, both observables evolved as stacks, the commutators
+from two stacked products and their norms from batched inner products.
+The diagonal-form coefficients (:func:`ansatz_coefficients`) are read off
+the stored trajectory in the same chunks.
+
 Exact structure for one resonance under the HERMITIAN conjugation, with
 K = [O1, O2] and r = e^{-t Gamma}:
 
@@ -34,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cmatrix import as_complex_matrix, commutator, frobenius_norm
+from .cmatrix import _commutator_norms, as_complex_matrix, commutator
 from .evolution import EvolutionVariant, evolution_operator, heisenberg_evolve
 from .gamow import GamowSpace
 
@@ -47,15 +54,21 @@ __all__ = [
     "factored_commutator",
     "fit_window_start",
     "envelope_fit",
+    "ansatz_coefficients",
     "ansatz_report",
     "phase_constancy_check",
     "commutation_time",
     "growth_witness",
     "UNDERFLOW_FLOOR",
+    "CHUNK_BYTES",
 ]
 
 #: Norms at or below this are treated as zero when taking logs.
 UNDERFLOW_FLOOR = 1e-280
+
+#: Byte size of each (chunk, d, d) complex stack the chunked evaluation holds
+#: at once: a chunk spans CHUNK_BYTES // (16 d^2) grid times, one at least.
+CHUNK_BYTES = 16 * 1024
 
 
 @dataclass(frozen=True)
@@ -109,8 +122,25 @@ def time_grid(times) -> np.ndarray:
     return ts
 
 
+def _chunks(n_times: int, dim: int):
+    """Slices of consecutive grid indices, each spanning a (chunk, dim, dim) stack of CHUNK_BYTES or less."""
+    step = max(1, CHUNK_BYTES // (16 * dim * dim))
+    return (slice(lo, min(lo + step, n_times)) for lo in range(0, n_times, step))
+
+
+def _commute(space: GamowSpace, o1: np.ndarray, o2: np.ndarray, ts: np.ndarray, variant, out: np.ndarray) -> np.ndarray:
+    """Write [O1(t), O2(t)] at the times ``ts`` into ``out``, a (len(ts), d, d) array; return their norms."""
+    op = evolution_operator(space, ts, variant)
+    a = heisenberg_evolve(op, o1)
+    b = heisenberg_evolve(op, o2)
+    np.matmul(a, b, out=out)
+    out -= b @ a
+    with np.errstate(over="ignore", invalid="ignore"):  # squares past the float range take the scaled path
+        return _commutator_norms(out)
+
+
 def trajectory(space: GamowSpace, o1, o2, times, variant=EvolutionVariant.HERMITIAN) -> CommutatorTrajectory:
-    """Evolve both observables and commute them at each grid time."""
+    """Evolve both observables and commute them at each grid time, a chunk of times at a time."""
     variant = EvolutionVariant(variant)
     ts = time_grid(times)
     o1 = as_complex_matrix(o1)
@@ -122,10 +152,8 @@ def trajectory(space: GamowSpace, o1, o2, times, variant=EvolutionVariant.HERMIT
         )
     values = np.empty((ts.size, dim, dim), dtype=complex)
     norms = np.empty(ts.size)
-    for k, t in enumerate(ts):
-        op = evolution_operator(space, t, variant)
-        values[k] = commutator(heisenberg_evolve(op, o1), heisenberg_evolve(op, o2))
-        norms[k] = frobenius_norm(values[k])
+    for chunk in _chunks(ts.size, dim):
+        norms[chunk] = _commute(space, o1, o2, ts[chunk], variant, values[chunk])
     return CommutatorTrajectory(space=space, variant=variant, times=ts, values=values, norms=norms)
 
 
@@ -178,23 +206,42 @@ def envelope_fit(traj: CommutatorTrajectory, window_fraction: float | None = Non
     return DecayFit(slope=float(slope), intercept=float(intercept), max_abs_residual=resid, n_points=int(usable.sum()))
 
 
+def ansatz_coefficients(
+    space: GamowSpace, traj: CommutatorTrajectory, index: slice = slice(None)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal coefficients and residuals at the grid indices ``index``, as arrays.
+
+    Returns (alphas, betas, residuals) of shapes (n, N), (n, N) and (n,) for the n
+    indexed times; row k holds what :class:`AnsatzReport` describes for its time.
+    """
+    ts = traj.times[index]
+    values = np.asarray(traj.values)[index]
+    totals = traj.norms[index]
+    alphas = np.empty((ts.size, space.n_resonances), dtype=complex)
+    betas = np.empty_like(alphas)
+    residuals = np.zeros(ts.size)
+    for chunk in _chunks(ts.size, space.dim):
+        val = values[chunk]
+        scale = np.exp(2.0 * ts[chunk, None] * space.widths)
+        diagonal = np.diagonal(val, axis1=1, axis2=2)
+        alphas[chunk] = scale * diagonal[:, 0::2]
+        betas[chunk] = scale * diagonal[:, 1::2]
+        live = totals[chunk] > UNDERFLOW_FLOOR
+        if live.any():
+            off = val[live]
+            off.reshape(len(off), -1)[:, :: space.dim + 1] = 0.0
+            with np.errstate(over="ignore", invalid="ignore"):  # as in _commute
+                off_norms = _commutator_norms(off)
+            residuals[chunk][live] = np.minimum(1.0, off_norms / totals[chunk][live])
+    return alphas, betas, residuals
+
+
 def ansatz_report(space: GamowSpace, traj: CommutatorTrajectory, k: int) -> AnsatzReport:
     """Extract the per-resonance diagonal coefficients at grid index ``k``."""
     if not 0 <= k < traj.times.size:
         raise ValueError(f"time index {k} out of range 0..{traj.times.size - 1}")
-    t = float(traj.times[k])
-    val = traj.values[k]
-    scale = np.exp(2.0 * t * space.widths)
-    alphas = scale * np.diagonal(val)[0::2]
-    betas = scale * np.diagonal(val)[1::2]
-    total = float(traj.norms[k])
-    if total <= UNDERFLOW_FLOOR:
-        residual = 0.0
-    else:
-        off = val.copy()
-        np.fill_diagonal(off, 0.0)
-        residual = min(1.0, frobenius_norm(off) / total)
-    return AnsatzReport(t=t, alphas=alphas, betas=betas, residual=residual)
+    alphas, betas, residuals = ansatz_coefficients(space, traj, slice(k, k + 1))
+    return AnsatzReport(t=float(traj.times[k]), alphas=alphas[0], betas=betas[0], residual=float(residuals[0]))
 
 
 def phase_constancy_check(
@@ -216,9 +263,8 @@ def phase_constancy_check(
     """
     if space.n_resonances != 1:
         raise ValueError("phase constancy is a single-resonance check")
-    reports = [ansatz_report(space, traj, k) for k in range(traj.times.size)]
-    alphas = np.array([r.alphas[0] for r in reports])
-    betas = np.array([r.betas[0] for r in reports])
+    alphas, betas, _ = ansatz_coefficients(space, traj)
+    alphas, betas = alphas[:, 0], betas[:, 0]
     for series in (alphas, betas):
         mods = np.abs(series)
         if mods.max() - mods.min() > modulus_tol:
@@ -242,7 +288,8 @@ def commutation_time(
 ) -> float | None:
     """First grid time at which the evolved commutator norm drops below ``eps``.
 
-    Scans t = 0, dt, 2 dt, ... up to ``t_max``; returns None if the
+    Scans t = 0, dt, 2 dt, ... up to ``t_max`` in the chunks :func:`trajectory`
+    uses, stopping after the first chunk that crosses; returns None if the
     threshold is never reached on the grid.
     """
     if eps <= 0:
@@ -253,12 +300,12 @@ def commutation_time(
     o1 = as_complex_matrix(o1)
     o2 = as_complex_matrix(o2)
     steps = int(np.floor(t_max / dt + 1e-9))
-    for k in range(steps + 1):
-        t = k * dt
-        op = evolution_operator(space, t, variant)
-        norm = frobenius_norm(commutator(heisenberg_evolve(op, o1), heisenberg_evolve(op, o2)))
-        if norm < eps:
-            return t
+    for chunk in _chunks(steps + 1, space.dim):
+        ks = np.arange(chunk.start, chunk.stop)
+        out = np.empty((ks.size, space.dim, space.dim), dtype=complex)
+        below = np.flatnonzero(_commute(space, o1, o2, ks * dt, variant, out) < eps)
+        if below.size:
+            return int(ks[below[0]]) * dt
     return None
 
 

@@ -22,6 +22,10 @@ as an extrapolation, not a prescription.
 
 Every operator is stored as its diagonal ``diag`` (D slots [0::2], G
 slots [1::2]), so each conjugation is the entrywise scaling O_ab u_a v_b.
+Given a 1-d array of T times, ``evolution_operator`` returns one operator
+whose ``diag`` is the (T, 2N) stack of those diagonals, and
+``heisenberg_evolve`` then returns the (T, 2N, 2N) stack of evolved
+observables.
 
 Time is in inverse-energy units with hbar = 1, so widths are inverse
 lifetimes. Negative t is always computed; ``taqm_validity`` tells you
@@ -85,8 +89,10 @@ class GamowHamiltonian:
 
 @dataclass(frozen=True)
 class EvolutionOperator:
+    """U(t) as its diagonal; for a 1-d array ``t`` of T times, ``diag`` has shape (T, 2N)."""
+
     space: GamowSpace
-    t: float
+    t: float | np.ndarray
     variant: EvolutionVariant
     diag: np.ndarray = field(repr=False)
 
@@ -117,18 +123,26 @@ def hamiltonian(space: GamowSpace, kind: HamiltonianKind) -> GamowHamiltonian:
     return GamowHamiltonian(space=space, kind=kind, diag=diag)
 
 
-def evolution_operator(space: GamowSpace, t: float, variant: EvolutionVariant) -> EvolutionOperator:
-    """Evolution operator at time ``t`` for the given variant."""
+def evolution_operator(space: GamowSpace, t, variant: EvolutionVariant) -> EvolutionOperator:
+    """Evolution operator at time ``t`` for the given variant.
+
+    ``t`` is a number, or a 1-d array of T times, which gives one operator
+    with a (T, 2N) ``diag``: row k is the diagonal at ``t[k]``.
+    """
     variant = EvolutionVariant(variant)
-    if not np.isfinite(t):
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError(f"time must be a number or a 1-d array, got shape {ts.shape}")
+    if not np.isfinite(ts).all():
         raise ValueError(f"time must be finite, got {t}")
-    diag = np.zeros(space.dim, dtype=complex)
-    diag[0::2] = np.exp(-1j * t * space.poles)
+    column = ts[..., None]
+    diag = np.zeros(ts.shape + (space.dim,), dtype=complex)
+    diag[..., 0::2] = np.exp(-1j * column * space.poles)
     if variant is EvolutionVariant.INVERTIBLE:
-        diag[1::2] = np.exp(-1j * t * space.poles.conj())
+        diag[..., 1::2] = np.exp(-1j * column * space.poles.conj())
     elif variant is EvolutionVariant.HERMITIAN:
-        diag[1::2] = np.exp(+1j * t * space.poles.conj())
-    return EvolutionOperator(space=space, t=float(t), variant=variant, diag=diag)
+        diag[..., 1::2] = np.exp(+1j * column * space.poles.conj())
+    return EvolutionOperator(space=space, t=float(ts) if ts.ndim == 0 else ts, variant=variant, diag=diag)
 
 
 def inverse(op: EvolutionOperator) -> EvolutionOperator:
@@ -161,23 +175,28 @@ def hermitian_square_law(space: GamowSpace, t: float) -> tuple[np.ndarray, np.nd
 
 
 def heisenberg_evolve(op: EvolutionOperator, obs) -> np.ndarray:
-    """Conjugate an observable with the evolution operator, per variant."""
+    """Conjugate an observable with the evolution operator, per variant.
+
+    An operator over T times gives the (T, d, d) stack of evolved observables.
+    """
     obs = as_complex_matrix(obs)
     dim = op.space.dim
     if obs.shape != (dim, dim):
         raise ValueError(f"observable shape {obs.shape} does not match space dimension {dim}")
     u = op.diag
     if op.variant is EvolutionVariant.INVERTIBLE:
-        return u[:, None] * obs * inverse(op).diag
-    if op.variant is EvolutionVariant.HERMITIAN:
-        return u[:, None] * obs * u
-    warnings.warn(
-        "SEMIGROUP_D has no canonical Heisenberg conjugation; using U O U^dag as an "
-        "extrapolation",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return u[:, None] * obs * u.conj()
+        v = inverse(op).diag
+    elif op.variant is EvolutionVariant.HERMITIAN:
+        v = u
+    else:
+        warnings.warn(
+            "SEMIGROUP_D has no canonical Heisenberg conjugation; using U O U^dag as an "
+            "extrapolation",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        v = u.conj()
+    return u[..., :, None] * obs * v[..., None, :]
 
 
 def taqm_validity(kind: str, t: float) -> TaqmValidity:

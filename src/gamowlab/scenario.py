@@ -12,7 +12,8 @@ resonance: resonances ([{energy, width}, ...]), variant, observables
 lattice:   observables (exactly three projector matrices of equal size)
 
 Validation builds every object a run uses from its kind's field table; constructor
-errors become ``field: message`` diagnostics. ``MAX_*`` cap the size of a run.
+errors become ``field: message`` diagnostics, and a top-level key the kind does not
+read becomes a ``scenario: unknown key`` diagnostic. ``MAX_*`` cap the size of a run.
 
 Outputs are written with shortest round-trip float formatting and fixed
 row order, so identical scenarios produce byte-identical files.
@@ -41,6 +42,8 @@ MAX_TRAJECTORY_ENTRIES = 2**24  # steps * (2N)^2; the run keeps them all, 16 byt
 MAX_N_MAX = 1_000_000
 MAX_DAMPING_OBSERVABLES = 64  # the pair kernel holds k(k-1)/2 commutators per step
 MAX_LATTICE_DIM = 256
+
+_CSV_SLICE_ROWS = 64  # resonance CSV rows formatted from one ansatz_coefficients call
 
 
 @dataclass(frozen=True)
@@ -219,7 +222,11 @@ def load_scenario(path) -> tuple[list[str], Scenario | None]:
     kind = data.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
         return [f"kind: must be one of {'|'.join(_KINDS)}, got {kind!r}"], None
-    diagnostics, built = _build(data, _KINDS[kind][0])
+    fields = _KINDS[kind][0]
+    known = {"kind"} | {label.split(".")[0] for _, label, _ in fields}
+    diagnostics = [f"scenario: unknown key {key!r}" for key in data if key not in known]
+    found, built = _build(data, fields)
+    diagnostics += found
     return diagnostics, None if diagnostics else Scenario(kind, built)
 
 
@@ -264,16 +271,22 @@ def _run_resonance(o: dict) -> tuple[dict[str, list[str]], str]:
     traj = commutators.trajectory(space, *o["observables"], times, o["variant"])
     slow = int(np.argmin(space.widths))
     lines = ["t,norm,log_norm,alpha_re,alpha_im,beta_re,beta_im,ansatz_residual,taqm_valid"]
-    for k, t in enumerate(times):
-        rep = commutators.ansatz_report(space, traj, k)
-        norm = traj.norms[k]
-        log_norm = math.log(norm) if norm > 0 else float("-inf")
-        alpha = rep.alphas[slow]
-        beta = rep.betas[slow]
-        lines.append(
-            f"{_fmt(t)},{_fmt(norm)},{_fmt(log_norm)},{_fmt(alpha.real)},{_fmt(alpha.imag)},"
-            f"{_fmt(beta.real)},{_fmt(beta.imag)},{_fmt(rep.residual)},{str(t >= 0).lower()}"
+    # One slice of rows at a time: its (rows, 7) table of CSV numbers, then its lines,
+    # so only one slice's coefficients and Python floats are alive; math.log, not
+    # np.log, keeps each log_norm to the bit.
+    for lo in range(0, times.size, _CSV_SLICE_ROWS):
+        index = slice(lo, lo + _CSV_SLICE_ROWS)
+        alphas, betas, residuals = commutators.ansatz_coefficients(space, traj, index)
+        alpha, beta = alphas[:, slow], betas[:, slow]
+        table = np.column_stack(
+            [times[index], traj.norms[index], alpha.real, alpha.imag, beta.real, beta.imag, residuals]
         )
+        for t, norm, a_re, a_im, b_re, b_im, residual in table.tolist():
+            log_norm = math.log(norm) if norm > 0 else float("-inf")
+            lines.append(
+                f"{t!r},{norm!r},{log_norm!r},{a_re!r},{a_im!r},{b_re!r},{b_im!r},{residual!r},"
+                f"{'true' if t >= 0 else 'false'}"
+            )
 
     fit = commutators.envelope_fit(traj, o["fit_window"])
     expected = -2.0 * min(space.widths)

@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gamowlab.cmatrix import commutator, frobenius_norm
 from gamowlab.commutators import (
+    CHUNK_BYTES,
     CommutatorTrajectory,
+    UNDERFLOW_FLOOR,
+    ansatz_coefficients,
     ansatz_report,
     commutation_time,
     envelope_fit,
@@ -12,7 +17,7 @@ from gamowlab.commutators import (
     phase_constancy_check,
     trajectory,
 )
-from gamowlab.evolution import EvolutionVariant
+from gamowlab.evolution import EvolutionVariant, evolution_operator, heisenberg_evolve
 from gamowlab.gamow import Resonance, new_space
 from support import SIGMA_X, SIGMA_Y, block_xy_pair, random_hermitian
 
@@ -218,6 +223,123 @@ def test_envelope_fit_window_validation():
         envelope_fit(traj, window_fraction=0.0)
 
 
+# ---------------------------------------------------------------- chunked evaluation
+
+
+def random_space(rng, n_res):
+    energies, widths = rng.uniform(-2, 2, n_res), rng.uniform(0.1, 1, n_res)
+    return new_space([Resonance(float(e), float(w)) for e, w in zip(energies, widths)])
+
+
+def chunk_length(n_res):
+    return max(1, CHUNK_BYTES // (16 * (2 * n_res) ** 2))
+
+
+def per_time_trajectory(space, o1, o2, ts, variant):
+    """The reference: one operator, two conjugations, a commutator and a norm per grid time."""
+    values, norms = [], []
+    for t in ts:
+        op = evolution_operator(space, t, variant)
+        values.append(commutator(heisenberg_evolve(op, o1), heisenberg_evolve(op, o2)))
+        norms.append(frobenius_norm(values[-1]))
+    return np.array(values), np.array(norms)
+
+
+@pytest.mark.filterwarnings("ignore:SEMIGROUP_D has no canonical")
+@pytest.mark.parametrize("variant", list(EvolutionVariant))
+@pytest.mark.parametrize("n_res", [1, 2, 64])
+def test_chunked_trajectory_equals_the_per_time_loop(variant, n_res):
+    rng = np.random.default_rng(31 + n_res)
+    space = random_space(rng, n_res)
+    o1, o2 = random_hermitian(rng, space.dim), random_hermitian(rng, space.dim)
+    steps = 5 if n_res == 64 else 2 * chunk_length(n_res) + 3  # one time per chunk at N = 64
+    ts = np.linspace(-0.5, 4.0, steps)
+    traj = trajectory(space, o1, o2, ts, variant)
+    values, norms = per_time_trajectory(space, o1, o2, ts, variant)
+    np.testing.assert_array_equal(traj.values, values)
+    np.testing.assert_array_equal(traj.norms, norms)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e150])
+def test_chunked_norms_take_the_scaled_fallback(scale):
+    # squared norms near 1e-640 underflow and near 1e600 overflow: both paths rescale
+    rng = np.random.default_rng(37)
+    space = random_space(rng, 2)
+    o1, o2 = scale * random_hermitian(rng, 4), scale * random_hermitian(rng, 4)
+    ts = np.linspace(0.0, 3.0, chunk_length(2) + 7)
+    traj = trajectory(space, o1, o2, ts)
+    values, norms = per_time_trajectory(space, o1, o2, ts, HERM)
+    np.testing.assert_array_equal(traj.values, values)
+    np.testing.assert_array_equal(traj.norms, norms)
+    assert np.all(np.isfinite(traj.norms)) and np.all(traj.norms > 0)
+
+
+def test_chunked_trajectory_rejects_overflow():
+    # INVERTIBLE conjugation grows like e^{t G}: the evolved entries overflow
+    space = space1(energy=0.0, width=2.0)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="overflow"):
+        trajectory(space, SIGMA_X, SIGMA_Y, [0.0, 400.0], EvolutionVariant.INVERTIBLE)
+
+
+def per_time_ansatz(space, traj, k):
+    """The reference: diagonal coefficients and residual of grid index k, one matrix at a time."""
+    t, val, total = traj.times[k], traj.values[k], traj.norms[k]
+    scale = np.exp(2.0 * t * space.widths)
+    if total <= UNDERFLOW_FLOOR:
+        residual = 0.0
+    else:
+        off = val.copy()
+        np.fill_diagonal(off, 0.0)
+        residual = min(1.0, frobenius_norm(off) / total)
+    return scale * np.diagonal(val)[0::2], scale * np.diagonal(val)[1::2], residual
+
+
+@pytest.mark.parametrize("n_res", [1, 2, 3, 64])
+def test_ansatz_coefficients_equal_the_per_time_formula(n_res):
+    rng = np.random.default_rng(41 + n_res)
+    space = random_space(rng, n_res)
+    o1, o2 = random_hermitian(rng, space.dim), random_hermitian(rng, space.dim)
+    steps = 4 if n_res == 64 else chunk_length(n_res) + 5
+    traj = trajectory(space, o1, o2, np.linspace(0.0, 8.0, steps))
+    alphas, betas, residuals = ansatz_coefficients(space, traj)
+    assert alphas.shape == betas.shape == (steps, n_res) and residuals.shape == (steps,)
+    for k in range(steps):
+        alpha, beta, residual = per_time_ansatz(space, traj, k)
+        np.testing.assert_array_equal(alphas[k], alpha)
+        np.testing.assert_array_equal(betas[k], beta)
+        assert residuals[k] == residual
+        rep = ansatz_report(space, traj, k)
+        np.testing.assert_array_equal(rep.alphas, alpha)
+        assert rep.residual == residual
+    sub = ansatz_coefficients(space, traj, slice(2, 5))
+    np.testing.assert_array_equal(sub[2], residuals[2:5])
+    # a commuting pair: every norm is below the underflow floor, every residual 0
+    diagonal = np.diag(rng.normal(size=space.dim)).astype(complex)
+    flat = trajectory(space, diagonal, 2 * diagonal, traj.times)
+    assert np.all(flat.norms <= UNDERFLOW_FLOOR)
+    np.testing.assert_array_equal(ansatz_coefficients(space, flat)[2], np.zeros(steps))
+
+
+@pytest.mark.parametrize("n_res, steps", [(64, 51), (2, 1001)])
+def test_chunked_evaluation_holds_no_trajectory_sized_temporary(n_res, steps):
+    # peak traced memory is the outputs plus a few chunk stacks; a (T, d, d) temporary
+    # on top of ``values`` would exceed it (13 MB at N = 64, 250 KB at N = 2)
+    rng = np.random.default_rng(43)
+    space = random_space(rng, n_res)
+    o1, o2 = random_hermitian(rng, space.dim), random_hermitian(rng, space.dim)
+    ts = np.linspace(0.0, 20.0, steps)
+    chunk_bytes = max(CHUNK_BYTES, 16 * space.dim**2)  # a chunk spans one grid time at least
+    tracemalloc.start()
+    try:
+        traj = trajectory(space, o1, o2, ts)
+        outputs = ansatz_coefficients(space, traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = traj.values.nbytes + traj.norms.nbytes + sum(a.nbytes for a in outputs)
+    assert peak < kept + 8 * chunk_bytes
+
+
 # ---------------------------------------------------------------- ansatz reports
 
 
@@ -353,6 +475,22 @@ def test_commutation_time_parameter_validation():
         commutation_time(space, SIGMA_X, SIGMA_Y, eps=0.0)
     with pytest.raises(ValueError, match="positive"):
         commutation_time(space, SIGMA_X, SIGMA_Y, eps=1.0, dt=-0.1)
+
+
+@pytest.mark.parametrize("n_res, eps", [(1, 1e-6), (1, 10.0), (2, 1e-3), (2, 1e-300)])
+def test_commutation_time_equals_the_per_step_scan(n_res, eps):
+    rng = np.random.default_rng(47 + n_res)
+    space = random_space(rng, n_res)
+    o1, o2 = random_hermitian(rng, space.dim), random_hermitian(rng, space.dim)
+    dt, t_max = 0.01, 30.0
+    expected = None
+    for k in range(int(np.floor(t_max / dt + 1e-9)) + 1):
+        op = evolution_operator(space, k * dt, HERM)
+        if frobenius_norm(commutator(heisenberg_evolve(op, o1), heisenberg_evolve(op, o2))) < eps:
+            expected = k * dt
+            break
+    assert commutation_time(space, o1, o2, eps=eps, t_max=t_max, dt=dt) == expected
+    assert (expected is None) == (eps == 1e-300)
 
 
 # ---------------------------------------------------------------- growth witness

@@ -256,6 +256,40 @@ def test_heisenberg_evolve_matches_dense_product(variant):
         np.testing.assert_allclose(evolved, u @ obs @ v, rtol=1e-14, atol=0)
 
 
+@pytest.mark.filterwarnings("ignore:SEMIGROUP_D has no canonical")
+@pytest.mark.parametrize("variant", [HERM, INV, SEMI])
+def test_time_array_operator_is_a_stack_of_scalar_operators(variant):
+    rng = np.random.default_rng(29)
+    space = new_space([Resonance(0.3, 0.4), Resonance(-1.2, 1.0), Resonance(0.0, 3.0)])
+    obs = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    ts = np.array([-1.3, 0.0, 0.7, 3.1, 25.0])
+    op = evolution_operator(space, ts, variant)
+    assert op.diag.shape == (ts.size, space.dim)
+    np.testing.assert_array_equal(op.t, ts)
+    scalar_ops = [evolution_operator(space, t, variant) for t in ts]
+    assert all(type(o.t) is float for o in scalar_ops)
+    np.testing.assert_array_equal(op.diag, np.stack([o.diag for o in scalar_ops]))
+    np.testing.assert_array_equal(heisenberg_evolve(op, obs), np.stack([heisenberg_evolve(o, obs) for o in scalar_ops]))
+    if variant is INV:
+        np.testing.assert_array_equal(inverse(op).diag, np.stack([inverse(o).diag for o in scalar_ops]))
+
+
+def test_time_array_operator_keeps_the_semigroup_warning():
+    space = new_space([Resonance(1.0, 0.5)])
+    op = evolution_operator(space, [0.0, 1.0], SEMI)
+    with pytest.warns(RuntimeWarning, match="no canonical"):
+        assert heisenberg_evolve(op, np.eye(2)).shape == (2, 2, 2)
+
+
+def test_time_array_rejects_non_finite_entries_and_extra_axes():
+    space = new_space([Resonance(0.0, 1.0)])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            evolution_operator(space, np.array([0.0, bad, 1.0]), HERM)
+    with pytest.raises(ValueError, match="1-d"):
+        evolution_operator(space, np.zeros((2, 2)), HERM)
+
+
 def test_square_law_matches_dense_product():
     space = new_space([Resonance(0.3, 0.4), Resonance(-1.2, 1.0), Resonance(2.0, 3.0)])
     for t in (-0.8, 0.0, 1.9):

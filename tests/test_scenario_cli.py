@@ -73,6 +73,27 @@ def test_validate_unknown_kind(tmp_path):
     assert any(d.startswith("kind:") for d in scenario.validate_file(path))
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"kind": "damping", "p": 0.5, "n_max": 5, "eps": 1e-6, "observables": [SIGMA_X, SIGMA_Y]},
+        resonance_payload(),
+        {"kind": "lattice", "observables": [SIGMA_X, SIGMA_Y, SIGMA_Z]},
+    ],
+    ids=["damping", "resonance", "lattice"],
+)
+def test_unknown_top_level_key_is_a_diagnostic(tmp_path, capsys, payload):
+    # a misspelt key ("fit_windw") would otherwise run with the default it meant to override
+    path = write_scenario(tmp_path, {**payload, "fit_windw": 0.5})
+    diagnostics = scenario.validate_file(path)
+    assert diagnostics[0] == "scenario: unknown key 'fit_windw'"
+    assert main(["validate", str(path)]) == 2
+    assert "invalid scenario: scenario: unknown key 'fit_windw'" in capsys.readouterr().out.splitlines()
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "invalid scenario: scenario: unknown key 'fit_windw'" in capsys.readouterr().out.splitlines()
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_bad_json_and_missing_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
