@@ -7,7 +7,8 @@ with explicit shape errors and finiteness checks on construction.
 
 Dimensions stay tiny (a few dozen at most), so everything is dense
 ``numpy.complex128``. Families of observables travel as ``(k, d, d)``
-stacks, so one numpy call serves the whole family.
+stacks, so one numpy call serves the whole family; the pair kernel also
+takes leading axes, so one call serves the family at several steps.
 """
 
 from __future__ import annotations
@@ -111,17 +112,23 @@ def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pair_commutator_norms(stack) -> np.ndarray:
-    """Frobenius norms of [X_i, X_j] for every pair i < j of a (k, d, d) stack.
+    """Frobenius norms of [X_i, X_j] for every pair i < j of a (..., k, d, d) stack.
 
+    A (k, d, d) stack gives P = k(k-1)/2 norms; leading axes, such as the
+    steps of a channel iteration, carry over, so an (s, k, d, d) block
+    gives (s, P) norms, each row equal to the call on its own stack.
     Pairs come in row-major order (0,1), (0,2), ..., (0,k-1), (1,2), ...,
-    the order of ``np.triu_indices(k, 1)``, so ``np.argmax`` of the result
+    the order of ``np.triu_indices(k, 1)``, so ``np.argmax`` of a row
     names the first maximal pair. Norms are scaled like
     :func:`frobenius_norm`.
     """
-    x = as_complex_stack(stack)
-    i, j = _pairs(len(x))
-    a, b = x[i], x[j]
-    return _commutator_norms(a @ b - b @ a)
+    x = np.asarray(stack, dtype=np.complex128)
+    flat = x.reshape(-1, *x.shape[-2:]) if x.ndim > 3 else x
+    x = as_complex_stack(flat).reshape(x.shape)
+    i, j = _pairs(x.shape[-3])
+    a, b = x[..., i, :, :], x[..., j, :, :]
+    comm = a @ b - b @ a
+    return _commutator_norms(comm.reshape(-1, *comm.shape[-2:])).reshape(comm.shape[:-2])
 
 
 def _commutator_norms(comm: np.ndarray) -> np.ndarray:

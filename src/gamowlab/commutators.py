@@ -68,6 +68,7 @@ UNDERFLOW_FLOOR = 1e-280
 
 #: Byte size of each (chunk, d, d) complex stack the chunked evaluation holds
 #: at once: a chunk spans CHUNK_BYTES // (16 d^2) grid times, one at least.
+#: The damping run blocks its channel steps to the same budget.
 CHUNK_BYTES = 16 * 1024
 
 
@@ -122,10 +123,14 @@ def time_grid(times) -> np.ndarray:
     return ts
 
 
-def _chunks(n_times: int, dim: int):
-    """Slices of consecutive grid indices, each spanning a (chunk, dim, dim) stack of CHUNK_BYTES or less."""
-    step = max(1, CHUNK_BYTES // (16 * dim * dim))
-    return (slice(lo, min(lo + step, n_times)) for lo in range(0, n_times, step))
+def _chunks(n_items: int, item_bytes: int):
+    """Slices of consecutive indices, each spanning as many items of ``item_bytes`` as CHUNK_BYTES holds, one at least.
+
+    A grid time of a (chunk, d, d) stack takes 16 d^2 bytes; a channel step
+    of the damping run takes those of its k(k-1)/2 pair commutators.
+    """
+    step = max(1, CHUNK_BYTES // item_bytes)
+    return (slice(lo, min(lo + step, n_items)) for lo in range(0, n_items, step))
 
 
 def _commute(space: GamowSpace, o1: np.ndarray, o2: np.ndarray, ts: np.ndarray, variant, out: np.ndarray) -> np.ndarray:
@@ -152,7 +157,7 @@ def trajectory(space: GamowSpace, o1, o2, times, variant=EvolutionVariant.HERMIT
         )
     values = np.empty((ts.size, dim, dim), dtype=complex)
     norms = np.empty(ts.size)
-    for chunk in _chunks(ts.size, dim):
+    for chunk in _chunks(ts.size, 16 * dim**2):
         norms[chunk] = _commute(space, o1, o2, ts[chunk], variant, values[chunk])
     return CommutatorTrajectory(space=space, variant=variant, times=ts, values=values, norms=norms)
 
@@ -220,7 +225,7 @@ def ansatz_coefficients(
     alphas = np.empty((ts.size, space.n_resonances), dtype=complex)
     betas = np.empty_like(alphas)
     residuals = np.zeros(ts.size)
-    for chunk in _chunks(ts.size, space.dim):
+    for chunk in _chunks(ts.size, 16 * space.dim**2):
         val = values[chunk]
         scale = np.exp(2.0 * ts[chunk, None] * space.widths)
         diagonal = np.diagonal(val, axis1=1, axis2=2)
@@ -300,7 +305,7 @@ def commutation_time(
     o1 = as_complex_matrix(o1)
     o2 = as_complex_matrix(o2)
     steps = int(np.floor(t_max / dt + 1e-9))
-    for chunk in _chunks(steps + 1, space.dim):
+    for chunk in _chunks(steps + 1, 16 * space.dim**2):
         ks = np.arange(chunk.start, chunk.stop)
         out = np.empty((ks.size, space.dim, space.dim), dtype=complex)
         below = np.flatnonzero(_commute(space, o1, o2, ks * dt, variant, out) < eps)

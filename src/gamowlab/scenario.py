@@ -15,6 +15,10 @@ Validation builds every object a run uses from its kind's field table; construct
 errors become ``field: message`` diagnostics, and a top-level key the kind does not
 read becomes a ``scenario: unknown key`` diagnostic. ``MAX_*`` cap the size of a run.
 
+A damping run takes its channel steps one at a time and its pair commutator
+norms a chunk of steps at a time, one pair-kernel call per chunk, with the
+chunk budget the resonance trajectories use (``commutators.CHUNK_BYTES``).
+
 Outputs are written with shortest round-trip float formatting and fixed
 row order, so identical scenarios produce byte-identical files.
 """
@@ -40,7 +44,7 @@ __all__ = ["Scenario", "load_scenario", "validate_file", "report_invalid", "run_
 MAX_GRID_STEPS = 100_000
 MAX_TRAJECTORY_ENTRIES = 2**24  # steps * (2N)^2; the run keeps them all, 16 bytes each
 MAX_N_MAX = 1_000_000
-MAX_DAMPING_OBSERVABLES = 64  # the pair kernel holds k(k-1)/2 commutators per step
+MAX_DAMPING_OBSERVABLES = 64  # k(k-1)/2 commutators per step; a chunk holds CHUNK_BYTES of them, or one step's
 MAX_LATTICE_DIM = 256
 
 _CSV_SLICE_ROWS = 64  # resonance CSV rows formatted from one ansatz_coefficients call
@@ -211,11 +215,11 @@ def load_scenario(path) -> tuple[list[str], Scenario | None]:
     """Parse a scenario file and build its objects; diagnostics are the findings."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return [f"file: cannot read {path}: {exc}"], None
     try:
         data = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer literal past the digit limit
+    except (ValueError, RecursionError) as exc:  # also an integer past the digit limit, or too deep nesting
         return [f"file: invalid JSON: {exc}"], None
     if not isinstance(data, dict):
         return ["scenario: top level must be a JSON object"], None
@@ -248,15 +252,24 @@ def _fmt(x: float) -> str:
 
 def _run_damping(o: dict) -> tuple[dict[str, list[str]], str]:
     evolved = o["observables"]
+    k = len(evolved)
     rows = []
     first_below: int | None = None
-    for n in range(o["n_max"] + 1):
-        if n > 0:
-            evolved = channels.apply_heisenberg(o["channel"], evolved)
-        worst = max(pair_commutator_norms(evolved).tolist())
-        rows.append((n, worst))
-        if first_below is None and worst < o["eps"]:
-            first_below = n
+    # Steps go through the channel one at a time, each from the last, into a
+    # (steps, k, 2, 2) block; one pair-kernel call per block gives its rows of
+    # norms. A step's k(k-1)/2 commutators take 64 bytes each (2x2 complex).
+    for chunk in commutators._chunks(o["n_max"] + 1, 64 * k * (k - 1) // 2):
+        steps = range(chunk.start, chunk.stop)
+        block = np.empty((len(steps), *evolved.shape), dtype=np.complex128)
+        for s, n in enumerate(steps):
+            if n > 0:
+                evolved = channels.apply_heisenberg(o["channel"], evolved)
+            block[s] = evolved
+        for n, norms in zip(steps, pair_commutator_norms(block).tolist()):
+            worst = max(norms)
+            rows.append((n, worst))
+            if first_below is None and worst < o["eps"]:
+                first_below = n
     lines = ["n,norm"]
     lines += [f"{n},{_fmt(norm)}" for n, norm in rows]
     reached = f"commuting at n={first_below}" if first_below is not None else "eps not reached"

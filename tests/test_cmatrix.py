@@ -197,6 +197,49 @@ def test_pair_commutator_norms_reject_overflow():
         pair_commutator_norms(np.stack([SIGMA_X, SIGMA_Y, a, b]))
 
 
+@pytest.mark.parametrize("k, d", [(2, 2), (8, 2), (9, 2), (4, 3), (1, 2)])
+def test_pair_commutator_norms_of_a_block_equal_the_per_step_calls(k, d):
+    rng = np.random.default_rng(11)
+    block = rng.normal(size=(5, k, d, d)) + 1j * rng.normal(size=(5, k, d, d))
+    norms = pair_commutator_norms(block)
+    assert norms.shape == (5, k * (k - 1) // 2)
+    np.testing.assert_array_equal(norms, [pair_commutator_norms(stack) for stack in block])
+    # more leading axes carry over as well
+    np.testing.assert_array_equal(pair_commutator_norms(block.reshape(5, 1, k, d, d))[:, 0], norms)
+
+
+def test_pair_commutator_norms_of_a_block_take_the_scaled_fallback_per_step():
+    # tiny members in one step and huge ones in another: each step's norms must be
+    # those of its own call, not rescaled by the other step's range
+    rng = np.random.default_rng(12)
+    stack = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
+    block = np.stack([stack, stack * 1e-150, stack, stack * 1e150])
+    block[0, 1] *= 1e-170  # tiny and ordinary members in one step
+    with np.errstate(over="ignore", invalid="ignore"):  # the squares of the huge step overflow
+        norms = pair_commutator_norms(block)
+        np.testing.assert_array_equal(norms, [pair_commutator_norms(step) for step in block])
+    np.testing.assert_allclose(norms[1], norms[2] * 1e-300, rtol=1e-14)
+    np.testing.assert_allclose(norms[3], norms[2] * 1e300, rtol=1e-14)
+    assert norms[0, 0] > 0
+
+
+def test_pair_commutator_norms_of_a_block_reject_overflow_in_any_step():
+    a = np.array([[1e200, 0], [1e200, 0]], dtype=complex)
+    b = np.array([[1e200, 1e200], [0, 0]], dtype=complex)
+    block = np.stack([np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z, SIGMA_X]), np.stack([SIGMA_X, SIGMA_Y, a, b])])
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="overflow"):
+        pair_commutator_norms(block)
+
+
+def test_pair_commutator_norms_reject_bad_blocks():
+    with pytest.raises(ValueError, match=r"\(k, d, d\)"):
+        pair_commutator_norms(np.eye(2))
+    with pytest.raises(ValueError, match=r"\(k, d, d\)"):
+        pair_commutator_norms(np.ones((2, 3, 2, 4)))
+    with pytest.raises(ValueError, match="finite"):
+        pair_commutator_norms(np.full((2, 3, 2, 2), np.nan))
+
+
 def test_as_complex_stack_rejects_bad_input():
     with pytest.raises(ValueError, match=r"\(k, d, d\)"):
         as_complex_stack(np.eye(2))

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -10,8 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gamowlab import scenario
+from gamowlab import channels, scenario
 from gamowlab.cli import main
+from gamowlab.cmatrix import pair_commutator_norms
+from gamowlab.commutators import CHUNK_BYTES
+from support import random_hermitian
 
 
 def encode(mat):
@@ -102,6 +106,24 @@ def test_validate_bad_json_and_missing_file(tmp_path):
     path.write_text('{"kind": "damping", "p": ' + "1" * 5000 + "}", encoding="utf-8")
     assert any("invalid JSON" in d for d in scenario.validate_file(path))
     assert any("cannot read" in d for d in scenario.validate_file(tmp_path / "nope.json"))
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ('{"kind": "damping", "p": 0.5, "note": "caf\u00e9"}'.encode("latin-1"), "file: cannot read"),
+        (b"[" * 100_000, "file: invalid JSON: maximum recursion depth exceeded"),
+    ],
+    ids=["not-utf8", "nested-past-the-recursion-limit"],
+)
+def test_undecodable_file_is_a_diagnostic_for_validate_and_run(tmp_path, capsys, content, message):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().out.startswith(f"invalid scenario: {message}")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().out.startswith(f"invalid scenario: {message}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_grid_and_variant(tmp_path):
@@ -423,6 +445,61 @@ def test_run_damping_reports_commuting_step(tmp_path, capsys):
     out = capsys.readouterr().out
     # 2 sqrt(2) * 0.5^n < 1e-3 first at n = 12
     assert "commuting at n=12" in out
+
+
+def per_step_damping(o):
+    """The reference: one channel step and one pair-kernel call per step, then the run's formatting."""
+    evolved = o["observables"]
+    rows, first_below = [], None
+    for n in range(o["n_max"] + 1):
+        if n > 0:
+            evolved = channels.apply_heisenberg(o["channel"], evolved)
+        worst = max(pair_commutator_norms(evolved).tolist())
+        rows.append((n, worst))
+        if first_below is None and worst < o["eps"]:
+            first_below = n
+    reached = f"commuting at n={first_below}" if first_below is not None else "eps not reached"
+    return {"commutators.csv": ["n,norm"] + [f"{n},{norm!r}" for n, norm in rows]}, (
+        f"damping: p={o['p']}, n_max={o['n_max']}, worst-pair norm "
+        f"{rows[0][1]:.6g} -> {rows[-1][1]:.6g}, {reached}"
+    )
+
+
+def damping_objects(tmp_path, k, n_max, eps, seed=29):
+    rng = np.random.default_rng(seed)
+    observables = [encode(random_hermitian(rng, 2)) for _ in range(k)]
+    payload = {"kind": "damping", "p": 0.2, "n_max": n_max, "eps": eps, "observables": observables}
+    diagnostics, sc = scenario.load_scenario(write_scenario(tmp_path, payload))
+    assert diagnostics == []
+    return sc.objects
+
+
+@pytest.mark.parametrize("k, n_max", [(2, 1), (2, 300), (9, 1), (9, 40), (64, 1), (64, 20)])
+def test_chunked_damping_run_equals_the_per_step_loop(tmp_path, k, n_max):
+    # chunks of 256, 7 and 1 steps at k = 2, 9 and 64; 301 and 41 steps leave a short last chunk
+    steps_per_chunk = max(1, CHUNK_BYTES // (64 * k * (k - 1) // 2))
+    target = n_max if n_max < steps_per_chunk else steps_per_chunk + (n_max - steps_per_chunk) // 2
+    norms = per_step_damping(damping_objects(tmp_path, k, n_max, 1e-300))[0]["commutators.csv"][1:]
+    # eps just above the norm at the target step: commuting is first reached there
+    eps = float(np.nextafter(float(norms[target].split(",")[1]), np.inf))
+    objects = damping_objects(tmp_path, k, n_max, eps)
+    expected = per_step_damping(objects)
+    assert f"commuting at n={target}" in expected[1]
+    assert scenario._run_damping(objects) == expected
+
+
+def test_chunked_damping_run_holds_no_run_sized_block(tmp_path):
+    # one (n_max + 1, P, 2, 2) stack of every step's 2016 commutators would take 64 MB
+    # at k = 64 and n_max = 500; the chunked run holds one step's 129 KB at a time
+    objects = damping_objects(tmp_path, 64, 500, 1e-12)
+    tracemalloc.start()
+    try:
+        files, _ = scenario._run_damping(objects)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = sum(sys.getsizeof(line) for line in files["commutators.csv"])
+    assert peak - lines < 4 * 2**20
 
 
 def test_run_multi_resonance_scenario(tmp_path):
