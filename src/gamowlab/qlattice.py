@@ -18,7 +18,14 @@ range(q), cut at a fixed singular-value cutoff of 1e-10 (projector
 spectra sit near {0, 1}, so a mid-gap cutoff is robust). Join follows
 from meet by De Morgan, p v q = ~(~p ^ ~q), and containment
 range(q) subset range(p) is p q = q. Every result is B B^dagger for an
-orthonormal SVD basis B, built through the Projector checks.
+orthonormal SVD basis B.
+
+The kernels work on (m, d, d) stacks: one SVD call serves m meets, and
+each stack of results passes the projector checks once, as a stack, so
+a result checked as part of its stack is not checked again.
+:func:`distributivity_check` makes its 10 meets in two such calls, one
+per dependency level; :func:`meet`, :func:`join` and :func:`ortho` are
+the same kernels on stacks of one.
 """
 
 from __future__ import annotations
@@ -63,13 +70,7 @@ class Projector:
         m = as_complex_matrix(self.mat)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"projector must be square, got {m.shape}")
-        # |P_ij|^2 <= P_ii P_jj <= 1; larger entries would also overflow the checks below
-        if max(np.abs(m.real).max(), np.abs(m.imag).max()) > 1 + _IDEMPOTENT_TOL:
-            raise ValueError("projector entries need real and imaginary parts of size <= 1 + 1e-10")
-        if frobenius_norm(m - m.conj().T) > _HERMITIAN_TOL:
-            raise ValueError("projector is not Hermitian to 1e-12")
-        if frobenius_norm(m @ m - m) > _IDEMPOTENT_TOL:
-            raise ValueError("projector is not idempotent to 1e-10")
+        _check_projectors(m[None])
         object.__setattr__(self, "mat", m)
 
     @property
@@ -118,6 +119,61 @@ def projector_onto(vectors) -> Projector:
     return Projector(basis @ basis.conj().T)
 
 
+def _checked(mat: np.ndarray) -> Projector:
+    """A Projector of a matrix that passed the checks as part of its stack, not checked again."""
+    p = object.__new__(Projector)
+    object.__setattr__(p, "mat", mat)
+    return p
+
+
+def _sumsq(stack: np.ndarray) -> np.ndarray:
+    """Plain sums of squared entry moduli of the members of an (m, d, d) stack, as batched inner products."""
+    rows = stack.reshape(len(stack), 1, -1)
+    return (rows.conj() @ rows.transpose(0, 2, 1)).real.reshape(-1)
+
+
+def _check_projectors(stack: np.ndarray) -> np.ndarray:
+    """Run the projector checks on every member of an (m, d, d) stack; return the stack.
+
+    Finite entries, the entry bound, Hermitian to 1e-12, idempotent to
+    1e-10, in this order, each over the whole stack. Entries are bounded
+    before any norm is taken, so the plain sums of squares cannot
+    overflow, and any that underflow belong to norms far below both
+    tolerances.
+    """
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix entries must be finite (no NaN or Inf)")
+    # |P_ij|^2 <= P_ii P_jj <= 1; larger entries would also overflow the checks below
+    if max(np.abs(stack.real).max(), np.abs(stack.imag).max()) > 1 + _IDEMPOTENT_TOL:
+        raise ValueError("projector entries need real and imaginary parts of size <= 1 + 1e-10")
+    if np.sqrt(_sumsq(stack - stack.conj().transpose(0, 2, 1))).max() > _HERMITIAN_TOL:
+        raise ValueError("projector is not Hermitian to 1e-12")
+    if np.sqrt(_sumsq(stack @ stack - stack)).max() > _IDEMPOTENT_TOL:
+        raise ValueError("projector is not idempotent to 1e-10")
+    return stack
+
+
+def _orthos(p: np.ndarray) -> np.ndarray:
+    """Orthocomplements I - P of an (m, d, d) stack of projectors, checked as a stack."""
+    return _check_projectors(np.eye(p.shape[-1]) - p)
+
+
+def _meets(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Meets of the members of two (m, d, d) stacks of projectors, checked as a stack.
+
+    One SVD call on the (m, 2d, d) stack of complements (I - P; I - Q).
+    Each member's null basis B is its right singular vectors with
+    singular value at most the rank cutoff, and its meet is B B^dagger.
+    """
+    eye = np.eye(p.shape[-1])
+    _, s, vh = np.linalg.svd(np.concatenate([eye - p, eye - q], axis=1), full_matrices=False)
+    out = np.empty_like(p)
+    for k, (sk, vk) in enumerate(zip(s, vh)):
+        null_basis = vk[sk <= RANK_CUTOFF].conj().T
+        out[k] = null_basis @ null_basis.conj().T
+    return _check_projectors(out)
+
+
 def _check_same_dim(*ps: Projector) -> int:
     dims = {p.dim for p in ps}
     if len(dims) != 1:
@@ -132,47 +188,49 @@ def meet(p: Projector, q: Projector) -> Projector:
     two complements and take the right singular vectors with singular
     value at most the rank cutoff.
     """
-    d = _check_same_dim(p, q)
-    eye = np.eye(d)
-    stacked = np.vstack([eye - p.mat, eye - q.mat])
-    _, s, vh = np.linalg.svd(stacked)  # s has d entries for the 2d x d stack
-    null_basis = vh[s <= RANK_CUTOFF].conj().T
-    return Projector(null_basis @ null_basis.conj().T)
+    _check_same_dim(p, q)
+    return _checked(_meets(p.mat[None], q.mat[None])[0])
 
 
 def join(p: Projector, q: Projector) -> Projector:
     """Projector onto the span of range(p) union range(q), by De Morgan: ~(~p ^ ~q)."""
-    return ortho(meet(ortho(p), ortho(q)))
+    _check_same_dim(p, q)
+    complements = _orthos(np.stack([p.mat, q.mat]))
+    return _checked(_orthos(_meets(complements[:1], complements[1:]))[0])
 
 
 def ortho(p: Projector) -> Projector:
     """Orthocomplement I - p."""
-    return Projector(np.eye(p.dim) - p.mat)
-
-
-def _contains(larger: Projector, smaller: Projector, tol: float = EQUALITY_TOL) -> bool:
-    """range(smaller) subset of range(larger), that is larger @ smaller == smaller."""
-    return frobenius_norm(larger.mat @ smaller.mat - smaller.mat) <= tol
+    return _checked(_orthos(p.mat[None])[0])
 
 
 def distributivity_check(a: Projector, b: Projector, c: Projector) -> DistributivityReport:
-    """Evaluate both distributive relations on the triple (a, b, c)."""
+    """Evaluate both distributive relations on the triple (a, b, c).
+
+    The 10 meets run in two stacked calls, one per dependency level; every
+    join is the complement of a meet of complements (De Morgan).
+    """
     _check_same_dim(a, b, c)
-    lhs_meet = meet(a, join(b, c))
-    rhs_meet = join(meet(a, b), meet(a, c))
-    lhs_join = join(a, meet(b, c))
-    rhs_join = meet(join(a, b), join(a, c))
-    meet_equal = frobenius_norm(lhs_meet.mat - rhs_meet.mat) <= EQUALITY_TOL
-    join_equal = frobenius_norm(lhs_join.mat - rhs_join.mat) <= EQUALITY_TOL
-    inequality_holds = _contains(lhs_meet, rhs_meet) and _contains(rhs_join, lhs_join)
+    na, nb, nc = _orthos(np.stack([a.mat, b.mat, c.mat]))
+    # level 1: ~(b v c), a ^ b, a ^ c, b ^ c, ~(a v b), ~(a v c)
+    first = _meets(np.stack([nb, a.mat, a.mat, b.mat, na, na]), np.stack([nc, b.mat, c.mat, c.mat, nb, nc]))
+    b_or_c, n_ab, n_ac, n_bc, a_or_b, a_or_c = _orthos(first)
+    # level 2: a ^ (b v c), ~((a ^ b) v (a ^ c)), ~(a v (b ^ c)), (a v b) ^ (a v c)
+    second = _meets(np.stack([a.mat, n_ab, na, a_or_b]), np.stack([b_or_c, n_ac, n_bc, a_or_c]))
+    lhs_meet, rhs_join = second[0], second[3]
+    rhs_meet, lhs_join = _orthos(second[1:3])
+    # both equalities, then both containments range(q) subset range(p) as p q = q
+    gaps = np.stack([lhs_meet - rhs_meet, lhs_join - rhs_join,
+                     lhs_meet @ rhs_meet - rhs_meet, rhs_join @ lhs_join - lhs_join])
+    meet_equal, join_equal, meet_contains, join_contains = (np.sqrt(_sumsq(gaps)) <= EQUALITY_TOL).tolist()
     return DistributivityReport(
-        lhs_meet=lhs_meet,
-        rhs_meet=rhs_meet,
-        lhs_join=lhs_join,
-        rhs_join=rhs_join,
+        lhs_meet=_checked(lhs_meet),
+        rhs_meet=_checked(rhs_meet),
+        lhs_join=_checked(lhs_join),
+        rhs_join=_checked(rhs_join),
         meet_equal=meet_equal,
         join_equal=join_equal,
-        inequality_holds=inequality_holds,
+        inequality_holds=meet_contains and join_contains,
     )
 
 

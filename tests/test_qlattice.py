@@ -3,9 +3,9 @@ import pytest
 
 from gamowlab.channels import damping_limit
 from gamowlab.cmatrix import frobenius_norm
+from gamowlab import qlattice
 from gamowlab.qlattice import (
     Projector,
-    _contains,
     abelian_certificate,
     compatible,
     distributivity_check,
@@ -205,15 +205,20 @@ def test_generic_ranks_at_benchmark_size():
         assert distributivity_check(*triple).inequality_holds
 
 
+def contains(larger: Projector, smaller: Projector) -> bool:
+    """range(smaller) subset of range(larger): the rule distributivity_check applies, larger @ smaller == smaller."""
+    return frobenius_norm(larger.mat @ smaller.mat - smaller.mat) <= 1e-9
+
+
 def test_contains():
     rng = np.random.default_rng(17)
     a = proj(random_projector(rng, 16, 10))
     b = proj(random_projector(rng, 16, 10))
     ab = meet(a, b)
     assert ab.rank == 4
-    assert _contains(a, ab) and _contains(b, ab) and _contains(join(a, b), a)
-    assert not _contains(ab, a)
-    assert not _contains(proj(P_ZERO), proj(P_PLUS))
+    assert contains(a, ab) and contains(b, ab) and contains(join(a, b), a)
+    assert not contains(ab, a)
+    assert not contains(proj(P_ZERO), proj(P_PLUS))
 
 
 def test_distributive_inequalities_on_random_triples():
@@ -244,3 +249,98 @@ def test_meet_join_commutative_associative():
         assert frobenius_norm(join(a, b).mat - join(b, a).mat) <= 1e-9
         assert frobenius_norm(meet(meet(a, b), c).mat - meet(a, meet(b, c)).mat) <= 1e-9
         assert frobenius_norm(join(join(a, b), c).mat - join(a, join(b, c)).mat) <= 1e-9
+
+
+# ---------------------------------------------------------------- the level-batched check
+
+
+def reference_meet(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """One meet per call: full SVD of the vertically stacked complements, then B B^dagger."""
+    eye = np.eye(len(p))
+    _, s, vh = np.linalg.svd(np.vstack([eye - p, eye - q]))
+    null_basis = vh[s <= qlattice.RANK_CUTOFF].conj().T
+    return null_basis @ null_basis.conj().T
+
+
+def reference_join(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    eye = np.eye(len(p))
+    return eye - reference_meet(eye - p, eye - q)
+
+
+def check_triples():
+    rng = np.random.default_rng(23)
+    triples = {}
+    for d in (2, 3, 8, 16):
+        triples[f"random-d{d}"] = [
+            tuple(random_projector(rng, d, int(rng.integers(0, d + 1))) for _ in range(3)) for _ in range(6)
+        ]
+    d = 16
+    zero, eye = np.zeros((d, d), dtype=complex), np.eye(d, dtype=complex)
+    a, b = random_projector(rng, d, 6), random_projector(rng, d, 9)
+    u = random_unitary(rng, d)
+    nested = [u[:, :r] @ u[:, :r].conj().T for r in (3, 7, 12)]
+    triples["zero"] = [(zero, a, b), (a, zero, b), (a, b, zero), (zero, zero, zero)]
+    triples["identity"] = [(eye, a, b), (a, eye, b), (a, b, eye), (eye, eye, eye)]
+    triples["equal"] = [(a, a, a), (b, b, b)]
+    triples["nested"] = [tuple(nested), tuple(nested[::-1]), (nested[1], nested[0], nested[2])]
+    return triples
+
+
+CHECK_TRIPLES = check_triples()
+
+
+@pytest.mark.parametrize("case", list(CHECK_TRIPLES))
+def test_distributivity_check_equals_the_per_meet_compositions(case):
+    for mats in CHECK_TRIPLES[case]:
+        a, b, c = (proj(m) for m in mats)
+        report = distributivity_check(a, b, c)
+        got = [report.lhs_meet.mat, report.rhs_meet.mat, report.lhs_join.mat, report.rhs_join.mat]
+        public = [meet(a, join(b, c)), join(meet(a, b), meet(a, c)), join(a, meet(b, c)), meet(join(a, b), join(a, c))]
+        x, y, z = (p.mat for p in (a, b, c))
+        loop = [
+            reference_meet(x, reference_join(y, z)),
+            reference_join(reference_meet(x, y), reference_meet(x, z)),
+            reference_join(x, reference_meet(y, z)),
+            reference_meet(reference_join(x, y), reference_join(x, z)),
+        ]
+        for mat, p, ref in zip(got, public, loop):
+            assert mat.tobytes() == p.mat.tobytes()
+            assert mat.tobytes() == ref.tobytes()
+            Projector(mat.copy())  # every report projector passes the public checks
+        assert report.inequality_holds
+
+
+def test_distributivity_check_makes_two_svd_calls(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        distributivity_check(*(proj(random_projector(rng, 16, 8)) for _ in range(3)))
+    assert calls == [(6, 32, 16), (4, 32, 16)] * 3
+
+
+STACK_REJECTIONS = {
+    "non-finite": (np.array([[np.nan, 0], [0, 0]], dtype=complex), "finite"),
+    "entry-bound": (np.array([[2, 0], [0, 0]], dtype=complex), "size <= 1 \\+ 1e-10"),
+    "not-hermitian": (np.array([[1, 1], [0, 0]], dtype=complex), "not Hermitian to 1e-12"),
+    "not-idempotent": (0.5 * np.eye(2, dtype=complex), "not idempotent to 1e-10"),
+}
+
+
+@pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("bad", list(STACK_REJECTIONS))
+def test_stacked_check_rejects_one_bad_member(bad, position):
+    stack = np.stack([P_ZERO, P_PLUS, P_MINUS, np.eye(2, dtype=complex)])
+    assert qlattice._check_projectors(stack) is stack
+    mat, message = STACK_REJECTIONS[bad]
+    stack[position] = mat
+    with pytest.raises(ValueError, match=message):
+        qlattice._check_projectors(stack)
+    with pytest.raises(ValueError, match=message):
+        Projector(mat)

@@ -502,6 +502,24 @@ def test_chunked_damping_run_holds_no_run_sized_block(tmp_path):
     assert peak - lines < 4 * 2**20
 
 
+def test_damping_run_with_huge_entries_is_quiet(tmp_path, capsys):
+    # squared commutator entries near 1e600 pass the float range; the scaled norms are
+    # finite, so the run succeeds, and it raises no numpy warning on the way
+    big = 1e150
+    payload = {"kind": "damping", "p": 0.05, "n_max": 20, "eps": 1e-10,
+               "observables": [encode(big * np.array([[0, 1], [1, 0]])), encode(big * np.array([[0, -1j], [1j, 0]]))]}
+    path = write_scenario(tmp_path, payload)
+    with np.errstate(all="ignore"):
+        expected = per_step_damping(scenario.load_scenario(path)[1].objects)[0]["commutators.csv"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert scenario.run_file(path, tmp_path / "out") == 0
+    lines = (tmp_path / "out" / "commutators.csv").read_text().splitlines()
+    assert lines[1] == "0,2.82842712474619e+300"
+    assert lines == expected
+    assert "Warning" not in capsys.readouterr().err
+
+
 def test_run_multi_resonance_scenario(tmp_path):
     # two resonances; per-block xy observables keep the commutator diagonal,
     # so the residual column is zero and the alpha columns track the slower
