@@ -16,13 +16,10 @@ from .channels import (
     iterate_heisenberg,
 )
 from .cmatrix import (
-    adjoint,
-    approx_eq,
     as_complex_matrix,
     as_complex_stack,
     commutator,
     frobenius_norm,
-    mul,
     pair_commutator_norms,
 )
 from .commutators import (
@@ -31,7 +28,6 @@ from .commutators import (
     DecayFit,
     ansatz_coefficients,
     ansatz_report,
-    commutation_time,
     envelope_fit,
     factored_commutator,
     growth_witness,
@@ -43,24 +39,20 @@ from .evolution import (
     EvolutionVariant,
     GamowHamiltonian,
     HamiltonianKind,
-    TaqmValidity,
     VariantError,
     evolution_operator,
-    full_hermitian_via_roots,
     hamiltonian,
     heisenberg_evolve,
     hermitian_square_law,
     inverse,
     semigroup_via_roots,
-    taqm_validity,
 )
-from .gamow import GamowSpace, Resonance, basis_vector, dyad, new_space, pseudo_product
+from .gamow import GamowSpace, Resonance, basis_vector, new_space, pseudo_product
 from .qlattice import (
     AbelianCertificate,
     DistributivityReport,
     Projector,
     abelian_certificate,
-    compatible,
     distributivity_check,
     join,
     meet,

@@ -22,12 +22,9 @@ import numpy as np
 __all__ = [
     "as_complex_matrix",
     "as_complex_stack",
-    "mul",
-    "adjoint",
     "commutator",
     "frobenius_norm",
     "pair_commutator_norms",
-    "approx_eq",
 ]
 
 # A plain sum of squared moduli inside [_SUMSQ_TINY, _SUMSQ_HUGE] is exact
@@ -59,20 +56,6 @@ def as_complex_stack(data) -> np.ndarray:
     if not np.isfinite(stack).all():
         raise ValueError("matrix entries must be finite (no NaN or Inf)")
     return stack
-
-
-def mul(a, b) -> np.ndarray:
-    """Matrix product a @ b."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_complex_matrix(a).conj().T
 
 
 def commutator(a, b) -> np.ndarray:
@@ -131,34 +114,32 @@ def pair_commutator_norms(stack) -> np.ndarray:
     return _commutator_norms(comm.reshape(-1, *comm.shape[-2:])).reshape(comm.shape[:-2])
 
 
+def _sumsq(stack: np.ndarray) -> np.ndarray:
+    """Plain sums of squared entry moduli of the members of an (m, d, d) stack, as batched inner products.
+
+    No scaling: a sum may underflow or overflow (see :func:`_commutator_norms`).
+    """
+    rows = stack.reshape(len(stack), stack.shape[-2] * stack.shape[-1])
+    return (rows.conj()[:, None, :] @ rows[:, :, None]).reshape(-1).real
+
+
 def _commutator_norms(comm: np.ndarray) -> np.ndarray:
     """Frobenius norms of a (P, d, d) stack of computed commutators, scaled like :func:`frobenius_norm`.
 
     Shared by the pair kernel and the commutator trajectories. Raises
     ValueError if an entry overflowed (is not finite).
     """
-    rows = comm.reshape(len(comm), comm.shape[1] * comm.shape[2])
-    # Squared norms as batched inner products, and the range test by
-    # Python's sum and min over a list: this keeps the kernel on numpy
-    # routines a damping step already runs, with no numpy comparison or
-    # reduction code mapped in just for it. The sum also catches NaN.
-    sumsq = (rows.conj()[:, None, :] @ rows[:, :, None]).reshape(-1).real
+    # The range test by Python's sum and min over a list: this keeps the
+    # kernel on numpy routines a damping step already runs, with no numpy
+    # comparison or reduction code mapped in just for it. The sum also
+    # catches NaN.
+    sumsq = _sumsq(comm)
     norms = np.sqrt(sumsq)
     listed = sumsq.tolist()
     if listed and not (sum(listed) <= _SUMSQ_HUGE and min(listed) >= _SUMSQ_TINY):
         rescale = ~((sumsq >= _SUMSQ_TINY) & (sumsq <= _SUMSQ_HUGE))
+        rows = comm.reshape(len(comm), comm.shape[1] * comm.shape[2])
         norms[rescale] = _scaled_norms(rows[rescale])
         if not np.isfinite(norms).all():
             raise ValueError("commutator entries overflow")
     return norms
-
-
-def approx_eq(a, b, tol: float) -> bool:
-    """True iff the Frobenius norm of (a - b) is at most ``tol``."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"cannot compare shapes {a.shape} and {b.shape}")
-    if tol < 0:
-        raise ValueError(f"tolerance must be nonnegative, got {tol}")
-    return frobenius_norm(a - b) <= tol

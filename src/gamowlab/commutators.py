@@ -57,7 +57,6 @@ __all__ = [
     "ansatz_coefficients",
     "ansatz_report",
     "phase_constancy_check",
-    "commutation_time",
     "growth_witness",
     "UNDERFLOW_FLOOR",
     "CHUNK_BYTES",
@@ -280,38 +279,6 @@ def phase_constancy_check(
     expected = np.angle(alphas[0]) + rate * (traj.times - traj.times[0])
     deviation = np.angle(alphas * np.exp(-1j * expected))
     return bool(np.abs(deviation).max() <= phase_tol)
-
-
-def commutation_time(
-    space: GamowSpace,
-    o1,
-    o2,
-    eps: float,
-    variant=EvolutionVariant.HERMITIAN,
-    t_max: float = 50.0,
-    dt: float = 0.01,
-) -> float | None:
-    """First grid time at which the evolved commutator norm drops below ``eps``.
-
-    Scans t = 0, dt, 2 dt, ... up to ``t_max`` in the chunks :func:`trajectory`
-    uses, stopping after the first chunk that crosses; returns None if the
-    threshold is never reached on the grid.
-    """
-    if eps <= 0:
-        raise ValueError(f"threshold must be positive, got {eps}")
-    if dt <= 0 or t_max <= 0:
-        raise ValueError(f"grid parameters must be positive, got t_max={t_max}, dt={dt}")
-    variant = EvolutionVariant(variant)
-    o1 = as_complex_matrix(o1)
-    o2 = as_complex_matrix(o2)
-    steps = int(np.floor(t_max / dt + 1e-9))
-    for chunk in _chunks(steps + 1, 16 * space.dim**2):
-        ks = np.arange(chunk.start, chunk.stop)
-        out = np.empty((ks.size, space.dim, space.dim), dtype=complex)
-        below = np.flatnonzero(_commute(space, o1, o2, ks * dt, variant, out) < eps)
-        if below.size:
-            return int(ks[below[0]]) * dt
-    return None
 
 
 def growth_witness(space: GamowSpace, obs, t: float) -> float:

@@ -28,10 +28,11 @@ whose ``diag`` is the (T, 2N) stack of those diagonals, and
 observables.
 
 Time is in inverse-energy units with hbar = 1, so widths are inverse
-lifetimes. Negative t is always computed; ``taqm_validity`` tells you
-whether a semigroup domain covers it (decaying vectors propagate
-forward, growing vectors backward, with the usual sign conversion
-mapping the growing rule onto forward time).
+lifetimes. Negative t is always computed. The converted semigroup domain
+of both Gamow kinds is t >= 0: decaying vectors propagate forward,
+growing vectors backward, and the usual sign conversion maps the growing
+rule onto forward time. The resonance CSV's ``taqm_valid`` column writes
+this rule.
 """
 
 from __future__ import annotations
@@ -50,16 +51,13 @@ __all__ = [
     "HamiltonianKind",
     "GamowHamiltonian",
     "EvolutionOperator",
-    "TaqmValidity",
     "VariantError",
     "hamiltonian",
     "evolution_operator",
     "inverse",
     "hermitian_square_law",
     "heisenberg_evolve",
-    "taqm_validity",
     "semigroup_via_roots",
-    "full_hermitian_via_roots",
 ]
 
 
@@ -95,22 +93,6 @@ class EvolutionOperator:
     t: float | np.ndarray
     variant: EvolutionVariant
     diag: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class TaqmValidity:
-    """Semigroup-domain flags for a Gamow vector kind at time t.
-
-    ``valid`` is the raw rule (decaying: t >= 0, growing: t <= 0);
-    ``valid_converted`` applies the sign conversion that re-expresses the
-    growing rule as a forward evolution, so both kinds are converted-valid
-    exactly when t >= 0.
-    """
-
-    kind: str
-    t: float
-    valid: bool
-    valid_converted: bool
 
 
 def hamiltonian(space: GamowSpace, kind: HamiltonianKind) -> GamowHamiltonian:
@@ -199,30 +181,17 @@ def heisenberg_evolve(op: EvolutionOperator, obs) -> np.ndarray:
     return u[..., :, None] * obs * v[..., None, :]
 
 
-def taqm_validity(kind: str, t: float) -> TaqmValidity:
-    """Semigroup-domain flags for a decaying ('D') or growing ('G') vector."""
-    k = kind.upper() if isinstance(kind, str) else kind
-    if k not in ("D", "G"):
-        raise ValueError(f"kind must be 'D' or 'G', got {kind!r}")
-    if k == "D":
-        return TaqmValidity(kind=k, t=t, valid=t >= 0, valid_converted=t >= 0)
-    return TaqmValidity(kind=k, t=t, valid=t <= 0, valid_converted=t >= 0)
+def _plain_dyad(space: GamowSpace, j: int) -> np.ndarray:
+    """Coordinate matrix of the plain dyad |psi_j^D><psi_j^G|.
 
-
-def _plain_dyad(space: GamowSpace, j: int, kind: str) -> np.ndarray:
-    """Coordinate matrix of the plain dyad |psi_j^D><psi_j^G| ('D') or |psi_j^G><psi_j^D| ('G').
-
-    With E the unit matrix at the ``kind`` diagonal slot, the root transport
-    B |psi_j^D> = |psi_j^D) realizes the D dyad as C E C, so that
-    B (C E C) B collapses onto the round dyad; mirrored, the transport
-    |psi_j^G) = C |psi_j^G> realizes the G dyad as B E B, and
-    C (B E B) C collapses onto the round dyad.
+    With E the unit matrix at the D diagonal slot of resonance j, the root
+    transport B |psi_j^D> = |psi_j^D) realizes the dyad as C E C, so that
+    B (C E C) B collapses onto the round dyad.
     """
     e = np.zeros((space.dim, space.dim), dtype=complex)
-    idx = basis_index(space, j, kind)
+    idx = basis_index(space, j, "D")
     e[idx, idx] = 1.0
-    root = space.root_c if kind == "D" else space.root_b
-    return root @ e @ root
+    return space.root_c @ e @ space.root_c
 
 
 def semigroup_via_roots(space: GamowSpace, t: float) -> np.ndarray:
@@ -235,21 +204,5 @@ def semigroup_via_roots(space: GamowSpace, t: float) -> np.ndarray:
     """
     inner = np.zeros((space.dim, space.dim), dtype=complex)
     for j, res in enumerate(space.resonances, start=1):
-        inner += np.exp(-1j * t * res.pole) * _plain_dyad(space, j, "D")
+        inner += np.exp(-1j * t * res.pole) * _plain_dyad(space, j)
     return space.root_b @ inner @ space.root_b
-
-
-def full_hermitian_via_roots(space: GamowSpace) -> np.ndarray:
-    """Rebuild the FULL_HERMITIAN Hamiltonian from the two root sandwiches.
-
-    B [ sum_j z_j |D_j><G_j| ] B + C [ sum_j z_j^* |G_j><D_j| ] C with the
-    plain dyads realized through the root transport. Agrees with
-    ``hamiltonian(space, FULL_HERMITIAN)`` to roundoff; the residual is a
-    consistency measure of the constructed roots, not a tolerance knob.
-    """
-    first = np.zeros((space.dim, space.dim), dtype=complex)
-    second = np.zeros((space.dim, space.dim), dtype=complex)
-    for j, res in enumerate(space.resonances, start=1):
-        first += res.pole * _plain_dyad(space, j, "D")
-        second += np.conj(res.pole) * _plain_dyad(space, j, "G")
-    return space.root_b @ first @ space.root_b + space.root_c @ second @ space.root_c

@@ -55,12 +55,11 @@ __all__ = [
     "new_space",
     "basis_vector",
     "pseudo_product",
-    "dyad",
     "basis_index",
-    "DEFAULT_MAX_RESONANCES",
+    "MAX_RESONANCES",
 ]
 
-DEFAULT_MAX_RESONANCES = 64
+MAX_RESONANCES = 64  # new_space's cap; scenario files supply the resonances
 
 _ROOT_BOX = np.exp(-1j * np.pi / 4) * (np.sqrt(2) / 2) * np.array([[1j, 1], [1, 1j]])
 
@@ -122,13 +121,13 @@ class GamowSpace:
         return 2 * len(self.resonances)
 
 
-def new_space(resonances, max_resonances: int = DEFAULT_MAX_RESONANCES) -> GamowSpace:
-    """Build the pseudometric space for a list of resonances."""
+def new_space(resonances) -> GamowSpace:
+    """Build the pseudometric space for a list of at most MAX_RESONANCES resonances."""
     res = tuple(resonances)
     if len(res) == 0:
         raise ValueError("at least one resonance is required")
-    if len(res) > max_resonances:
-        raise ValueError(f"{len(res)} resonances exceed the cap of {max_resonances}")
+    if len(res) > MAX_RESONANCES:
+        raise ValueError(f"{len(res)} resonances exceed the cap of {MAX_RESONANCES}")
     for r in res:
         if not isinstance(r, Resonance):
             raise TypeError(f"expected Resonance, got {type(r).__name__}")
@@ -179,24 +178,3 @@ def pseudo_product(space: GamowSpace, v, w) -> complex:
     v = _as_vector(space, v)
     w = _as_vector(space, w)
     return complex(v.conj() @ (space.metric @ w))
-
-
-def dyad(space: GamowSpace, left: tuple[int, str], right: tuple[int, str]) -> np.ndarray:
-    """Matrix of |left)(right| in coordinates, the round bra acting via the metric.
-
-    ``left`` and ``right`` are (j, kind) pairs with 1-based j and kind 'D'
-    or 'G'. The round bra (x| sends w to (x | w), so the matrix is the
-    outer product of e_left with the metric-partner row of e_right; for
-    the dual pairs this lands on the diagonal:
-    |psi_j^D)(psi_j^G| -> unit at (2j-1, 2j-1),
-    |psi_j^G)(psi_j^D| -> unit at (2j, 2j) (1-based).
-    """
-    li = basis_index(space, *left)
-    ri = basis_index(space, *right)
-    # A swaps the D and G slots inside each block: e_r^dag A = e_partner^dag.
-    partner = ri + 1 if ri % 2 == 0 else ri - 1
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    mat[li, partner] = 1.0
-    return mat
-
-

@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cmatrix import as_complex_matrix, commutator, frobenius_norm, pair_commutator_norms
+from .cmatrix import _sumsq, as_complex_matrix, pair_commutator_norms
 
 __all__ = [
     "Projector",
@@ -46,7 +46,6 @@ __all__ = [
     "join",
     "ortho",
     "distributivity_check",
-    "compatible",
     "abelian_certificate",
     "RANK_CUTOFF",
     "COMPATIBILITY_TOL",
@@ -124,12 +123,6 @@ def _checked(mat: np.ndarray) -> Projector:
     p = object.__new__(Projector)
     object.__setattr__(p, "mat", mat)
     return p
-
-
-def _sumsq(stack: np.ndarray) -> np.ndarray:
-    """Plain sums of squared entry moduli of the members of an (m, d, d) stack, as batched inner products."""
-    rows = stack.reshape(len(stack), 1, -1)
-    return (rows.conj() @ rows.transpose(0, 2, 1)).real.reshape(-1)
 
 
 def _check_projectors(stack: np.ndarray) -> np.ndarray:
@@ -232,12 +225,6 @@ def distributivity_check(a: Projector, b: Projector, c: Projector) -> Distributi
         join_equal=join_equal,
         inequality_holds=meet_contains and join_contains,
     )
-
-
-def compatible(p: Projector, q: Projector) -> bool:
-    """True iff the projectors commute to COMPATIBILITY_TOL."""
-    _check_same_dim(p, q)
-    return frobenius_norm(commutator(p.mat, q.mat)) <= COMPATIBILITY_TOL
 
 
 def abelian_certificate(observables: Sequence, tol: float) -> AbelianCertificate:

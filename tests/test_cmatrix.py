@@ -5,13 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gamowlab.cmatrix import (
-    adjoint,
-    approx_eq,
     as_complex_matrix,
     as_complex_stack,
     commutator,
     frobenius_norm,
-    mul,
     pair_commutator_norms,
 )
 from support import SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -37,40 +34,6 @@ def test_as_complex_matrix_rejects_nan_and_inf():
 def test_as_complex_matrix_rejects_non_2d():
     with pytest.raises(ValueError, match="2-d"):
         as_complex_matrix([1, 2, 3])
-
-
-def test_mul_identity_fixed_point():
-    m = np.array([[1 + 2j, 3], [4, 5 - 1j]])
-    np.testing.assert_array_equal(mul(np.eye(2), m), m)
-
-
-def test_mul_swap_involution():
-    swap = np.array([[0, 1], [1, 0]])
-    np.testing.assert_array_equal(mul(swap, swap), np.eye(2))
-
-
-def test_mul_metric_block_squares_to_identity():
-    block = np.array([[0, 1], [1, 0]], dtype=complex)
-    np.testing.assert_array_equal(mul(block, block), np.eye(2))
-
-
-def test_mul_shape_error_names_both_shapes():
-    with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
-        mul(np.ones((2, 3)), np.ones((2, 2)))
-
-
-def test_adjoint_imaginary_scalar():
-    np.testing.assert_array_equal(adjoint([[1j]]), np.array([[-1j]]))
-
-
-def test_adjoint_hermitian_fixed_point():
-    m = np.array([[2.0, 1 - 1j], [1 + 1j, -3.0]])
-    np.testing.assert_array_equal(adjoint(m), m)
-
-
-def test_adjoint_involution():
-    m = np.array([[1 + 2j, 3 - 4j], [5j, 6]])
-    np.testing.assert_array_equal(adjoint(adjoint(m)), m)
 
 
 def test_commutator_with_self_is_zero():
@@ -103,22 +66,10 @@ def test_frobenius_norm_values():
     assert frobenius_norm([[2j, 0], [0, -2j]]) == pytest.approx(2 * np.sqrt(2), abs=0)
 
 
-def test_approx_eq():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert approx_eq(m, m, 0.0)
-    assert not approx_eq(np.eye(2), np.zeros((2, 2)), 1e-12)
-    assert approx_eq(m, m + 1e-15 * np.eye(2), 1e-12)
-
-
-def test_approx_eq_shape_error():
-    with pytest.raises(ValueError, match="compare"):
-        approx_eq(np.eye(2), np.eye(3), 1.0)
-
-
 def test_frobenius_norm_keeps_digits_of_subnormal_squares():
     # |a a|^2 = 4.7e-315 is subnormal; an unscaled norm loses ~10 digits here
     a = np.array([[2.622e-79]], dtype=complex)
-    lhs = frobenius_norm(mul(a, a))
+    lhs = frobenius_norm(a @ a)
     assert lhs <= frobenius_norm(a) ** 2 * (1 + 1e-12)
     assert lhs == pytest.approx(2.622e-79**2, rel=1e-15)
 
@@ -129,25 +80,13 @@ def test_frobenius_norm_scaled_extremes():
     assert frobenius_norm([[1e-320]]) == 1e-320
 
 
-def test_approx_eq_uses_the_scaled_norm():
-    assert approx_eq([[1e200]], [[0.0]], 2e200)
-    assert not approx_eq([[1e-170]], [[0.0]], 1e-171)
-
-
 @settings(max_examples=50, deadline=None)
 @given(matrix_pairs())
 def test_submultiplicativity(pair):
     a, b = pair
-    lhs = frobenius_norm(mul(a, b))
+    lhs = frobenius_norm(a @ b)
     rhs = frobenius_norm(a) * frobenius_norm(b)
     assert lhs <= rhs * (1 + 1e-12) + 1e-300
-
-
-@settings(max_examples=50, deadline=None)
-@given(matrix_pairs())
-def test_adjoint_reverses_products(pair):
-    a, b = pair
-    np.testing.assert_allclose(adjoint(mul(a, b)), mul(adjoint(b), adjoint(a)), atol=1e-13)
 
 
 @settings(max_examples=50, deadline=None)

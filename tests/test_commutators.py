@@ -10,7 +10,6 @@ from gamowlab.commutators import (
     UNDERFLOW_FLOOR,
     ansatz_coefficients,
     ansatz_report,
-    commutation_time,
     envelope_fit,
     factored_commutator,
     growth_witness,
@@ -436,61 +435,6 @@ def test_phase_constancy_rejects_multi_resonance():
     traj = trajectory(space, o1, o2, times(11))
     with pytest.raises(ValueError, match="single-resonance"):
         phase_constancy_check(space, traj)
-
-
-# ---------------------------------------------------------------- commutation time
-
-
-def test_commutation_time_already_commuting():
-    space = space1()
-    o1 = np.diag([1.0, 2.0]).astype(complex)
-    o2 = np.diag([3.0, 4.0]).astype(complex)
-    assert commutation_time(space, o1, o2, eps=1e-6, t_max=1.0, dt=0.1) == 0.0
-
-
-def test_commutation_time_large_threshold():
-    space = space1()
-    assert commutation_time(space, SIGMA_X, SIGMA_Y, eps=10.0, t_max=1.0, dt=0.1) == 0.0
-
-
-def test_commutation_time_closed_form_cross_check():
-    # norm(t) = ||K|| e^{-2tG}, so the crossing sits at ln(||K||/eps)/(2G)
-    space = space1(energy=0.0, width=0.5)
-    eps = 1e-6
-    dt = 0.05
-    t_c = commutation_time(space, SIGMA_X, SIGMA_Y, eps=eps, t_max=20.0, dt=dt)
-    predicted = np.log(2 * np.sqrt(2) / eps) / 1.0
-    assert t_c is not None
-    assert predicted <= t_c <= predicted + dt
-
-
-def test_commutation_time_not_reached():
-    space = space1(energy=0.0, width=0.5)
-    assert commutation_time(space, SIGMA_X, SIGMA_Y, eps=1e-6, t_max=1.0, dt=0.1) is None
-
-
-def test_commutation_time_parameter_validation():
-    space = space1()
-    with pytest.raises(ValueError, match="positive"):
-        commutation_time(space, SIGMA_X, SIGMA_Y, eps=0.0)
-    with pytest.raises(ValueError, match="positive"):
-        commutation_time(space, SIGMA_X, SIGMA_Y, eps=1.0, dt=-0.1)
-
-
-@pytest.mark.parametrize("n_res, eps", [(1, 1e-6), (1, 10.0), (2, 1e-3), (2, 1e-300)])
-def test_commutation_time_equals_the_per_step_scan(n_res, eps):
-    rng = np.random.default_rng(47 + n_res)
-    space = random_space(rng, n_res)
-    o1, o2 = random_hermitian(rng, space.dim), random_hermitian(rng, space.dim)
-    dt, t_max = 0.01, 30.0
-    expected = None
-    for k in range(int(np.floor(t_max / dt + 1e-9)) + 1):
-        op = evolution_operator(space, k * dt, HERM)
-        if frobenius_norm(commutator(heisenberg_evolve(op, o1), heisenberg_evolve(op, o2))) < eps:
-            expected = k * dt
-            break
-    assert commutation_time(space, o1, o2, eps=eps, t_max=t_max, dt=dt) == expected
-    assert (expected is None) == (eps == 1e-300)
 
 
 # ---------------------------------------------------------------- growth witness

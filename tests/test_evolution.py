@@ -8,13 +8,11 @@ from gamowlab.evolution import (
     HamiltonianKind,
     VariantError,
     evolution_operator,
-    full_hermitian_via_roots,
     hamiltonian,
     heisenberg_evolve,
     hermitian_square_law,
     inverse,
     semigroup_via_roots,
-    taqm_validity,
 )
 from gamowlab.gamow import Resonance, new_space
 from support import random_hermitian
@@ -348,23 +346,6 @@ def test_generator_consistency_semigroup_on_decaying_sector():
         assert np.abs(u - approx).max() <= 1e-7
 
 
-# ---------------------------------------------------------------- taqm flags
-
-
-def test_taqm_validity_rules():
-    assert taqm_validity("D", 1.0).valid
-    assert taqm_validity("D", 1.0).valid_converted
-    assert not taqm_validity("D", -1.0).valid
-    assert not taqm_validity("D", -1.0).valid_converted
-    g_forward = taqm_validity("G", 1.0)
-    assert not g_forward.valid and g_forward.valid_converted
-    g_backward = taqm_validity("G", -1.0)
-    assert g_backward.valid and not g_backward.valid_converted
-    assert taqm_validity("D", 0.0).valid and taqm_validity("G", 0.0).valid
-    with pytest.raises(ValueError, match="'D' or 'G'"):
-        taqm_validity("X", 0.0)
-
-
 # ---------------------------------------------------------------- root reconstructions
 
 
@@ -374,13 +355,6 @@ def test_semigroup_reconstruction_via_roots():
             recon = semigroup_via_roots(space, t)
             direct = np.diag(evolution_operator(space, t, SEMI).diag)
             assert np.abs(recon - direct).max() <= 1e-12 * max(1.0, np.abs(direct).max())
-
-
-def test_full_hermitian_reconstruction_via_roots():
-    for space in spaces_for_tests():
-        recon = full_hermitian_via_roots(space)
-        direct = np.diag(hamiltonian(space, HamiltonianKind.FULL_HERMITIAN).diag)
-        assert np.abs(recon - direct).max() <= 1e-13 * max(1.0, np.abs(direct).max())
 
 
 def test_variant_and_kind_accept_value_strings():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gamowlab.gamow import Resonance, basis_vector, dyad, new_space, pseudo_product
+from gamowlab.gamow import MAX_RESONANCES, Resonance, basis_vector, new_space, pseudo_product
 
 
 def single_space(energy=1.0, width=0.5):
@@ -136,65 +136,6 @@ def test_pseudo_product_accepts_column_shape():
     assert pseudo_product(space, d, g) == 1.0
 
 
-# ---------------------------------------------------------------- dyads
-
-
-def test_dyad_unit_slots():
-    space = new_space([Resonance(0.0, 1.0), Resonance(0.0, 2.0)])
-    m = dyad(space, (1, "D"), (1, "G"))
-    expected = np.zeros((4, 4))
-    expected[0, 0] = 1
-    np.testing.assert_array_equal(m, expected)
-    m = dyad(space, (2, "G"), (2, "D"))
-    expected = np.zeros((4, 4))
-    expected[3, 3] = 1
-    np.testing.assert_array_equal(m, expected)
-    # mixed-kind dyads land off the diagonal
-    m = dyad(space, (1, "D"), (1, "D"))
-    expected = np.zeros((4, 4))
-    expected[0, 1] = 1
-    np.testing.assert_array_equal(m, expected)
-
-
-def test_dyad_action_on_basis():
-    space = single_space()
-    dg = dyad(space, (1, "D"), (1, "G"))
-    d = basis_vector(space, 1, "D")
-    g = basis_vector(space, 1, "G")
-    np.testing.assert_array_equal(dg @ d, d)  # (G|D) = 1 feeds back the D ket
-    np.testing.assert_array_equal(dg @ g, np.zeros(2))  # (G|G) = 0
-
-
-def test_identity_resolution():
-    for n in (1, 2, 5):
-        space = new_space([Resonance(0.3 * j, 1.0 + 0.1 * j) for j in range(n)])
-        total = sum(
-            dyad(space, (j, "D"), (j, "G")) + dyad(space, (j, "G"), (j, "D"))
-            for j in range(1, n + 1)
-        )
-        np.testing.assert_array_equal(total, np.eye(2 * n))
-
-
-def test_round_bracket_consistency():
-    # dyad(x, y) applied to basis(z) equals (y|z) basis(x) for every combination
-    space = new_space([Resonance(0.0, 1.0), Resonance(1.0, 0.5)])
-    labels = [(j, k) for j in (1, 2) for k in ("D", "G")]
-    for x in labels:
-        for y in labels:
-            m = dyad(space, x, y)
-            for z in labels:
-                value = pseudo_product(space, basis_vector(space, *y), basis_vector(space, *z))
-                np.testing.assert_array_equal(
-                    m @ basis_vector(space, *z), value * basis_vector(space, *x)
-                )
-
-
-def test_dyad_invalid_index():
-    space = single_space()
-    with pytest.raises(ValueError, match="out of range"):
-        dyad(space, (2, "D"), (1, "G"))
-
-
 # ---------------------------------------------------------------- immutability
 
 
@@ -204,11 +145,10 @@ def test_space_is_frozen():
         space.resonances = ()
 
 
-def test_new_space_custom_cap():
-    resonances = [Resonance(0.0, 1.0)] * 3
-    new_space(resonances, max_resonances=3)
-    with pytest.raises(ValueError, match="cap"):
-        new_space(resonances, max_resonances=2)
+def test_new_space_rejects_more_than_max_resonances():
+    assert MAX_RESONANCES == 64
+    with pytest.raises(ValueError, match="65 resonances exceed the cap of 64"):
+        new_space([Resonance(0.0, 1.0)] * 65)
 
 
 def test_new_space_accepts_default_cap_boundary():

@@ -7,7 +7,6 @@ from gamowlab import qlattice
 from gamowlab.qlattice import (
     Projector,
     abelian_certificate,
-    compatible,
     distributivity_check,
     join,
     meet,
@@ -122,6 +121,10 @@ def test_distributivity_absorption_with_bottom():
 
 
 def test_compatible_pairs():
+    # the rule the lattice run writes as "pairwise compatible"
+    def compatible(p, q):
+        return abelian_certificate([p.mat, q.mat], qlattice.COMPATIBILITY_TOL).abelian
+
     assert compatible(proj(np.diag([1.0, 0.0])), proj(np.diag([0.0, 1.0])))
     assert not compatible(proj(P_ZERO), proj(P_PLUS))
     p = proj(P_PLUS)

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from gamowlab import channels, scenario
 from gamowlab.cli import main
-from gamowlab.cmatrix import pair_commutator_norms
+from gamowlab.cmatrix import commutator, frobenius_norm, pair_commutator_norms
 from gamowlab.commutators import CHUNK_BYTES
+from gamowlab.evolution import EvolutionVariant, evolution_operator, heisenberg_evolve
+from gamowlab.gamow import Resonance, new_space
 from support import random_hermitian
 
 
@@ -279,6 +281,30 @@ def test_run_resonance_fit_report(tmp_path):
     csv_lines = (out / "commutators.csv").read_text().strip().splitlines()
     assert csv_lines[0] == "t,norm,log_norm,alpha_re,alpha_im,beta_re,beta_im,ansatz_residual,taqm_valid"
     assert all(line.endswith(",true") for line in csv_lines[1:])
+
+
+@pytest.mark.parametrize("n_res, eps", [(1, 1e-6), (1, 10.0), (1, 1e-300), (2, 1e-3), (2, 1e-300)])
+def test_fit_t_c_is_the_first_grid_time_below_eps(tmp_path, n_res, eps):
+    rng = np.random.default_rng(47 + n_res)
+    resonances = [{"energy": float(e), "width": float(w)}
+                  for e, w in zip(rng.uniform(-2, 2, n_res), rng.uniform(0.3, 1.5, n_res))]
+    space = new_space([Resonance(**r) for r in resonances])
+    o1, o2 = random_hermitian(rng, space.dim), random_hermitian(rng, space.dim)
+    grid = {"t_start": 0.0, "t_end": 30.0, "steps": 601}
+    payload = resonance_payload(resonances=resonances, grid=grid, eps=eps, observables=[encode(o1), encode(o2)])
+    out = tmp_path / "out"
+    assert scenario.run_file(write_scenario(tmp_path, payload), out) == 0
+    fields = dict(line.split(" = ") for line in (out / "fit.txt").read_text().strip().splitlines())
+    # the reference: one operator, two conjugations, a commutator and a norm per grid time
+    ts = np.linspace(grid["t_start"], grid["t_end"], grid["steps"])
+    expected = "not reached by t_end=30.0"
+    for t in ts:
+        op = evolution_operator(space, t, EvolutionVariant.HERMITIAN)
+        if frobenius_norm(commutator(heisenberg_evolve(op, o1), heisenberg_evolve(op, o2))) < eps:
+            expected = repr(float(t))
+            break
+    assert fields[f"t_c(eps={eps!r})"] == expected
+    assert expected.startswith("not reached") == (eps == 1e-300)
 
 
 def test_run_lattice_reports_violation(tmp_path):
