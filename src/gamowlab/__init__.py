@@ -17,7 +17,6 @@ from .channels import (
 )
 from .cmatrix import (
     as_complex_matrix,
-    as_complex_stack,
     commutator,
     frobenius_norm,
     pair_commutator_norms,

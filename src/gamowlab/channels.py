@@ -161,9 +161,21 @@ def _heisenberg(superop: np.ndarray, dim: int, obs) -> np.ndarray:
     if obs.ndim not in (2, 3) or obs.shape[-2:] != (dim, dim):
         raise ValueError(f"observable shape {obs.shape} does not match channel dimension {dim}")
     # The dot product is finite exactly when the entries are, unless their
-    # squares overflow; the entrywise check settles that rare case.
-    if not math.isfinite(np.vdot(obs, obs).real) and not np.isfinite(obs).all():
+    # squares overflow; the entrywise check settles that rare case. Only then
+    # can the step itself overflow, which it reports without numpy warnings.
+    if math.isfinite(np.vdot(obs, obs).real):
+        return _heisenberg_step(superop, dim, obs)
+    if not np.isfinite(obs).all():
         raise ValueError("matrix entries must be finite (no NaN or Inf)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _heisenberg_step(superop, dim, obs)
+    if not np.isfinite(out).all():
+        raise ValueError("evolved observable entries overflow the float range")
+    return out
+
+
+def _heisenberg_step(superop: np.ndarray, dim: int, obs: np.ndarray) -> np.ndarray:
+    """The product and symmetrization of :func:`_heisenberg` on a checked complex stack."""
     out = (obs.reshape(-1, dim * dim) @ superop.T).reshape(obs.shape)
     drift = obs - obs.conj().swapaxes(-1, -2)
     # One dot product settles the common case: a total drift within the

@@ -5,6 +5,9 @@ evolution operators, metric matrices) is a small dense complex matrix.
 This module wraps the handful of primitives everything else consumes,
 with explicit shape errors and finiteness checks on construction.
 
+Every Frobenius norm comes from one scaled kernel, :func:`_frobenius_norms`,
+which also handles the numpy warnings of squares outside the float range.
+
 Dimensions stay tiny (a few dozen at most), so everything is dense
 ``numpy.complex128``. Families of observables travel as ``(k, d, d)``
 stacks, so one numpy call serves the whole family; the pair kernel also
@@ -15,13 +18,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 
 import numpy as np
 
 __all__ = [
     "as_complex_matrix",
-    "as_complex_stack",
     "commutator",
     "frobenius_norm",
     "pair_commutator_norms",
@@ -48,16 +49,6 @@ def as_complex_matrix(data) -> np.ndarray:
     return mat
 
 
-def as_complex_stack(data) -> np.ndarray:
-    """Coerce ``data`` to a (k, d, d) complex128 stack of square matrices, rejecting NaN/Inf."""
-    stack = np.asarray(data, dtype=np.complex128)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
-        raise ValueError(f"expected a (k, d, d) stack of square matrices, got shape {stack.shape}")
-    if not np.isfinite(stack).all():
-        raise ValueError("matrix entries must be finite (no NaN or Inf)")
-    return stack
-
-
 def commutator(a, b) -> np.ndarray:
     """a @ b - b @ a for square matrices of equal dimension."""
     a = as_complex_matrix(a)
@@ -69,21 +60,12 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-def _scaled_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of a (P, n) array, each row divided by its largest modulus first."""
-    moduli = np.abs(rows)
-    scale = moduli.max(axis=1, keepdims=True)
-    unit = np.divide(moduli, scale, out=np.zeros_like(moduli), where=scale > 0)
-    return scale[:, 0] * np.sqrt((unit * unit).sum(axis=1))
-
-
 def frobenius_norm(a) -> float:
-    """Square root of the sum of squared entry moduli, safe from underflow and overflow."""
-    a = as_complex_matrix(a)
-    sumsq = np.vdot(a, a).real
-    if _SUMSQ_TINY <= sumsq <= _SUMSQ_HUGE or not a.any():
-        return math.sqrt(sumsq)
-    return float(_scaled_norms(a.reshape(1, -1))[0])
+    """Square root of the sum of squared entry moduli, safe from underflow and overflow.
+
+    Raises ValueError when the norm itself passes the float range.
+    """
+    return float(_frobenius_norms(as_complex_matrix(a)[None])[0])
 
 
 @functools.lru_cache(maxsize=64)
@@ -106,40 +88,51 @@ def pair_commutator_norms(stack) -> np.ndarray:
     :func:`frobenius_norm`.
     """
     x = np.asarray(stack, dtype=np.complex128)
-    flat = x.reshape(-1, *x.shape[-2:]) if x.ndim > 3 else x
-    x = as_complex_stack(flat).reshape(x.shape)
+    if x.ndim < 3 or x.shape[-1] != x.shape[-2] or x.shape[-1] < 1:
+        raise ValueError(f"expected a (k, d, d) stack of square matrices, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("matrix entries must be finite (no NaN or Inf)")
     i, j = _pairs(x.shape[-3])
     a, b = x[..., i, :, :], x[..., j, :, :]
-    comm = a @ b - b @ a
-    return _commutator_norms(comm.reshape(-1, *comm.shape[-2:])).reshape(comm.shape[:-2])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed product is the kernel's ValueError
+        comm = a @ b - b @ a
+    return _frobenius_norms(comm.reshape(-1, *comm.shape[-2:])).reshape(comm.shape[:-2])
 
 
 def _sumsq(stack: np.ndarray) -> np.ndarray:
-    """Plain sums of squared entry moduli of the members of an (m, d, d) stack, as batched inner products.
+    """Plain sums of squared entry moduli of the members of an (m, r, c) stack, as batched inner products.
 
-    No scaling: a sum may underflow or overflow (see :func:`_commutator_norms`).
+    No scaling: a sum may underflow or overflow (see :func:`_frobenius_norms`).
     """
     rows = stack.reshape(len(stack), stack.shape[-2] * stack.shape[-1])
     return (rows.conj()[:, None, :] @ rows[:, :, None]).reshape(-1).real
 
 
-def _commutator_norms(comm: np.ndarray) -> np.ndarray:
-    """Frobenius norms of a (P, d, d) stack of computed commutators, scaled like :func:`frobenius_norm`.
+def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norms of the members of an (m, r, c) stack: the one norm kernel of the package.
 
-    Shared by the pair kernel and the commutator trajectories. Raises
-    ValueError if an entry overflowed (is not finite).
+    A plain sum of squares outside [_SUMSQ_TINY, _SUMSQ_HUGE] is recomputed
+    from the member's entries divided by its largest modulus. The numpy
+    warnings of squares that leave the float range are silenced here, as
+    handling that range is the kernel's job. Raises ValueError if an entry
+    or a norm overflowed (is not finite).
     """
     # The range test by Python's sum and min over a list: this keeps the
     # kernel on numpy routines a damping step already runs, with no numpy
     # comparison or reduction code mapped in just for it. The sum also
-    # catches NaN.
-    sumsq = _sumsq(comm)
-    norms = np.sqrt(sumsq)
-    listed = sumsq.tolist()
-    if listed and not (sum(listed) <= _SUMSQ_HUGE and min(listed) >= _SUMSQ_TINY):
-        rescale = ~((sumsq >= _SUMSQ_TINY) & (sumsq <= _SUMSQ_HUGE))
-        rows = comm.reshape(len(comm), comm.shape[1] * comm.shape[2])
-        norms[rescale] = _scaled_norms(rows[rescale])
-        if not np.isfinite(norms).all():
-            raise ValueError("commutator entries overflow")
+    # catches NaN. An all-zero stack, such as the exact completeness defect
+    # of most damping channels, already has its exact norms, 0, and skips
+    # the rescale for the same reason.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sumsq = _sumsq(stack)
+        norms = np.sqrt(sumsq)
+        listed = sumsq.tolist()
+        if listed and not (sum(listed) <= _SUMSQ_HUGE and min(listed) >= _SUMSQ_TINY) and stack.any():
+            rescale = ~((sumsq >= _SUMSQ_TINY) & (sumsq <= _SUMSQ_HUGE))
+            moduli = np.abs(stack[rescale].reshape(-1, stack.shape[1] * stack.shape[2]))
+            scale = moduli.max(axis=1, keepdims=True)
+            unit = np.divide(moduli, scale, out=np.zeros_like(moduli), where=scale > 0)
+            norms[rescale] = scale[:, 0] * np.sqrt((unit * unit).sum(axis=1))
+            if not np.isfinite(norms).all():
+                raise ValueError("matrix entries or their norm overflow the float range")
     return norms

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cmatrix import _commutator_norms, as_complex_matrix, commutator
+from .cmatrix import _frobenius_norms, as_complex_matrix, commutator
 from .evolution import EvolutionVariant, evolution_operator, heisenberg_evolve
 from .gamow import GamowSpace
 
@@ -64,6 +64,11 @@ __all__ = [
 
 #: Norms at or below this are treated as zero when taking logs.
 UNDERFLOW_FLOOR = 1e-280
+
+#: :func:`phase_constancy_check` tolerances: the spread of |alpha(t)| and
+#: |beta(t)| over the grid, and the deviation of arg alpha(t) from its line.
+MODULUS_TOL = 1e-9
+PHASE_TOL = 1e-6
 
 #: Byte size of each (chunk, d, d) complex stack the chunked evaluation holds
 #: at once: a chunk spans CHUNK_BYTES // (16 d^2) grid times, one at least.
@@ -132,17 +137,6 @@ def _chunks(n_items: int, item_bytes: int):
     return (slice(lo, min(lo + step, n_items)) for lo in range(0, n_items, step))
 
 
-def _commute(space: GamowSpace, o1: np.ndarray, o2: np.ndarray, ts: np.ndarray, variant, out: np.ndarray) -> np.ndarray:
-    """Write [O1(t), O2(t)] at the times ``ts`` into ``out``, a (len(ts), d, d) array; return their norms."""
-    op = evolution_operator(space, ts, variant)
-    a = heisenberg_evolve(op, o1)
-    b = heisenberg_evolve(op, o2)
-    np.matmul(a, b, out=out)
-    out -= b @ a
-    with np.errstate(over="ignore", invalid="ignore"):  # squares past the float range take the scaled path
-        return _commutator_norms(out)
-
-
 def trajectory(space: GamowSpace, o1, o2, times, variant=EvolutionVariant.HERMITIAN) -> CommutatorTrajectory:
     """Evolve both observables and commute them at each grid time, a chunk of times at a time."""
     variant = EvolutionVariant(variant)
@@ -157,7 +151,13 @@ def trajectory(space: GamowSpace, o1, o2, times, variant=EvolutionVariant.HERMIT
     values = np.empty((ts.size, dim, dim), dtype=complex)
     norms = np.empty(ts.size)
     for chunk in _chunks(ts.size, 16 * dim**2):
-        norms[chunk] = _commute(space, o1, o2, ts[chunk], variant, values[chunk])
+        op = evolution_operator(space, ts[chunk], variant)
+        a = heisenberg_evolve(op, o1)
+        b = heisenberg_evolve(op, o2)
+        comm = values[chunk]
+        np.matmul(a, b, out=comm)
+        comm -= b @ a
+        norms[chunk] = _frobenius_norms(comm)
     return CommutatorTrajectory(space=space, variant=variant, times=ts, values=values, norms=norms)
 
 
@@ -234,9 +234,7 @@ def ansatz_coefficients(
         if live.any():
             off = val[live]
             off.reshape(len(off), -1)[:, :: space.dim + 1] = 0.0
-            with np.errstate(over="ignore", invalid="ignore"):  # as in _commute
-                off_norms = _commutator_norms(off)
-            residuals[chunk][live] = np.minimum(1.0, off_norms / totals[chunk][live])
+            residuals[chunk][live] = np.minimum(1.0, _frobenius_norms(off) / totals[chunk][live])
     return alphas, betas, residuals
 
 
@@ -248,17 +246,12 @@ def ansatz_report(space: GamowSpace, traj: CommutatorTrajectory, k: int) -> Ansa
     return AnsatzReport(t=float(traj.times[k]), alphas=alphas[0], betas=betas[0], residual=float(residuals[0]))
 
 
-def phase_constancy_check(
-    space: GamowSpace,
-    traj: CommutatorTrajectory,
-    modulus_tol: float = 1e-9,
-    phase_tol: float = 1e-6,
-) -> bool:
+def phase_constancy_check(space: GamowSpace, traj: CommutatorTrajectory) -> bool:
     """Check the single-resonance claim that alpha(t) is a pure phase.
 
     True iff |alpha(t)| and |beta(t)| are constant over the grid to
-    ``modulus_tol`` and arg alpha(t) advances linearly at angular rate
-    -2 E_R (mod 2 pi) to ``phase_tol``.
+    :data:`MODULUS_TOL` and arg alpha(t) advances linearly at angular rate
+    -2 E_R (mod 2 pi) to :data:`PHASE_TOL`.
 
     Note: for the exact trajectory the diagonal coefficients are
     time-independent, so the phase clause holds only at E_R = 0; the
@@ -271,14 +264,14 @@ def phase_constancy_check(
     alphas, betas = alphas[:, 0], betas[:, 0]
     for series in (alphas, betas):
         mods = np.abs(series)
-        if mods.max() - mods.min() > modulus_tol:
+        if mods.max() - mods.min() > MODULUS_TOL:
             return False
     if np.abs(alphas).max() <= UNDERFLOW_FLOOR:
         return True
     rate = -2.0 * space.resonances[0].energy
     expected = np.angle(alphas[0]) + rate * (traj.times - traj.times[0])
     deviation = np.angle(alphas * np.exp(-1j * expected))
-    return bool(np.abs(deviation).max() <= phase_tol)
+    return bool(np.abs(deviation).max() <= PHASE_TOL)
 
 
 def growth_witness(space: GamowSpace, obs, t: float) -> float:

@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cmatrix import _sumsq, as_complex_matrix, pair_commutator_norms
+from .cmatrix import _pairs, _sumsq, as_complex_matrix, pair_commutator_norms
 
 __all__ = [
     "Projector",
@@ -246,7 +246,7 @@ def abelian_certificate(observables: Sequence, tol: float) -> AbelianCertificate
     if norms.size == 0:
         return AbelianCertificate(abelian=True, worst_pair=None, worst_norm=0.0)
     worst = int(np.argmax(norms))
-    i, j = np.triu_indices(len(mats), 1)
+    i, j = _pairs(len(mats))
     worst_norm = float(norms[worst])
     return AbelianCertificate(
         abelian=worst_norm <= tol, worst_pair=(int(i[worst]), int(j[worst])), worst_norm=worst_norm

@@ -258,21 +258,18 @@ def _run_damping(o: dict) -> tuple[dict[str, list[str]], str]:
     # Steps go through the channel one at a time, each from the last, into a
     # (steps, k, 2, 2) block; one pair-kernel call per block gives its rows of
     # norms. A step's k(k-1)/2 commutators take 64 bytes each (2x2 complex).
-    # Squares past the float range take the scaled path, so their warnings are silenced
-    # once for the whole loop, not per chunk.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for chunk in commutators._chunks(o["n_max"] + 1, 64 * k * (k - 1) // 2):
-            steps = range(chunk.start, chunk.stop)
-            block = np.empty((len(steps), *evolved.shape), dtype=np.complex128)
-            for s, n in enumerate(steps):
-                if n > 0:
-                    evolved = channels.apply_heisenberg(o["channel"], evolved)
-                block[s] = evolved
-            for n, norms in zip(steps, pair_commutator_norms(block).tolist()):
-                worst = max(norms)
-                rows.append((n, worst))
-                if first_below is None and worst < o["eps"]:
-                    first_below = n
+    for chunk in commutators._chunks(o["n_max"] + 1, 64 * k * (k - 1) // 2):
+        steps = range(chunk.start, chunk.stop)
+        block = np.empty((len(steps), *evolved.shape), dtype=np.complex128)
+        for s, n in enumerate(steps):
+            if n > 0:
+                evolved = channels.apply_heisenberg(o["channel"], evolved)
+            block[s] = evolved
+        for n, norms in zip(steps, pair_commutator_norms(block).tolist()):
+            worst = max(norms)
+            rows.append((n, worst))
+            if first_below is None and worst < o["eps"]:
+                first_below = n
     lines = ["n,norm"]
     lines += [f"{n},{_fmt(norm)}" for n, norm in rows]
     reached = f"commuting at n={first_below}" if first_below is not None else "eps not reached"

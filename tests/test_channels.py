@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -311,6 +313,19 @@ def test_batched_heisenberg_matches_per_matrix_results():
 def test_heisenberg_rejects_non_finite_entries(bad):
     with pytest.raises(ValueError, match="finite"):
         apply_heisenberg(damping_channel(0.5), np.array(bad, dtype=complex))
+
+
+def test_heisenberg_step_past_the_float_range_is_quiet():
+    # entries whose squares overflow take the quiet path: a power-of-two scale
+    # carries over exactly, and a step that overflows is a ValueError, not inf
+    ch = damping_channel(0.5)
+    paulis = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z]).astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = apply_heisenberg(ch, 2.0**600 * paulis)
+        np.testing.assert_array_equal(huge, 2.0**600 * apply_heisenberg(ch, paulis))
+        with pytest.raises(ValueError, match="overflow"):
+            apply_heisenberg(ch, 1.5e308 * paulis)
 
 
 def test_batched_heisenberg_rejects_dimension_mismatch():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from gamowlab.cmatrix import (
     as_complex_matrix,
-    as_complex_stack,
     commutator,
     frobenius_norm,
     pair_commutator_norms,
@@ -154,7 +155,8 @@ def test_pair_commutator_norms_of_a_block_take_the_scaled_fallback_per_step():
     stack = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
     block = np.stack([stack, stack * 1e-150, stack, stack * 1e150])
     block[0, 1] *= 1e-170  # tiny and ordinary members in one step
-    with np.errstate(over="ignore", invalid="ignore"):  # the squares of the huge step overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the squares of the huge step overflow, silently
         norms = pair_commutator_norms(block)
         np.testing.assert_array_equal(norms, [pair_commutator_norms(step) for step in block])
     np.testing.assert_allclose(norms[1], norms[2] * 1e-300, rtol=1e-14)
@@ -175,14 +177,22 @@ def test_pair_commutator_norms_reject_bad_blocks():
         pair_commutator_norms(np.eye(2))
     with pytest.raises(ValueError, match=r"\(k, d, d\)"):
         pair_commutator_norms(np.ones((2, 3, 2, 4)))
+    with pytest.raises(ValueError, match=r"\(k, d, d\)"):
+        pair_commutator_norms(np.ones((3, 2, 4)))
+    with pytest.raises(ValueError, match=r"\(k, d, d\)"):
+        pair_commutator_norms(np.ones((2, 0, 0)))
     with pytest.raises(ValueError, match="finite"):
         pair_commutator_norms(np.full((2, 3, 2, 2), np.nan))
-
-
-def test_as_complex_stack_rejects_bad_input():
-    with pytest.raises(ValueError, match=r"\(k, d, d\)"):
-        as_complex_stack(np.eye(2))
-    with pytest.raises(ValueError, match=r"\(k, d, d\)"):
-        as_complex_stack(np.ones((3, 2, 4)))
     with pytest.raises(ValueError, match="finite"):
-        as_complex_stack(np.full((1, 2, 2), np.nan))
+        pair_commutator_norms(np.full((1, 2, 2), np.nan))
+
+
+def test_norm_kernel_is_quiet_past_the_float_range():
+    # squares near 1e600 leave the float range on the way to a finite norm: no numpy
+    # warning; a norm past the float range is a ValueError, not inf with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = np.stack([SIGMA_X, SIGMA_Y]) * 1e150
+        assert pair_commutator_norms(huge).tolist() == [2.82842712474619e+300]
+        with pytest.raises(ValueError, match="overflow"):
+            frobenius_norm(np.full((2, 2), 1e308))

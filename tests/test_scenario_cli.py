@@ -535,8 +535,7 @@ def test_damping_run_with_huge_entries_is_quiet(tmp_path, capsys):
     payload = {"kind": "damping", "p": 0.05, "n_max": 20, "eps": 1e-10,
                "observables": [encode(big * np.array([[0, 1], [1, 0]])), encode(big * np.array([[0, -1j], [1j, 0]]))]}
     path = write_scenario(tmp_path, payload)
-    with np.errstate(all="ignore"):
-        expected = per_step_damping(scenario.load_scenario(path)[1].objects)[0]["commutators.csv"]
+    expected = per_step_damping(scenario.load_scenario(path)[1].objects)[0]["commutators.csv"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert scenario.run_file(path, tmp_path / "out") == 0
@@ -544,6 +543,28 @@ def test_damping_run_with_huge_entries_is_quiet(tmp_path, capsys):
     assert lines[1] == "0,2.82842712474619e+300"
     assert lines == expected
     assert "Warning" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [1e160, 1.5e308])
+def test_damping_run_past_the_float_range_fails_quietly(tmp_path, scale):
+    # the demo Paulis scaled up: at 1e160 their commutators overflow, at 1.5e308 the
+    # channel step itself does; the run fails with exit 3 and a diagnostic, and numpy
+    # prints no warning
+    payload = json.loads((GOLDEN / "demo_damping.json").read_text())
+    payload["observables"] = [
+        [[[scale * part for part in entry] for entry in row] for row in obs] for obs in payload["observables"]
+    ]
+    path = write_scenario(tmp_path, payload)
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-m", "gamowlab", "run", str(path), "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 3
+    assert result.stdout.startswith("runtime error:") and "overflow" in result.stdout
+    assert result.stderr == ""
+    assert not out.exists()
 
 
 def test_run_multi_resonance_scenario(tmp_path):
