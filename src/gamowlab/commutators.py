@@ -9,8 +9,8 @@ The grid is walked in chunks of consecutive times whose (chunk, d, d)
 stacks hold at most :data:`CHUNK_BYTES` each: one evolution operator over
 the chunk's times, both observables evolved as stacks, the commutators
 from two stacked products and their norms from batched inner products.
-The diagonal-form coefficients (:func:`ansatz_coefficients`) are read off
-the stored trajectory in the same chunks.
+:func:`trajectory` stacks the chunks; a scenario run reduces each one as it
+comes, to its norms and :func:`ansatz_coefficients`.
 
 Exact structure for one resonance under the HERMITIAN conjugation, with
 K = [O1, O2] and r = e^{-t Gamma}:
@@ -137,27 +137,33 @@ def _chunks(n_items: int, item_bytes: int):
     return (slice(lo, min(lo + step, n_items)) for lo in range(0, n_items, step))
 
 
+def _commutator_chunks(space: GamowSpace, o1, o2, ts: np.ndarray, variant: EvolutionVariant):
+    """Yield each chunk's slice of the grid ``ts``, its (c, d, d) commutators and their norms.
+
+    An evolved entry past the float range reaches the commutators as inf or nan,
+    with no numpy warning, and the norm kernel raises ValueError on it.
+    """
+    o1, o2, dim = as_complex_matrix(o1), as_complex_matrix(o2), space.dim
+    if o1.shape != (dim, dim) or o2.shape != (dim, dim):
+        raise ValueError(f"observables must be {dim}x{dim} for this space, got {o1.shape} and {o2.shape}")
+    for chunk in _chunks(ts.size, 16 * dim**2):
+        with np.errstate(over="ignore", invalid="ignore"):
+            op = evolution_operator(space, ts[chunk], variant)
+            a = heisenberg_evolve(op, o1)
+            b = heisenberg_evolve(op, o2)
+            comm = a @ b
+            comm -= b @ a
+        yield chunk, comm, _frobenius_norms(comm)
+
+
 def trajectory(space: GamowSpace, o1, o2, times, variant=EvolutionVariant.HERMITIAN) -> CommutatorTrajectory:
     """Evolve both observables and commute them at each grid time, a chunk of times at a time."""
     variant = EvolutionVariant(variant)
     ts = time_grid(times)
-    o1 = as_complex_matrix(o1)
-    o2 = as_complex_matrix(o2)
-    dim = space.dim
-    if o1.shape != (dim, dim) or o2.shape != (dim, dim):
-        raise ValueError(
-            f"observables must be {dim}x{dim} for this space, got {o1.shape} and {o2.shape}"
-        )
-    values = np.empty((ts.size, dim, dim), dtype=complex)
+    values = np.empty((ts.size, space.dim, space.dim), dtype=complex)
     norms = np.empty(ts.size)
-    for chunk in _chunks(ts.size, 16 * dim**2):
-        op = evolution_operator(space, ts[chunk], variant)
-        a = heisenberg_evolve(op, o1)
-        b = heisenberg_evolve(op, o2)
-        comm = values[chunk]
-        np.matmul(a, b, out=comm)
-        comm -= b @ a
-        norms[chunk] = _frobenius_norms(comm)
+    for chunk, comm, chunk_norms in _commutator_chunks(space, o1, o2, ts, variant):
+        values[chunk], norms[chunk] = comm, chunk_norms
     return CommutatorTrajectory(space=space, variant=variant, times=ts, values=values, norms=norms)
 
 
@@ -192,14 +198,14 @@ def fit_window_start(n_times: int, n_resonances: int, window_fraction: float | N
     return start
 
 
-def envelope_fit(traj: CommutatorTrajectory, window_fraction: float | None = None) -> DecayFit:
+def _decay_fit(ts: np.ndarray, norms: np.ndarray, n_resonances: int, window_fraction: float | None) -> DecayFit:
     """Least-squares slope of log norm versus time on the :func:`fit_window_start` window.
 
     Points at or below the underflow floor are dropped.
     """
-    start = fit_window_start(traj.times.size, traj.space.n_resonances, window_fraction)
-    ts = traj.times[start:]
-    norms = traj.norms[start:]
+    start = fit_window_start(ts.size, n_resonances, window_fraction)
+    ts = ts[start:]
+    norms = norms[start:]
     usable = norms > UNDERFLOW_FLOOR
     if int(usable.sum()) < 2:
         raise ValueError("fewer than 2 usable points above the underflow floor; no fit")
@@ -210,39 +216,35 @@ def envelope_fit(traj: CommutatorTrajectory, window_fraction: float | None = Non
     return DecayFit(slope=float(slope), intercept=float(intercept), max_abs_residual=resid, n_points=int(usable.sum()))
 
 
-def ansatz_coefficients(
-    space: GamowSpace, traj: CommutatorTrajectory, index: slice = slice(None)
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonal coefficients and residuals at the grid indices ``index``, as arrays.
+def envelope_fit(traj: CommutatorTrajectory, window_fraction: float | None = None) -> DecayFit:
+    """The decay fit of the trajectory's norms; see :func:`_decay_fit`."""
+    return _decay_fit(traj.times, traj.norms, traj.space.n_resonances, window_fraction)
 
-    Returns (alphas, betas, residuals) of shapes (n, N), (n, N) and (n,) for the n
-    indexed times; row k holds what :class:`AnsatzReport` describes for its time.
+
+def ansatz_coefficients(space: GamowSpace, times, commutators, norms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal coefficients and residuals of an (n, d, d) stack of commutators at n ``times``, with their ``norms``.
+
+    Returns (alphas, betas, residuals) of shapes (n, N), (n, N) and (n,); row k
+    holds what :class:`AnsatzReport` describes for ``times[k]``.
     """
-    ts = traj.times[index]
-    values = np.asarray(traj.values)[index]
-    totals = traj.norms[index]
-    alphas = np.empty((ts.size, space.n_resonances), dtype=complex)
-    betas = np.empty_like(alphas)
-    residuals = np.zeros(ts.size)
-    for chunk in _chunks(ts.size, 16 * space.dim**2):
-        val = values[chunk]
-        scale = np.exp(2.0 * ts[chunk, None] * space.widths)
-        diagonal = np.diagonal(val, axis1=1, axis2=2)
-        alphas[chunk] = scale * diagonal[:, 0::2]
-        betas[chunk] = scale * diagonal[:, 1::2]
-        live = totals[chunk] > UNDERFLOW_FLOOR
-        if live.any():
-            off = val[live]
-            off.reshape(len(off), -1)[:, :: space.dim + 1] = 0.0
-            residuals[chunk][live] = np.minimum(1.0, _frobenius_norms(off) / totals[chunk][live])
-    return alphas, betas, residuals
+    values = np.asarray(commutators)
+    scale = np.exp(2.0 * times[:, None] * space.widths)
+    diagonal = np.diagonal(values, axis1=1, axis2=2)
+    residuals = np.zeros(times.size)
+    live = norms > UNDERFLOW_FLOOR
+    if live.any():
+        off = values[live]
+        off.reshape(len(off), -1)[:, :: space.dim + 1] = 0.0
+        residuals[live] = np.minimum(1.0, _frobenius_norms(off) / norms[live])
+    return scale * diagonal[:, 0::2], scale * diagonal[:, 1::2], residuals
 
 
 def ansatz_report(space: GamowSpace, traj: CommutatorTrajectory, k: int) -> AnsatzReport:
     """Extract the per-resonance diagonal coefficients at grid index ``k``."""
     if not 0 <= k < traj.times.size:
         raise ValueError(f"time index {k} out of range 0..{traj.times.size - 1}")
-    alphas, betas, residuals = ansatz_coefficients(space, traj, slice(k, k + 1))
+    row = slice(k, k + 1)
+    alphas, betas, residuals = ansatz_coefficients(space, traj.times[row], traj.values[row], traj.norms[row])
     return AnsatzReport(t=float(traj.times[k]), alphas=alphas[0], betas=betas[0], residual=float(residuals[0]))
 
 
@@ -260,7 +262,7 @@ def phase_constancy_check(space: GamowSpace, traj: CommutatorTrajectory) -> bool
     """
     if space.n_resonances != 1:
         raise ValueError("phase constancy is a single-resonance check")
-    alphas, betas, _ = ansatz_coefficients(space, traj)
+    alphas, betas, _ = ansatz_coefficients(space, traj.times, traj.values, traj.norms)
     alphas, betas = alphas[:, 0], betas[:, 0]
     for series in (alphas, betas):
         mods = np.abs(series)

@@ -15,9 +15,9 @@ Validation builds every object a run uses from its kind's field table; construct
 errors become ``field: message`` diagnostics, and a top-level key the kind does not
 read becomes a ``scenario: unknown key`` diagnostic. ``MAX_*`` cap the size of a run.
 
-A damping run takes its channel steps one at a time and its pair commutator
-norms a chunk of steps at a time, one pair-kernel call per chunk, with the
-chunk budget the resonance trajectories use (``commutators.CHUNK_BYTES``).
+A resonance run reduces each chunk of commutators to its CSV rows as it comes and
+keeps only their norms; a damping run makes one pair-kernel call per chunk of channel
+steps. Both chunks hold ``commutators.CHUNK_BYTES``.
 
 Outputs are written with shortest round-trip float formatting and fixed
 row order, so identical scenarios produce byte-identical files.
@@ -42,12 +42,10 @@ from .gamow import Resonance, new_space
 __all__ = ["Scenario", "load_scenario", "validate_file", "report_invalid", "run_file", "write_demo_files"]
 
 MAX_GRID_STEPS = 100_000
-MAX_TRAJECTORY_ENTRIES = 2**24  # steps * (2N)^2; the run keeps them all, 16 bytes each
+MAX_TRAJECTORY_ENTRIES = 2**24  # steps * (2N)^2 commutator entries, a bound on run time; the run keeps none
 MAX_N_MAX = 1_000_000
 MAX_DAMPING_OBSERVABLES = 64  # k(k-1)/2 commutators per step; a chunk holds CHUNK_BYTES of them, or one step's
 MAX_LATTICE_DIM = 256
-
-_CSV_SLICE_ROWS = 64  # resonance CSV rows formatted from one ansatz_coefficients call
 
 
 @dataclass(frozen=True)
@@ -281,19 +279,17 @@ def _run_damping(o: dict) -> tuple[dict[str, list[str]], str]:
 
 def _run_resonance(o: dict) -> tuple[dict[str, list[str]], str]:
     space, times, eps = o["space"], o["times"], o["eps"]
-    traj = commutators.trajectory(space, *o["observables"], times, o["variant"])
     slow = int(np.argmin(space.widths))
+    norms = np.empty(times.size)
     lines = ["t,norm,log_norm,alpha_re,alpha_im,beta_re,beta_im,ansatz_residual,taqm_valid"]
-    # One slice of rows at a time: its (rows, 7) table of CSV numbers, then its lines,
-    # so only one slice's coefficients and Python floats are alive; math.log, not
+    # Per chunk: its norms, its (rows, 7) table of CSV numbers, then its lines, so only
+    # one chunk's commutators, coefficients and Python floats are alive; math.log, not
     # np.log, keeps each log_norm to the bit.
-    for lo in range(0, times.size, _CSV_SLICE_ROWS):
-        index = slice(lo, lo + _CSV_SLICE_ROWS)
-        alphas, betas, residuals = commutators.ansatz_coefficients(space, traj, index)
+    for chunk, comm, chunk_norms in commutators._commutator_chunks(space, *o["observables"], times, o["variant"]):
+        norms[chunk] = chunk_norms
+        alphas, betas, residuals = commutators.ansatz_coefficients(space, times[chunk], comm, chunk_norms)
         alpha, beta = alphas[:, slow], betas[:, slow]
-        table = np.column_stack(
-            [times[index], traj.norms[index], alpha.real, alpha.imag, beta.real, beta.imag, residuals]
-        )
+        table = np.column_stack([times[chunk], chunk_norms, alpha.real, alpha.imag, beta.real, beta.imag, residuals])
         for t, norm, a_re, a_im, b_re, b_im, residual in table.tolist():
             log_norm = math.log(norm) if norm > 0 else float("-inf")
             lines.append(
@@ -301,10 +297,10 @@ def _run_resonance(o: dict) -> tuple[dict[str, list[str]], str]:
                 f"{'true' if t >= 0 else 'false'}"
             )
 
-    fit = commutators.envelope_fit(traj, o["fit_window"])
+    fit = commutators._decay_fit(times, norms, space.n_resonances, o["fit_window"])
     expected = -2.0 * min(space.widths)
     deviation = abs(fit.slope - expected)
-    below = np.nonzero(traj.norms < eps)[0]
+    below = np.nonzero(norms < eps)[0]
     t_c_text = _fmt(times[below[0]]) if below.size else f"not reached by t_end={_fmt(times[-1])}"
     fit_lines = [
         f"slope = {_fmt(fit.slope)}",

@@ -2,6 +2,9 @@
 
 import numpy as np
 
+from gamowlab.cmatrix import frobenius_norm
+from gamowlab.commutators import UNDERFLOW_FLOOR
+
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -63,3 +66,16 @@ def block_xy_pair(rng, n_res):
         o1[sl, sl] = a * SIGMA_X + b * SIGMA_Y
         o2[sl, sl] = c * SIGMA_X + d * SIGMA_Y
     return o1, o2
+
+
+def per_time_ansatz(space, traj, k):
+    """The reference: diagonal coefficients and residual of grid index k, one matrix at a time."""
+    t, val, total = traj.times[k], traj.values[k], traj.norms[k]
+    scale = np.exp(2.0 * t * space.widths)
+    if total <= UNDERFLOW_FLOOR:
+        residual = 0.0
+    else:
+        off = val.copy()
+        np.fill_diagonal(off, 0.0)
+        residual = min(1.0, frobenius_norm(off) / total)
+    return scale * np.diagonal(val)[0::2], scale * np.diagonal(val)[1::2], residual

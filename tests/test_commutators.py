@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from gamowlab.commutators import (
 )
 from gamowlab.evolution import EvolutionVariant, evolution_operator, heisenberg_evolve
 from gamowlab.gamow import Resonance, new_space
-from support import SIGMA_X, SIGMA_Y, block_xy_pair, random_hermitian
+from support import SIGMA_X, SIGMA_Y, block_xy_pair, per_time_ansatz, random_hermitian
 
 HERM = EvolutionVariant.HERMITIAN
 
@@ -274,23 +275,12 @@ def test_chunked_norms_take_the_scaled_fallback(scale):
 
 
 def test_chunked_trajectory_rejects_overflow():
-    # INVERTIBLE conjugation grows like e^{t G}: the evolved entries overflow
+    # INVERTIBLE conjugation grows like e^{t G}: the evolved entries overflow, and the
+    # norm kernel reports it with no numpy warning on the way
     space = space1(energy=0.0, width=2.0)
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="overflow"):
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="overflow"):
+        warnings.simplefilter("error")
         trajectory(space, SIGMA_X, SIGMA_Y, [0.0, 400.0], EvolutionVariant.INVERTIBLE)
-
-
-def per_time_ansatz(space, traj, k):
-    """The reference: diagonal coefficients and residual of grid index k, one matrix at a time."""
-    t, val, total = traj.times[k], traj.values[k], traj.norms[k]
-    scale = np.exp(2.0 * t * space.widths)
-    if total <= UNDERFLOW_FLOOR:
-        residual = 0.0
-    else:
-        off = val.copy()
-        np.fill_diagonal(off, 0.0)
-        residual = min(1.0, frobenius_norm(off) / total)
-    return scale * np.diagonal(val)[0::2], scale * np.diagonal(val)[1::2], residual
 
 
 @pytest.mark.parametrize("n_res", [1, 2, 3, 64])
@@ -300,7 +290,7 @@ def test_ansatz_coefficients_equal_the_per_time_formula(n_res):
     o1, o2 = random_hermitian(rng, space.dim), random_hermitian(rng, space.dim)
     steps = 4 if n_res == 64 else chunk_length(n_res) + 5
     traj = trajectory(space, o1, o2, np.linspace(0.0, 8.0, steps))
-    alphas, betas, residuals = ansatz_coefficients(space, traj)
+    alphas, betas, residuals = ansatz_coefficients(space, traj.times, traj.values, traj.norms)
     assert alphas.shape == betas.shape == (steps, n_res) and residuals.shape == (steps,)
     for k in range(steps):
         alpha, beta, residual = per_time_ansatz(space, traj, k)
@@ -310,19 +300,19 @@ def test_ansatz_coefficients_equal_the_per_time_formula(n_res):
         rep = ansatz_report(space, traj, k)
         np.testing.assert_array_equal(rep.alphas, alpha)
         assert rep.residual == residual
-    sub = ansatz_coefficients(space, traj, slice(2, 5))
+    sub = ansatz_coefficients(space, traj.times[2:5], traj.values[2:5], traj.norms[2:5])
     np.testing.assert_array_equal(sub[2], residuals[2:5])
     # a commuting pair: every norm is below the underflow floor, every residual 0
     diagonal = np.diag(rng.normal(size=space.dim)).astype(complex)
     flat = trajectory(space, diagonal, 2 * diagonal, traj.times)
     assert np.all(flat.norms <= UNDERFLOW_FLOOR)
-    np.testing.assert_array_equal(ansatz_coefficients(space, flat)[2], np.zeros(steps))
+    np.testing.assert_array_equal(ansatz_coefficients(space, flat.times, flat.values, flat.norms)[2], np.zeros(steps))
 
 
 @pytest.mark.parametrize("n_res, steps", [(64, 51), (2, 1001)])
 def test_chunked_evaluation_holds_no_trajectory_sized_temporary(n_res, steps):
-    # peak traced memory is the outputs plus a few chunk stacks; a (T, d, d) temporary
-    # on top of ``values`` would exceed it (13 MB at N = 64, 250 KB at N = 2)
+    # peak traced memory is the stacked trajectory plus a few chunk stacks; a (T, d, d)
+    # temporary on top of ``values`` would exceed it (13 MB at N = 64, 250 KB at N = 2)
     rng = np.random.default_rng(43)
     space = random_space(rng, n_res)
     o1, o2 = random_hermitian(rng, space.dim), random_hermitian(rng, space.dim)
@@ -331,12 +321,10 @@ def test_chunked_evaluation_holds_no_trajectory_sized_temporary(n_res, steps):
     tracemalloc.start()
     try:
         traj = trajectory(space, o1, o2, ts)
-        outputs = ansatz_coefficients(space, traj)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = traj.values.nbytes + traj.norms.nbytes + sum(a.nbytes for a in outputs)
-    assert peak < kept + 8 * chunk_bytes
+    assert peak < traj.values.nbytes + traj.norms.nbytes + 8 * chunk_bytes
 
 
 # ---------------------------------------------------------------- ansatz reports

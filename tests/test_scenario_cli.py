@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from gamowlab import channels, scenario
 from gamowlab.cli import main
 from gamowlab.cmatrix import commutator, frobenius_norm, pair_commutator_norms
-from gamowlab.commutators import CHUNK_BYTES
+from gamowlab.commutators import CHUNK_BYTES, UNDERFLOW_FLOOR, envelope_fit, trajectory
 from gamowlab.evolution import EvolutionVariant, evolution_operator, heisenberg_evolve
 from gamowlab.gamow import Resonance, new_space
-from support import random_hermitian
+from support import per_time_ansatz, random_hermitian
 
 
 def encode(mat):
@@ -545,15 +545,8 @@ def test_damping_run_with_huge_entries_is_quiet(tmp_path, capsys):
     assert "Warning" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scale", [1e160, 1.5e308])
-def test_damping_run_past_the_float_range_fails_quietly(tmp_path, scale):
-    # the demo Paulis scaled up: at 1e160 their commutators overflow, at 1.5e308 the
-    # channel step itself does; the run fails with exit 3 and a diagnostic, and numpy
-    # prints no warning
-    payload = json.loads((GOLDEN / "demo_damping.json").read_text())
-    payload["observables"] = [
-        [[[scale * part for part in entry] for entry in row] for row in obs] for obs in payload["observables"]
-    ]
+def assert_run_fails_quietly(tmp_path, payload):
+    """The CLI run exits 3 with an overflow diagnostic, prints nothing on stderr and leaves no --out."""
     path = write_scenario(tmp_path, payload)
     out = tmp_path / "out"
     result = subprocess.run(
@@ -565,6 +558,93 @@ def test_damping_run_past_the_float_range_fails_quietly(tmp_path, scale):
     assert result.stdout.startswith("runtime error:") and "overflow" in result.stdout
     assert result.stderr == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [1e160, 1.5e308])
+def test_damping_run_past_the_float_range_fails_quietly(tmp_path, scale):
+    # the demo Paulis scaled up: at 1e160 their commutators overflow, at 1.5e308 the
+    # channel step itself does; the run fails with exit 3 and a diagnostic, and numpy
+    # prints no warning
+    payload = json.loads((GOLDEN / "demo_damping.json").read_text())
+    payload["observables"] = [
+        [[[scale * part for part in entry] for entry in row] for row in obs] for obs in payload["observables"]
+    ]
+    assert_run_fails_quietly(tmp_path, payload)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"resonances": [{"energy": 0.0, "width": 2.0}], "variant": "invertible",
+         "grid": {"t_start": 0.0, "t_end": 400.0, "steps": 3}},
+        {"resonances": [{"energy": 1e308, "width": 0.5}]},
+    ],
+    ids=["invertible-growth", "huge-energy"],
+)
+def test_resonance_run_past_the_float_range_fails_quietly(tmp_path, overrides):
+    # the demo resonance run with INVERTIBLE conjugation, whose G-slot factor e^{t G/2}
+    # overflows, or with an energy whose phase t E overflows: the evolved entries pass
+    # the float range, and the run fails with exit 3 and a diagnostic, no numpy warning
+    payload = json.loads((GOLDEN / "demo_resonance.json").read_text())
+    payload.update(overrides)
+    assert_run_fails_quietly(tmp_path, payload)
+
+
+def resonance_objects(tmp_path, widths, t_end, steps, seed=47):
+    """A loaded HERMITIAN scenario on [0, t_end]: random energies, the given widths, a random Hermitian pair."""
+    rng = np.random.default_rng(seed)
+    payload = resonance_payload(
+        resonances=[{"energy": float(rng.uniform(-2, 2)), "width": float(w)} for w in widths],
+        grid={"t_start": 0.0, "t_end": t_end, "steps": steps},
+        observables=[encode(random_hermitian(rng, 2 * len(widths))) for _ in range(2)],
+    )
+    diagnostics, sc = scenario.load_scenario(write_scenario(tmp_path, payload))
+    assert diagnostics == []
+    return sc.objects
+
+
+@pytest.mark.parametrize(
+    "widths, t_end, steps, dead",
+    [
+        ((0.6, 0.9), 8.0, CHUNK_BYTES // (16 * 4**2) + 5, 0),  # N = 2: a short last chunk
+        (tuple(np.linspace(0.1, 1.0, 64)), 8.0, 4, 0),  # N = 64: one grid time per chunk
+        # N = 2, 400 steps: the norms fall under the underflow floor late in the sixth
+        # chunk, so the short seventh chunk has no live residual
+        ((1.0, 1.02), 345.0, 400, 20),
+    ],
+    ids=["N2", "N64", "underflow"],
+)
+def test_streamed_resonance_run_equals_the_trajectory(tmp_path, widths, t_end, steps, dead):
+    # the run reduces each chunk as it comes; its columns equal the per-time reference
+    # on the stacked trajectory, and its fit that of the trajectory
+    objects = resonance_objects(tmp_path, widths, t_end, steps)
+    space, times = objects["space"], objects["times"]
+    files, _ = scenario._run_resonance(objects)
+    traj = trajectory(space, *objects["observables"], times, objects["variant"])
+    assert traj.norms[0] > UNDERFLOW_FLOOR and np.all(traj.norms[steps - dead :] <= UNDERFLOW_FLOOR)
+    slow = int(np.argmin(space.widths))
+    rows = [line.split(",") for line in files["commutators.csv"][1:]]
+    assert len(rows) == steps
+    for k, row in enumerate(rows):
+        alpha, beta, residual = per_time_ansatz(space, traj, k)
+        expected = [traj.norms[k], alpha[slow].real, alpha[slow].imag, beta[slow].real, beta[slow].imag, residual]
+        assert [row[1], *row[3:8]] == [repr(float(x)) for x in expected]
+    fit = envelope_fit(traj, objects["fit_window"])
+    assert files["fit.txt"][:2] == [f"slope = {fit.slope!r}", f"intercept = {fit.intercept!r}"]
+
+
+def test_streamed_resonance_run_holds_no_trajectory_stack(tmp_path):
+    # a (51, 128, 128) stack of every grid time's commutator would take 13 MB at N = 64;
+    # the streamed run holds one grid time's 256 KB chunk at a time and the (T,) norms
+    objects = resonance_objects(tmp_path, np.linspace(0.1, 1.0, 64), 20.0, 51)
+    tracemalloc.start()
+    try:
+        files, _ = scenario._run_resonance(objects)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = sum(sys.getsizeof(line) for line in files["commutators.csv"])
+    assert peak - lines < 4 * 2**20
 
 
 def test_run_multi_resonance_scenario(tmp_path):
