@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cmatrix import as_complex_matrix, frobenius_norm
+from .cmatrix import _PAULIS, as_complex_matrix, frobenius_norm
 
 __all__ = [
     "KrausChannel",
@@ -189,6 +189,16 @@ def _heisenberg_step(superop: np.ndarray, dim: int, obs: np.ndarray) -> np.ndarr
     scale = np.abs(obs).max(axis=(-2, -1), initial=1.0)
     hermitian = np.abs(drift).max(axis=(-2, -1)) <= _HERMITIAN_DRIFT_TOL * scale
     return np.where(hermitian[..., None, None], (out + out.conj().swapaxes(-1, -2)) * 0.5, out)
+
+
+def _pauli_transfer(ch: KrausChannel) -> np.ndarray:
+    """The real 3x3 block T_ij = Tr(sigma_i S(sigma_j)) / 2 of a qubit channel's Pauli transfer matrix.
+
+    The Heisenberg dual S maps the traceless part r.sigma of any observable
+    to (T r).sigma plus a multiple of the identity (Nielsen and Chuang,
+    section 8.3). For amplitude damping T = diag(sqrt(1-p), sqrt(1-p), 1-p).
+    """
+    return (_PAULIS.conj() @ ch.superop @ _PAULIS.T).real * 0.5
 
 
 def apply_heisenberg(ch: KrausChannel, obs) -> np.ndarray:

@@ -11,7 +11,9 @@ which also handles the numpy warnings of squares outside the float range.
 Dimensions stay tiny (a few dozen at most), so everything is dense
 ``numpy.complex128``. Families of observables travel as ``(k, d, d)``
 stacks, so one numpy call serves the whole family; the pair kernel also
-takes leading axes, so one call serves the family at several steps.
+takes leading axes, so one call serves the family at several steps. A
+qubit family can travel as its ``(k, 3)`` Pauli vectors instead, whose
+pair norms come from cross products with no matrix product.
 """
 
 from __future__ import annotations
@@ -34,6 +36,16 @@ __all__ = [
 # ACM TOMS 4(1), 1978; Anderson, ACM TOMS 44(1), 2017).
 _SUMSQ_TINY = 2.0**-600
 _SUMSQ_HUGE = 2.0**600
+
+# sigma_x, sigma_y, sigma_z, each flattened row-major, so that O = (Tr O / 2) I + r.sigma
+# for a 2x2 O with r_i = Tr(sigma_i O) / 2, that is vec(sigma_i)^* . vec(O) / 2.
+_PAULIS = np.array([[0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]], dtype=np.complex128)
+# Halved before the sum, so that no coordinate of a finite 2x2 matrix overflows; halved by a
+# product, as complex division is numpy code that nothing else a damping run does maps in.
+_HALF_PAULIS_H = _PAULIS.conj().T * 0.5
+# c @ _TWO_I_PAULIS is 2i c.sigma, row-major: its weights 0, +-2 and +-2i scale exactly,
+# so each entry is rounded once, whatever order the product sums in.
+_TWO_I_PAULIS = 2j * _PAULIS
 
 
 def as_complex_matrix(data) -> np.ndarray:
@@ -97,6 +109,41 @@ def pair_commutator_norms(stack) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed product is the kernel's ValueError
         comm = a @ b - b @ a
     return _frobenius_norms(comm.reshape(-1, *comm.shape[-2:])).reshape(comm.shape[:-2])
+
+
+def _pauli_vectors(stack: np.ndarray) -> np.ndarray:
+    """The traceless Pauli coordinates r of each member of a (..., 2, 2) stack, as a (..., 3) complex array."""
+    return stack.reshape(*stack.shape[:-2], 4) @ _HALF_PAULIS_H
+
+
+@functools.lru_cache(maxsize=64)
+def _cross_operands(k: int) -> np.ndarray:
+    """Flat (4, P, 3) indices into k Pauli vectors of a_{m+1}, b_{m+2}, a_{m+2}, b_{m+1} for every pair (a, b) of :func:`_pairs`."""
+    i, j = _pairs(k)
+    nxt, after = [1, 2, 0], [2, 0, 1]  # (a x b)_m = a_{m+1} b_{m+2} - a_{m+2} b_{m+1}, indices mod 3
+    # by indexing alone: integer arithmetic is numpy code that a damping run would map in for this only
+    flat = np.arange(3 * k).reshape(k, 3)
+    index = np.stack([flat[i][:, nxt], flat[j][:, after], flat[i][:, after], flat[j][:, nxt]])
+    index.setflags(write=False)
+    return index
+
+
+def _pair_cross_norms(vectors: np.ndarray) -> np.ndarray:
+    """Frobenius norms of [X_i, X_j] for every pair i < j of qubit matrices given by a (..., k, 3) stack of Pauli vectors.
+
+    With X = x_0 I + r.sigma, [X_i, X_j] = 2i (r_i x r_j).sigma, so each pair
+    takes one cross product and no 2x2 matrix product; pairs and leading axes
+    are those of :func:`pair_commutator_norms`. The commutators are built
+    from the cross products and pass through the scaled norm kernel, so they
+    are as safe from the float range as its norms. Every row's bits are
+    those of the call on its own stack.
+    """
+    k = vectors.shape[-2]
+    operands = vectors.reshape(*vectors.shape[:-2], 3 * k)[..., _cross_operands(k)]
+    a_next, b_after, a_after, b_next = (operands[..., m, :, :] for m in range(4))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed product is the kernel's ValueError
+        comm = (a_next * b_after - a_after * b_next) @ _TWO_I_PAULIS
+    return _frobenius_norms(comm.reshape(-1, 2, 2)).reshape(comm.shape[:-1])
 
 
 def _sumsq(stack: np.ndarray) -> np.ndarray:

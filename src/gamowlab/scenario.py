@@ -16,8 +16,9 @@ errors become ``field: message`` diagnostics, and a top-level key the kind does 
 read becomes a ``scenario: unknown key`` diagnostic. ``MAX_*`` cap the size of a run.
 
 A resonance run reduces each chunk of commutators to its CSV rows as it comes and
-keeps only their norms; a damping run makes one pair-kernel call per chunk of channel
-steps. Both chunks hold ``commutators.CHUNK_BYTES``.
+keeps only their norms. A damping run steps its observables' Pauli vectors by the
+channel's transfer block and makes one cross-norm call per chunk of steps. Both
+chunks hold ``commutators.CHUNK_BYTES`` of commutators.
 
 Outputs are written with shortest round-trip float formatting and fixed
 row order, so identical scenarios produce byte-identical files.
@@ -35,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import channels, commutators, qlattice
-from .cmatrix import pair_commutator_norms
+from .cmatrix import _pair_cross_norms, _pauli_vectors
 from .evolution import EvolutionVariant
 from .gamow import Resonance, new_space
 
@@ -44,7 +45,7 @@ __all__ = ["Scenario", "load_scenario", "validate_file", "report_invalid", "run_
 MAX_GRID_STEPS = 100_000
 MAX_TRAJECTORY_ENTRIES = 2**24  # steps * (2N)^2 commutator entries, a bound on run time; the run keeps none
 MAX_N_MAX = 1_000_000
-MAX_DAMPING_OBSERVABLES = 64  # k(k-1)/2 commutators per step; a chunk holds CHUNK_BYTES of them, or one step's
+MAX_DAMPING_OBSERVABLES = 64  # k(k-1)/2 cross products and 2x2 commutators per step; a chunk holds CHUNK_BYTES of the commutators, or one step's
 MAX_LATTICE_DIM = 256
 
 
@@ -249,21 +250,26 @@ def _fmt(x: float) -> str:
 
 
 def _run_damping(o: dict) -> tuple[dict[str, list[str]], str]:
-    evolved = o["observables"]
-    k = len(evolved)
+    # In Pauli coordinates a channel step maps each observable's traceless vector r
+    # by the channel's 3x3 transfer block, which for amplitude damping is diagonal:
+    # a step scales r. No cancellation against the identity part, which the
+    # commutators do not see, loses the decaying z component deep in the decay.
+    scale = channels._pauli_transfer(o["channel"]).diagonal()
+    vectors = _pauli_vectors(o["observables"])
+    k = len(vectors)
     rows = []
     first_below: int | None = None
-    # Steps go through the channel one at a time, each from the last, into a
-    # (steps, k, 2, 2) block; one pair-kernel call per block gives its rows of
-    # norms. A step's k(k-1)/2 commutators take 64 bytes each (2x2 complex).
+    # Steps go one at a time, each from the last, into a (steps, k, 3) block; one
+    # cross-norm call per block gives its rows of norms. A step's k(k-1)/2
+    # commutators take 64 bytes each (2x2 complex).
     for chunk in commutators._chunks(o["n_max"] + 1, 64 * k * (k - 1) // 2):
         steps = range(chunk.start, chunk.stop)
-        block = np.empty((len(steps), *evolved.shape), dtype=np.complex128)
+        block = np.empty((len(steps), *vectors.shape), dtype=np.complex128)
         for s, n in enumerate(steps):
             if n > 0:
-                evolved = channels.apply_heisenberg(o["channel"], evolved)
-            block[s] = evolved
-        for n, norms in zip(steps, pair_commutator_norms(block).tolist()):
+                vectors = vectors * scale
+            block[s] = vectors
+        for n, norms in zip(steps, _pair_cross_norms(block).tolist()):
             worst = max(norms)
             rows.append((n, worst))
             if first_below is None and worst < o["eps"]:

@@ -14,6 +14,11 @@ P_PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 P_MINUS = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
 
 
+def pauli_vector(obs):
+    """Independent oracle for a 2x2 matrix: r = ((O01 + O10)/2, i(O01 - O10)/2, (O00 - O11)/2), so O = (Tr O / 2) I + r.sigma."""
+    return np.array([(obs[0, 1] + obs[1, 0]) / 2, 1j * (obs[0, 1] - obs[1, 0]) / 2, (obs[0, 0] - obs[1, 1]) / 2])
+
+
 def random_complex(rng, shape, scale=1.0):
     return scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
 

@@ -6,6 +6,7 @@ import pytest
 from gamowlab.channels import (
     DensityMatrix,
     KrausChannel,
+    _pauli_transfer,
     apply_heisenberg,
     apply_schrodinger,
     damping_channel,
@@ -14,7 +15,7 @@ from gamowlab.channels import (
     iterate_heisenberg,
 )
 from gamowlab.cmatrix import commutator, frobenius_norm
-from support import SIGMA_X, SIGMA_Y, SIGMA_Z, random_density, random_hermitian, random_kraus_family
+from support import SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_vector, random_density, random_hermitian, random_kraus_family
 
 
 def direct_heisenberg(kraus, obs):
@@ -356,3 +357,23 @@ def test_iterate_by_squaring_matches_stepwise_iteration():
     for n in range(1, 38):
         current = apply_heisenberg(ch, current)
         np.testing.assert_allclose(iterate_heisenberg(ch, obs, n), current, atol=1e-13)
+
+
+# ---------------------------------------------------------------- Pauli transfer block
+
+
+@pytest.mark.parametrize("p", np.linspace(0.0, 1.0, 21))
+def test_damping_transfer_block_is_diagonal_and_acts_as_the_channel(p):
+    # the damping run steps Pauli vectors by this block, read off the superoperator
+    # validation builds; it must act on them as the channel acts on the matrices
+    ch = damping_channel(p)
+    block = _pauli_transfer(ch)
+    assert block.shape == (3, 3)
+    np.testing.assert_array_equal(block[~np.eye(3, dtype=bool)], 0.0)
+    s = np.sqrt(1.0 - p)
+    np.testing.assert_allclose(np.diagonal(block), [s, s, 1.0 - p], rtol=0, atol=1e-15)
+    rng = np.random.default_rng(53)
+    for obs in (random_hermitian(rng, 2) for _ in range(5)):
+        np.testing.assert_allclose(
+            block @ pauli_vector(obs), pauli_vector(apply_heisenberg(ch, obs)), rtol=0, atol=1e-14
+        )

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gamowlab.cmatrix import (
+    _pair_cross_norms,
+    _pauli_vectors,
     as_complex_matrix,
     commutator,
     frobenius_norm,
@@ -170,6 +172,25 @@ def test_pair_commutator_norms_of_a_block_reject_overflow_in_any_step():
     block = np.stack([np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z, SIGMA_X]), np.stack([SIGMA_X, SIGMA_Y, a, b])])
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="overflow"):
         pair_commutator_norms(block)
+
+
+@pytest.mark.parametrize("k", [2, 3, 9])
+def test_pair_cross_norms_equal_the_matrix_kernel(k):
+    # non-Hermitian members (complex Pauli vectors) and a leading axis of steps, two
+    # of them scaled out of the plain sum of squares' range: rows equal the per-step calls
+    rng = np.random.default_rng(13)
+    block = rng.normal(size=(4, k, 2, 2)) + 1j * rng.normal(size=(4, k, 2, 2))
+    block[1] *= 1e-100
+    block[3] *= 1e150
+    vectors = _pauli_vectors(block)
+    assert vectors.shape == (4, k, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = _pair_cross_norms(vectors)
+        np.testing.assert_array_equal(norms, [_pair_cross_norms(step) for step in vectors])
+        np.testing.assert_allclose(norms, pair_commutator_norms(block), rtol=1e-13, atol=0)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="overflow"):
+        _pair_cross_norms(vectors * 1e10)
 
 
 def test_pair_commutator_norms_reject_bad_blocks():

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from gamowlab import channels, scenario
 from gamowlab.cli import main
-from gamowlab.cmatrix import commutator, frobenius_norm, pair_commutator_norms
+from gamowlab.cmatrix import _pair_cross_norms, _pauli_vectors, commutator, frobenius_norm, pair_commutator_norms
 from gamowlab.commutators import CHUNK_BYTES, UNDERFLOW_FLOOR, envelope_fit, trajectory
 from gamowlab.evolution import EvolutionVariant, evolution_operator, heisenberg_evolve
 from gamowlab.gamow import Resonance, new_space
-from support import per_time_ansatz, random_hermitian
+from support import pauli_vector, per_time_ansatz, random_hermitian
 
 
 def encode(mat):
@@ -474,13 +474,14 @@ def test_run_damping_reports_commuting_step(tmp_path, capsys):
 
 
 def per_step_damping(o):
-    """The reference: one channel step and one pair-kernel call per step, then the run's formatting."""
-    evolved = o["observables"]
+    """The reference: one Pauli-vector step and one cross-norm call per step, then the run's formatting."""
+    scale = channels._pauli_transfer(o["channel"]).diagonal()
+    vectors = _pauli_vectors(o["observables"])
     rows, first_below = [], None
     for n in range(o["n_max"] + 1):
         if n > 0:
-            evolved = channels.apply_heisenberg(o["channel"], evolved)
-        worst = max(pair_commutator_norms(evolved).tolist())
+            vectors = vectors * scale
+        worst = max(_pair_cross_norms(vectors).tolist())
         rows.append((n, worst))
         if first_below is None and worst < o["eps"]:
             first_below = n
@@ -489,6 +490,16 @@ def per_step_damping(o):
         f"damping: p={o['p']}, n_max={o['n_max']}, worst-pair norm "
         f"{rows[0][1]:.6g} -> {rows[-1][1]:.6g}, {reached}"
     )
+
+
+def matrix_damping_norms(o):
+    """Worst-pair norms of the observables evolved as 2x2 matrices by the channel, step by step."""
+    evolved, worst = o["observables"], []
+    for n in range(o["n_max"] + 1):
+        if n > 0:
+            evolved = channels.apply_heisenberg(o["channel"], evolved)
+        worst.append(max(pair_commutator_norms(evolved).tolist()))
+    return np.array(worst)
 
 
 def damping_objects(tmp_path, k, n_max, eps, seed=29):
@@ -511,12 +522,19 @@ def test_chunked_damping_run_equals_the_per_step_loop(tmp_path, k, n_max):
     objects = damping_objects(tmp_path, k, n_max, eps)
     expected = per_step_damping(objects)
     assert f"commuting at n={target}" in expected[1]
-    assert scenario._run_damping(objects) == expected
+    files, summary = scenario._run_damping(objects)
+    assert (files, summary) == expected
+    # the Pauli steps agree with the matrix channel wherever its z cancellation is mild
+    norms = np.array([float(line.split(",")[1]) for line in files["commutators.csv"][1:]])
+    reference = matrix_damping_norms(objects)
+    live = reference > 1e-6 * reference[0]
+    np.testing.assert_allclose(norms[live], reference[live], rtol=1e-12, atol=0)
 
 
 def test_chunked_damping_run_holds_no_run_sized_block(tmp_path):
     # one (n_max + 1, P, 2, 2) stack of every step's 2016 commutators would take 64 MB
-    # at k = 64 and n_max = 500; the chunked run holds one step's 129 KB at a time
+    # at k = 64 and n_max = 500, and their (n_max + 1, P, 3) cross products 48 MB; the
+    # chunked run holds one step's 97 KB of cross products and 129 KB of commutators
     objects = damping_objects(tmp_path, 64, 500, 1e-12)
     tracemalloc.start()
     try:
@@ -526,6 +544,37 @@ def test_chunked_damping_run_holds_no_run_sized_block(tmp_path):
         tracemalloc.stop()
     lines = sum(sys.getsizeof(line) for line in files["commutators.csv"])
     assert peak - lines < 4 * 2**20
+
+
+def closed_form_worst_norms(observables, p, n_max):
+    """Exact worst-pair norm per step: with c = r_A x r_B of the initial Pauli vectors,
+    ||[A_n, B_n]||^2 = 8[(1-p)^{3n}(|c_x|^2 + |c_y|^2) + (1-p)^{2n}|c_z|^2]."""
+    r = np.array([pauli_vector(o) for o in observables])
+    i, j = np.triu_indices(len(r), 1)
+    c = np.cross(r[i], r[j])
+    n = np.arange(n_max + 1)[:, None]
+    squares = 8 * ((1 - p) ** (3 * n) * (np.abs(c[:, :2]) ** 2).sum(axis=1) + (1 - p) ** (2 * n) * np.abs(c[:, 2]) ** 2)
+    return np.sqrt(squares).max(axis=1)
+
+
+def test_damping_run_follows_the_closed_form_deep_into_the_decay(tmp_path, capsys):
+    # evolved as matrices, z = (O00 - O11)/2 comes out of a cancellation against O00 and
+    # loses its digits as the norm falls; in Pauli coordinates nothing cancels
+    rng = np.random.default_rng(61)
+    observables = [random_hermitian(rng, 2) for _ in range(4)]
+    p, n_max, eps = 0.3, 300, 1e-40
+    exact = closed_form_worst_norms(observables, p, n_max)
+    crossing = int(np.argmax(exact < eps))
+    assert 0 < crossing and exact[crossing] < eps * (1 - 1e-9) and exact[crossing - 1] > eps * (1 + 1e-9)
+    payload = {"kind": "damping", "p": p, "n_max": n_max, "eps": eps, "observables": [encode(o) for o in observables]}
+    path = write_scenario(tmp_path, payload)
+    assert scenario.run_file(path, tmp_path / "out") == 0
+    assert capsys.readouterr().out.rstrip().endswith(f"commuting at n={crossing}")
+    rows = (tmp_path / "out" / "commutators.csv").read_text().splitlines()[1:]
+    norms = np.array([float(row.split(",")[1]) for row in rows])
+    normal = exact >= np.finfo(float).tiny
+    assert normal.all()
+    np.testing.assert_allclose(norms[normal], exact[normal], rtol=1e-12, atol=0)
 
 
 def test_damping_run_with_huge_entries_is_quiet(tmp_path, capsys):
@@ -704,24 +753,44 @@ DEMO_LEAVES = [
 MUTATIONS = [None, "x", True, -1, 0, 0.5, 5e-324, 1e308, float("nan"), float("inf"), [], {}, 10**7]
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(DEMO_LEAVES), st.sampled_from(MUTATIONS))
-@example(("demo_lattice.json", ("kind",)), [])  # an unhashable kind
-def test_validate_and_run_agree_on_mutated_demos(leaf, value):
-    # one leaf of a demo scenario replaced: validate finds diagnostics exactly
-    # when run exits 2, neither raises, and a failed run leaves no output
-    name, path = leaf
+def mutated_demo(name, path, value):
+    """The demo scenario ``name`` with the leaf at ``path`` replaced by ``value``."""
     payload = json.loads((GOLDEN / name).read_text())
     node = payload
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
-    with tempfile.TemporaryDirectory() as tmp:
-        scen = write_scenario(Path(tmp), payload)
-        out = Path(tmp) / "out"
-        with np.errstate(all="ignore"):
-            diagnostics = scenario.validate_file(scen)
-            code = scenario.run_file(scen, out)
-        assert code in (0, 2, 3)
-        assert (code == 2) == bool(diagnostics)
-        assert out.exists() == (code == 0)
+    return payload
+
+
+def assert_validate_and_run_agree(payload, tmp: Path):
+    """validate finds diagnostics exactly when run exits 2, neither raises, and a failed run leaves no output."""
+    scen = write_scenario(tmp, payload)
+    out = tmp / "out"
+    diagnostics = scenario.validate_file(scen)
+    code = scenario.run_file(scen, out)
+    assert code in (0, 2, 3)
+    assert (code == 2) == bool(diagnostics)
+    assert out.exists() == (code == 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(DEMO_LEAVES), st.sampled_from(MUTATIONS))
+@example(("demo_lattice.json", ("kind",)), [])  # an unhashable kind
+def test_validate_and_run_agree_on_mutated_demos(leaf, value):
+    # one leaf of a demo scenario replaced
+    name, path = leaf
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
+        assert_validate_and_run_agree(mutated_demo(name, path, value), Path(tmp))
+
+
+@pytest.mark.parametrize(
+    "path", [path for name, path in DEMO_LEAVES if name == "demo_damping.json"], ids=lambda path: ".".join(map(str, path))
+)
+def test_mutated_damping_demos_agree_and_run_quietly(tmp_path, path):
+    # every mutation of one leaf of the damping demo, with any numpy warning an error
+    for i, value in enumerate(MUTATIONS):
+        (tmp_path / str(i)).mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_validate_and_run_agree(mutated_demo("demo_damping.json", path, value), tmp_path / str(i))
