@@ -160,9 +160,13 @@ def _heisenberg(superop: np.ndarray, dim: int, obs) -> np.ndarray:
     obs = np.asarray(obs, dtype=np.complex128)
     if obs.ndim not in (2, 3) or obs.shape[-2:] != (dim, dim):
         raise ValueError(f"observable shape {obs.shape} does not match channel dimension {dim}")
-    # The dot product is finite exactly when the entries are, unless their
-    # squares overflow; the entrywise check settles that rare case. Only then
-    # can the step itself overflow, which it reports without numpy warnings.
+    # One dot product stands in for the entrywise finiteness scan on the
+    # common path, which matters to callers that step one small observable at
+    # a time through apply_heisenberg, where per-call numpy overhead, not the
+    # product, sets the cost. The dot product is finite exactly when the
+    # entries are, unless their squares overflow; the entrywise check settles
+    # that rare case. Only then can the step itself overflow, which it
+    # reports without numpy warnings.
     if math.isfinite(np.vdot(obs, obs).real):
         return _heisenberg_step(superop, dim, obs)
     if not np.isfinite(obs).all():
@@ -179,9 +183,9 @@ def _heisenberg_step(superop: np.ndarray, dim: int, obs: np.ndarray) -> np.ndarr
     out = (obs.reshape(-1, dim * dim) @ superop.T).reshape(obs.shape)
     drift = obs - obs.conj().swapaxes(-1, -2)
     # One dot product settles the common case: a total drift within the
-    # absolute tolerance makes every member Hermitian. It also keeps the
-    # step loop off np.abs and comparisons, numpy kernels that would add
-    # resident code to the batched path.
+    # absolute tolerance makes every member Hermitian. For a caller stepping
+    # one small observable at a time, that is one numpy call in place of the
+    # per-member test below (np.abs, max, a comparison and np.where).
     if np.vdot(drift, drift).real <= _HERMITIAN_DRIFT_TOL**2:
         out += out.conj().swapaxes(-1, -2)
         out *= 0.5

@@ -12,20 +12,33 @@ with equality exactly on Boolean (mutually compatible) families; the
 violation of the equalities by non-commuting projectors is the lattice
 face of quantum incompatibility.
 
-Meet is the only subspace computation: one SVD of the stacked
-complements (I - p; I - q), whose null space is range(p) intersect
-range(q), cut at a fixed singular-value cutoff of 1e-10 (projector
-spectra sit near {0, 1}, so a mid-gap cutoff is robust). Join follows
-from meet by De Morgan, p v q = ~(~p ^ ~q), and containment
-range(q) subset range(p) is p q = q. Every result is B B^dagger for an
-orthonormal SVD basis B.
+Meet is the only subspace computation. The Gram matrix
+G = (I - p) + (I - q) is positive semidefinite, and its null space is
+range(p) intersect range(q). One SVD of G gives it: for a positive
+semidefinite matrix the singular values are the eigenvalues and the right
+singular vectors are eigenvectors, and those with eigenvalue at most 1e-8
+span the meet. Join follows from meet by De Morgan, p v q = ~(~p ^ ~q),
+and containment range(q) subset range(p) is p q = q. Every result is
+B B^dagger for an orthonormal eigenvector basis B.
 
-The kernels work on (m, d, d) stacks: one SVD call serves m meets, and
-each stack of results passes the projector checks once, as a stack, so
-a result checked as part of its stack is not checked again.
-:func:`distributivity_check` makes its 10 meets in two such calls, one
-per dependency level; :func:`meet`, :func:`join` and :func:`ortho` are
-the same kernels on stacks of one.
+What the cut means: G's eigenvalues are the squared singular values of
+the stacked complements (I - p; I - q), and each principal angle theta
+between the two ranges (Bjorck and Golub, Math. Comp. 27, 1973) gives G
+an eigenvalue 1 - cos(theta), about theta^2 / 2. So ranges that meet at
+a principal angle below about 1.4e-4 rad count as intersecting; the
+1e-10 cut on singular values that an SVD of the stacked complements
+would use puts that angle near 1.4e-10 rad. Its square, 1e-20, would sit
+below the resolution of about 1e-16 ||G|| with which G's eigenvalues are
+computed, while the null eigenvalues of projector pairs stay within a few
+1e-15 up to d = 256.
+
+The kernels work on (m, d, d) stacks: one SVD call serves m meets, one
+masked product forms all their projectors, and each stack of results
+passes the projector checks once, as a stack, so a result checked as
+part of its stack is not checked again. :func:`distributivity_check`
+makes its 10 meets in two such calls, one per dependency level;
+:func:`meet`, :func:`join` and :func:`ortho` are the same kernels on
+stacks of one.
 """
 
 from __future__ import annotations
@@ -57,6 +70,8 @@ EQUALITY_TOL = 1e-9
 
 _HERMITIAN_TOL = 1e-12
 _IDEMPOTENT_TOL = 1e-10
+# Eigenvalues of a meet's Gram matrix at or below this count as null; see the module docstring.
+_NULL_EIGENVALUE_CUT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -66,7 +81,7 @@ class Projector:
     mat: np.ndarray
 
     def __post_init__(self) -> None:
-        m = as_complex_matrix(self.mat)
+        m = np.ascontiguousarray(as_complex_matrix(self.mat))
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"projector must be square, got {m.shape}")
         _check_projectors(m[None])
@@ -134,10 +149,12 @@ def _check_projectors(stack: np.ndarray) -> np.ndarray:
     overflow, and any that underflow belong to norms far below both
     tolerances.
     """
-    if not np.isfinite(stack).all():
+    # one pass over the real and imaginary parts; a NaN or inf carries through the max
+    peak = np.abs(stack.view(np.float64)).max()
+    if not np.isfinite(peak):
         raise ValueError("matrix entries must be finite (no NaN or Inf)")
     # |P_ij|^2 <= P_ii P_jj <= 1; larger entries would also overflow the checks below
-    if max(np.abs(stack.real).max(), np.abs(stack.imag).max()) > 1 + _IDEMPOTENT_TOL:
+    if peak > 1 + _IDEMPOTENT_TOL:
         raise ValueError("projector entries need real and imaginary parts of size <= 1 + 1e-10")
     if np.sqrt(_sumsq(stack - stack.conj().transpose(0, 2, 1))).max() > _HERMITIAN_TOL:
         raise ValueError("projector is not Hermitian to 1e-12")
@@ -154,17 +171,20 @@ def _orthos(p: np.ndarray) -> np.ndarray:
 def _meets(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Meets of the members of two (m, d, d) stacks of projectors, checked as a stack.
 
-    One SVD call on the (m, 2d, d) stack of complements (I - P; I - Q).
-    Each member's null basis B is its right singular vectors with
-    singular value at most the rank cutoff, and its meet is B B^dagger.
+    One SVD call on the (m, d, d) Gram stack G = (I - P) + (I - Q), half
+    the rows of the stacked complements (I - P; I - Q). G is positive
+    semidefinite, so its s are its eigenvalues in descending order, the null
+    ones last. A member's null basis B is the columns of V = vh^dagger with
+    eigenvalue at most the 1e-8 cut (principal angles below about 1.4e-4
+    rad), and every meet comes from one masked product (V mask) V^dagger =
+    B B^dagger. A Hermitian eigensolver is no faster at d = 16 and would
+    bring in LAPACK's zheevd and numpy's sort kernels, about 0.6 MB of
+    resident code that no other step of a run uses.
     """
     eye = np.eye(p.shape[-1])
-    _, s, vh = np.linalg.svd(np.concatenate([eye - p, eye - q], axis=1), full_matrices=False)
-    out = np.empty_like(p)
-    for k, (sk, vk) in enumerate(zip(s, vh)):
-        null_basis = vk[sk <= RANK_CUTOFF].conj().T
-        out[k] = null_basis @ null_basis.conj().T
-    return _check_projectors(out)
+    _, s, vh = np.linalg.svd((eye - p) + (eye - q))
+    null = s <= _NULL_EIGENVALUE_CUT
+    return _check_projectors((vh.conj().transpose(0, 2, 1) * null[:, None, :]) @ vh)
 
 
 def _check_same_dim(*ps: Projector) -> int:
@@ -177,9 +197,9 @@ def _check_same_dim(*ps: Projector) -> int:
 def meet(p: Projector, q: Projector) -> Projector:
     """Projector onto range(p) intersect range(q).
 
-    Computed from the joint null space of (I - p) and (I - q): stack the
-    two complements and take the right singular vectors with singular
-    value at most the rank cutoff.
+    Computed as the null space of the Gram matrix (I - p) + (I - q): its
+    eigenvectors with eigenvalue at most 1e-8, so ranges at a principal
+    angle below about 1.4e-4 rad count as meeting.
     """
     _check_same_dim(p, q)
     return _checked(_meets(p.mat[None], q.mat[None])[0])

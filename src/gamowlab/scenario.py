@@ -353,7 +353,8 @@ def run_file(path, outdir) -> int:
 
     The output files are written only once the whole run has succeeded, each
     under a temporary name in ``outdir`` and renamed into place once all are
-    written. On failure the temporaries go, and ``outdir`` too if this call made it.
+    written. On failure the temporaries and the files already renamed go, and
+    ``outdir`` too if this call made it.
     """
     diagnostics, sc = load_scenario(path)
     if diagnostics:
@@ -361,6 +362,7 @@ def run_file(path, outdir) -> int:
     out = Path(outdir)
     created = not out.exists()
     temps: list[Path] = []
+    placed: list[Path] = []
     try:
         files, summary = _KINDS[sc.kind][1](sc.objects)
         out.mkdir(parents=True, exist_ok=True)
@@ -369,9 +371,10 @@ def run_file(path, outdir) -> int:
             temps[-1].write_text("\n".join(lines) + "\n", encoding="utf-8")
         for temp, name in zip(temps, files):
             os.replace(temp, out / name)
+            placed.append(out / name)
     except (ValueError, OSError) as exc:
-        for temp in temps:
-            temp.unlink(missing_ok=True)
+        for written in temps + placed:
+            written.unlink(missing_ok=True)
         if created:
             shutil.rmtree(out, ignore_errors=True)
         print(f"runtime error: {exc}")

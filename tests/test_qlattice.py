@@ -258,16 +258,37 @@ def test_meet_join_commutative_associative():
 
 
 def reference_meet(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """One meet per call: full SVD of the vertically stacked complements, then B B^dagger."""
+    """One meet per call: SVD of the Gram matrix (I - p) + (I - q), then the masked product."""
+    eye = np.eye(len(p))
+    _, s, vh = np.linalg.svd((eye - p) + (eye - q))
+    return (vh.conj().T * (s <= qlattice._NULL_EIGENVALUE_CUT)) @ vh
+
+
+def svd_reference_meet(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """One meet per call from the full SVD of the stacked complements, cut at RANK_CUTOFF on the singular values."""
     eye = np.eye(len(p))
     _, s, vh = np.linalg.svd(np.vstack([eye - p, eye - q]))
     null_basis = vh[s <= qlattice.RANK_CUTOFF].conj().T
     return null_basis @ null_basis.conj().T
 
 
-def reference_join(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    eye = np.eye(len(p))
-    return eye - reference_meet(eye - p, eye - q)
+def reference_reports(x, y, z, meet_of=reference_meet) -> list[np.ndarray]:
+    """The four report matrices of distributivity_check, one meet at a time; joins by De Morgan."""
+    eye = np.eye(len(x))
+
+    def join_of(p, q):
+        return eye - meet_of(eye - p, eye - q)
+
+    return [
+        meet_of(x, join_of(y, z)),
+        join_of(meet_of(x, y), meet_of(x, z)),
+        join_of(x, meet_of(y, z)),
+        meet_of(join_of(x, y), join_of(x, z)),
+    ]
+
+
+def rank(mat: np.ndarray) -> int:
+    return int(round(np.trace(mat).real))
 
 
 def check_triples():
@@ -299,18 +320,26 @@ def test_distributivity_check_equals_the_per_meet_compositions(case):
         report = distributivity_check(a, b, c)
         got = [report.lhs_meet.mat, report.rhs_meet.mat, report.lhs_join.mat, report.rhs_join.mat]
         public = [meet(a, join(b, c)), join(meet(a, b), meet(a, c)), join(a, meet(b, c)), meet(join(a, b), join(a, c))]
-        x, y, z = (p.mat for p in (a, b, c))
-        loop = [
-            reference_meet(x, reference_join(y, z)),
-            reference_join(reference_meet(x, y), reference_meet(x, z)),
-            reference_join(x, reference_meet(y, z)),
-            reference_meet(reference_join(x, y), reference_join(x, z)),
-        ]
-        for mat, p, ref in zip(got, public, loop):
+        loop = reference_reports(*mats)
+        for mat, p, ref, svd_ref in zip(got, public, loop, reference_reports(*mats, meet_of=svd_reference_meet)):
             assert mat.tobytes() == p.mat.tobytes()
             assert mat.tobytes() == ref.tobytes()
+            # the singular-value route on the stacked complements agrees up to roundoff
+            assert rank(mat) == rank(svd_ref)
+            assert np.abs(mat - svd_ref).max() <= 1e-12
             Projector(mat.copy())  # every report projector passes the public checks
         assert report.inequality_holds
+
+
+@pytest.mark.parametrize("theta, meet_rank", [(1e-6, 1), (1e-2, 0)])
+def test_meet_cut_on_the_principal_angle(theta, meet_rank):
+    # lines at angle theta: the Gram matrix's null eigenvalue is 1 - cos(theta) ~ theta^2 / 2,
+    # so the 1e-8 eigenvalue cut joins lines closer than about 1.4e-4 rad, where the 1e-10 cut
+    # on the singular values of the stacked complements joined them below about 1.4e-10 rad
+    p = projector_onto([1.0, 0.0])
+    q = projector_onto([np.cos(theta), np.sin(theta)])
+    assert meet(p, q).rank == meet_rank
+    assert rank(svd_reference_meet(p.mat, q.mat)) == 0
 
 
 def test_distributivity_check_makes_two_svd_calls(monkeypatch):
@@ -325,7 +354,7 @@ def test_distributivity_check_makes_two_svd_calls(monkeypatch):
     rng = np.random.default_rng(31)
     for _ in range(3):
         distributivity_check(*(proj(random_projector(rng, 16, 8)) for _ in range(3)))
-    assert calls == [(6, 32, 16), (4, 32, 16)] * 3
+    assert calls == [(6, 16, 16), (4, 16, 16)] * 3
 
 
 STACK_REJECTIONS = {
@@ -347,3 +376,16 @@ def test_stacked_check_rejects_one_bad_member(bad, position):
         qlattice._check_projectors(stack)
     with pytest.raises(ValueError, match=message):
         Projector(mat)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.inf)])
+def test_stacked_check_reports_non_finite_before_the_entry_bound(bad):
+    stack = np.stack([np.array([[2, 0], [0, 0]], dtype=complex), np.array([[bad, 0], [0, 2]], dtype=complex)])
+    with pytest.raises(ValueError, match="finite"):
+        qlattice._check_projectors(stack)
+
+
+def test_projector_of_a_transposed_view():
+    p = random_projector(np.random.default_rng(37), 4, 2)
+    assert not p.T.flags.c_contiguous
+    np.testing.assert_array_equal(Projector(p.T).mat, p.T)  # p^T = conj(p) is a projector too

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,7 @@ from gamowlab.cmatrix import _pair_cross_norms, _pauli_vectors, commutator, frob
 from gamowlab.commutators import CHUNK_BYTES, UNDERFLOW_FLOOR, envelope_fit, trajectory
 from gamowlab.evolution import EvolutionVariant, evolution_operator, heisenberg_evolve
 from gamowlab.gamow import Resonance, new_space
-from support import pauli_vector, per_time_ansatz, random_hermitian
+from support import pauli_vector, per_time_ansatz, random_hermitian, random_unitary
 
 
 def encode(mat):
@@ -324,6 +325,28 @@ def test_run_lattice_reports_violation(tmp_path):
     assert "distributive inequalities: OK" in text
 
 
+def test_run_lattice_at_the_dimension_cap_has_exact_ranks(tmp_path):
+    # nested ranges r_b < r_c < r_a at d = 256: the null eigenvalues of every meet's Gram
+    # matrix must stay below the 1e-8 cut and the others (1 or 2) above it
+    d = scenario.MAX_LATTICE_DIM
+    u = random_unitary(np.random.default_rng(53), d)
+    a, b, c = (u[:, :r] @ u[:, :r].conj().T for r in (192, 64, 128))
+    path = write_scenario(tmp_path, {"kind": "lattice", "observables": [encode(m) for m in (a, b, c)]})
+    out = tmp_path / "out"
+    assert scenario.run_file(path, out) == 0
+    # a ^ (b v c) = c, (a ^ b) v (a ^ c) = c, a v (b ^ c) = a, (a v b) ^ (a v c) = a
+    assert (out / "lattice.txt").read_text().splitlines() == [
+        "meet distributivity: SATISFIED",
+        "join distributivity: SATISFIED",
+        "distributive inequalities: OK",
+        "rank a^(bvc) = 128",
+        "rank (a^b)v(a^c) = 128",
+        "rank av(b^c) = 192",
+        "rank (avb)^(avc) = 192",
+        "pairwise compatible: true",
+    ]
+
+
 def test_run_returns_2_on_invalid_scenario(tmp_path):
     path = write_scenario(tmp_path, resonance_payload(eps=-1.0))
     assert scenario.run_file(path, tmp_path / "out") == 2
@@ -373,6 +396,28 @@ def test_failed_write_leaves_no_output(tmp_path, monkeypatch, existing):
     assert len(calls) == 2
     assert out.exists() == existing
     assert not existing or list(out.iterdir()) == []
+
+
+def test_failed_rename_leaves_no_output_of_this_run(tmp_path, monkeypatch):
+    # the second of the two resonance outputs fails to rename into an existing --out:
+    # the first, already renamed, must go too, and what --out held before must stay
+    path = write_scenario(tmp_path, resonance_payload())
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "earlier.txt").write_text("kept\n", encoding="utf-8")
+    replace = os.replace
+    calls = []
+
+    def failing_second_replace(src, dst):
+        calls.append(Path(dst).name)
+        if len(calls) == 2:
+            raise OSError("rename failed")
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_second_replace)
+    assert scenario.run_file(path, out) == 3
+    assert len(calls) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["earlier.txt"]
 
 
 # ---------------------------------------------------------------- determinism
