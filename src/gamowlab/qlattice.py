@@ -12,33 +12,38 @@ with equality exactly on Boolean (mutually compatible) families; the
 violation of the equalities by non-commuting projectors is the lattice
 face of quantum incompatibility.
 
-Meet is the only subspace computation. The Gram matrix
-G = (I - p) + (I - q) is positive semidefinite, and its null space is
-range(p) intersect range(q). One SVD of G gives it: for a positive
-semidefinite matrix the singular values are the eigenvalues and the right
-singular vectors are eigenvectors, and those with eigenvalue at most 1e-8
-span the meet. Join follows from meet by De Morgan, p v q = ~(~p ^ ~q),
-and containment range(q) subset range(p) is p q = q. Every result is
-B B^dagger for an orthonormal eigenvector basis B.
+Meet is the only subspace computation. Its definition is the null space
+of the stacked complements C = (I - p; I - q), which is range(p)
+intersect range(q): the right singular vectors of C with singular value
+at most the rank cutoff of 1e-10 (projector spectra sit near {0, 1}, so
+a mid-gap cutoff is robust). Join follows from meet by De Morgan,
+p v q = ~(~p ^ ~q), and containment range(q) subset range(p) is p q = q.
+Every result is B B^dagger for an orthonormal basis B.
 
-What the cut means: G's eigenvalues are the squared singular values of
-the stacked complements (I - p; I - q), and each principal angle theta
-between the two ranges (Bjorck and Golub, Math. Comp. 27, 1973) gives G
-an eigenvalue 1 - cos(theta), about theta^2 / 2. So ranges that meet at
-a principal angle below about 1.4e-4 rad count as intersecting; the
-1e-10 cut on singular values that an SVD of the stacked complements
-would use puts that angle near 1.4e-10 rad. Its square, 1e-20, would sit
-below the resolution of about 1e-16 ||G|| with which G's eigenvalues are
-computed, while the null eigenvalues of projector pairs stay within a few
-1e-15 up to d = 256.
+The meet is computed from the Gram matrix G = C^dagger C = (I - p) + (I - q),
+half the size of C, and checked against C. G is positive semidefinite, so
+its singular values are its eigenvalues, the squared singular values of
+C. Each principal angle theta between the two ranges (Bjorck and Golub,
+Math. Comp. 27, 1973) gives G an eigenvalue 1 - cos(theta), about
+theta^2 / 2, while G's eigenvalues are resolved only to about
+1e-16 ||G||. So G alone cannot tell ranges that meet from ranges at a
+principal angle of a few 1e-8 rad, and the eigenvalue cut of 1e-8 only
+picks candidates: the eigenvectors below it, those of principal angles
+under about 1.4e-4 rad. The candidate meet N stands when the residual
+||C N||, accurate to roundoff because it is taken from C, certifies that
+every candidate direction lies within the rank cutoff of range(p) and
+range(q) and that N is within 1e-11 of the cutoff's meet; otherwise the
+meets are taken again from one SVD of C. Ranges at a principal angle
+above about 1.4e-10 rad thus never count as meeting, and a meet lies
+within the 1e-9 equality tolerance of both ranges it was taken from.
 
-The kernels work on (m, d, d) stacks: one SVD call serves m meets, one
-masked product forms all their projectors, and each stack of results
-passes the projector checks once, as a stack, so a result checked as
-part of its stack is not checked again. :func:`distributivity_check`
-makes its 10 meets in two such calls, one per dependency level;
-:func:`meet`, :func:`join` and :func:`ortho` are the same kernels on
-stacks of one.
+The kernels work on (m, d, d) stacks: one SVD call serves m meets (a
+second one when the residual check fails), one masked product forms all
+their projectors, and each stack of results passes the projector checks
+once, as a stack, so a result checked as part of its stack is not
+checked again. :func:`distributivity_check` makes its 10 meets in two
+such calls, one per dependency level; :func:`meet`, :func:`join` and
+:func:`ortho` are the same kernels on stacks of one.
 """
 
 from __future__ import annotations
@@ -70,8 +75,10 @@ EQUALITY_TOL = 1e-9
 
 _HERMITIAN_TOL = 1e-12
 _IDEMPOTENT_TOL = 1e-10
-# Eigenvalues of a meet's Gram matrix at or below this count as null; see the module docstring.
+# Eigenvalues of a meet's Gram matrix at or below this are candidates for its null space,
+# kept when the residual passes the second cut; see _meets and the module docstring.
 _NULL_EIGENVALUE_CUT = 1e-8
+_MEET_RESIDUAL_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -81,7 +88,7 @@ class Projector:
     mat: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.ascontiguousarray(as_complex_matrix(self.mat))
+        m = as_complex_matrix(self.mat)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"projector must be square, got {m.shape}")
         _check_projectors(m[None])
@@ -149,12 +156,10 @@ def _check_projectors(stack: np.ndarray) -> np.ndarray:
     overflow, and any that underflow belong to norms far below both
     tolerances.
     """
-    # one pass over the real and imaginary parts; a NaN or inf carries through the max
-    peak = np.abs(stack.view(np.float64)).max()
-    if not np.isfinite(peak):
+    if not np.isfinite(stack).all():
         raise ValueError("matrix entries must be finite (no NaN or Inf)")
     # |P_ij|^2 <= P_ii P_jj <= 1; larger entries would also overflow the checks below
-    if peak > 1 + _IDEMPOTENT_TOL:
+    if max(np.abs(stack.real).max(), np.abs(stack.imag).max()) > 1 + _IDEMPOTENT_TOL:
         raise ValueError("projector entries need real and imaginary parts of size <= 1 + 1e-10")
     if np.sqrt(_sumsq(stack - stack.conj().transpose(0, 2, 1))).max() > _HERMITIAN_TOL:
         raise ValueError("projector is not Hermitian to 1e-12")
@@ -171,20 +176,31 @@ def _orthos(p: np.ndarray) -> np.ndarray:
 def _meets(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Meets of the members of two (m, d, d) stacks of projectors, checked as a stack.
 
-    One SVD call on the (m, d, d) Gram stack G = (I - P) + (I - Q), half
-    the rows of the stacked complements (I - P; I - Q). G is positive
-    semidefinite, so its s are its eigenvalues in descending order, the null
-    ones last. A member's null basis B is the columns of V = vh^dagger with
-    eigenvalue at most the 1e-8 cut (principal angles below about 1.4e-4
-    rad), and every meet comes from one masked product (V mask) V^dagger =
-    B B^dagger. A Hermitian eigensolver is no faster at d = 16 and would
-    bring in LAPACK's zheevd and numpy's sort kernels, about 0.6 MB of
-    resident code that no other step of a run uses.
+    One SVD call on the (m, d, d) Gram stack G = (I - P) + (I - Q), whose
+    s are its eigenvalues in descending order, the candidates (at most the
+    1e-8 cut) last; one masked product (V mask) V^dagger, V = vh^dagger,
+    forms every candidate meet N. The level keeps them when each member's
+    residual ||C N||_F on the stacked complements C = (I - P; I - Q) is at
+    most 1e-11 sigma, sigma the square root of its smallest non-candidate
+    eigenvalue. Then every candidate direction has a singular value of C
+    of at most 1.5e-11 (sigma^2 <= 2), within the rank cutoff, and N lies
+    within an angle of 1e-11 of the rank cutoff's meet, since any direction
+    outside that meet has a singular value of at least sigma. Otherwise the
+    level is taken again from one SVD of the (m, 2d, d) stack C, cut at the
+    rank cutoff, with the same masked product. A Hermitian eigensolver is
+    no faster at d = 16 and would bring in LAPACK's zheevd and numpy's sort
+    kernels, about 0.6 MB of resident code that no other step of a run uses.
     """
-    eye = np.eye(p.shape[-1])
-    _, s, vh = np.linalg.svd((eye - p) + (eye - q))
+    d = p.shape[-1]
+    eye = np.eye(d)
+    comps = np.concatenate([eye - p, eye - q], axis=1)
+    _, s, vh = np.linalg.svd(comps[:, :d] + comps[:, d:])
     null = s <= _NULL_EIGENVALUE_CUT
-    return _check_projectors((vh.conj().transpose(0, 2, 1) * null[:, None, :]) @ vh)
+    out = (vh.conj().transpose(0, 2, 1) * null[:, None, :]) @ vh
+    if not (_sumsq(comps @ out) <= _MEET_RESIDUAL_TOL**2 * np.where(null, np.inf, s).min(axis=-1)).all():
+        _, s, vh = np.linalg.svd(comps, full_matrices=False)
+        out = (vh.conj().transpose(0, 2, 1) * (s <= RANK_CUTOFF)[:, None, :]) @ vh
+    return _check_projectors(out)
 
 
 def _check_same_dim(*ps: Projector) -> int:
@@ -197,9 +213,11 @@ def _check_same_dim(*ps: Projector) -> int:
 def meet(p: Projector, q: Projector) -> Projector:
     """Projector onto range(p) intersect range(q).
 
-    Computed as the null space of the Gram matrix (I - p) + (I - q): its
-    eigenvectors with eigenvalue at most 1e-8, so ranges at a principal
-    angle below about 1.4e-4 rad count as meeting.
+    The right singular vectors of the stacked complements (I - p; I - q)
+    with singular value at most the rank cutoff, so ranges at a principal
+    angle above about 1.4e-10 rad do not meet. Computed from the Gram matrix
+    (I - p) + (I - q) and checked against the complements (see the module
+    docstring).
     """
     _check_same_dim(p, q)
     return _checked(_meets(p.mat[None], q.mat[None])[0])

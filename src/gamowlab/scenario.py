@@ -353,8 +353,12 @@ def run_file(path, outdir) -> int:
 
     The output files are written only once the whole run has succeeded, each
     under a temporary name in ``outdir`` and renamed into place once all are
-    written. On failure the temporaries and the files already renamed go, and
-    ``outdir`` too if this call made it.
+    written. On failure the temporaries go, and ``outdir`` too if this call
+    made it. A failure after a file was renamed into place also removes
+    every file of this run's output names from ``outdir``: those already
+    renamed and any an earlier run left under the names not yet reached.
+    ``outdir`` then holds no part of this run's output and no partial set
+    of an earlier run's.
     """
     diagnostics, sc = load_scenario(path)
     if diagnostics:
@@ -362,7 +366,7 @@ def run_file(path, outdir) -> int:
     out = Path(outdir)
     created = not out.exists()
     temps: list[Path] = []
-    placed: list[Path] = []
+    renamed = False
     try:
         files, summary = _KINDS[sc.kind][1](sc.objects)
         out.mkdir(parents=True, exist_ok=True)
@@ -371,10 +375,13 @@ def run_file(path, outdir) -> int:
             temps[-1].write_text("\n".join(lines) + "\n", encoding="utf-8")
         for temp, name in zip(temps, files):
             os.replace(temp, out / name)
-            placed.append(out / name)
+            renamed = True
     except (ValueError, OSError) as exc:
-        for written in temps + placed:
-            written.unlink(missing_ok=True)
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        if renamed:
+            for name in files:
+                (out / name).unlink(missing_ok=True)
         if created:
             shutil.rmtree(out, ignore_errors=True)
         print(f"runtime error: {exc}")

@@ -258,18 +258,22 @@ def test_meet_join_commutative_associative():
 
 
 def reference_meet(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """One meet per call: SVD of the Gram matrix (I - p) + (I - q), then the masked product."""
+    """One meet per call: the Gram matrix's candidate null space, kept if its residual passes, else the SVD route."""
     eye = np.eye(len(p))
     _, s, vh = np.linalg.svd((eye - p) + (eye - q))
-    return (vh.conj().T * (s <= qlattice._NULL_EIGENVALUE_CUT)) @ vh
+    null = s <= qlattice._NULL_EIGENVALUE_CUT
+    candidate = (vh.conj().T * null) @ vh
+    residual = np.linalg.norm(np.vstack([(eye - p) @ candidate, (eye - q) @ candidate]))
+    if residual <= qlattice._MEET_RESIDUAL_TOL * np.sqrt(s[~null].min(initial=np.inf)):
+        return candidate
+    return svd_reference_meet(p, q)
 
 
 def svd_reference_meet(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """One meet per call from the full SVD of the stacked complements, cut at RANK_CUTOFF on the singular values."""
+    """One meet per call from the SVD of the stacked complements, cut at RANK_CUTOFF on the singular values."""
     eye = np.eye(len(p))
-    _, s, vh = np.linalg.svd(np.vstack([eye - p, eye - q]))
-    null_basis = vh[s <= qlattice.RANK_CUTOFF].conj().T
-    return null_basis @ null_basis.conj().T
+    _, s, vh = np.linalg.svd(np.vstack([eye - p, eye - q]), full_matrices=False)
+    return (vh.conj().T * (s <= qlattice.RANK_CUTOFF)) @ vh
 
 
 def reference_reports(x, y, z, meet_of=reference_meet) -> list[np.ndarray]:
@@ -307,6 +311,14 @@ def check_triples():
     triples["identity"] = [(eye, a, b), (a, eye, b), (a, b, eye), (eye, eye, eye)]
     triples["equal"] = [(a, a, a), (b, b, b)]
     triples["nested"] = [tuple(nested), tuple(nested[::-1]), (nested[1], nested[0], nested[2])]
+    # ranges at small principal angles theta, on both sides of the rank cutoff's 1.4e-10 rad:
+    # lines in C^2, and planes in C^3 that share e1 and meet e2 at angle theta
+    triples["near"] = []
+    for theta in (1e-11, 1e-10, 1e-8, 1e-6, 1e-4):
+        cos, sin = np.cos(theta), np.sin(theta)
+        lines = [projector_onto(v).mat for v in ([1, 0], [cos, sin], [0, 1])]
+        planes = [projector_onto(v).mat for v in ([[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, cos, sin]], [[0, 0, 1]])]
+        triples["near"] += [tuple(lines), tuple(planes), (planes[1], planes[0], planes[2])]
     return triples
 
 
@@ -331,15 +343,55 @@ def test_distributivity_check_equals_the_per_meet_compositions(case):
         assert report.inequality_holds
 
 
-@pytest.mark.parametrize("theta, meet_rank", [(1e-6, 1), (1e-2, 0)])
-def test_meet_cut_on_the_principal_angle(theta, meet_rank):
-    # lines at angle theta: the Gram matrix's null eigenvalue is 1 - cos(theta) ~ theta^2 / 2,
-    # so the 1e-8 eigenvalue cut joins lines closer than about 1.4e-4 rad, where the 1e-10 cut
-    # on the singular values of the stacked complements joined them below about 1.4e-10 rad
+@pytest.mark.parametrize(
+    "theta, meet_rank, svd_calls", [(1e-11, 1, 1), (1e-10, 1, 2), (1e-6, 0, 2), (1e-4, 0, 2), (1e-2, 0, 1)]
+)
+def test_meet_cut_on_the_principal_angle(theta, meet_rank, svd_calls, monkeypatch):
+    # lines at angle theta: the complements' singular value is sqrt(1 - cos(theta)) ~ theta / sqrt(2), so
+    # the rank cutoff joins lines closer than about 1.4e-10 rad. The Gram matrix's eigenvalue 1 - cos(theta)
+    # falls below its 1e-8 cut up to about 1.4e-4 rad; there the residual check sends the meets to the
+    # second SVD unless the lines are within about 1.4e-11 rad
     p = projector_onto([1.0, 0.0])
     q = projector_onto([np.cos(theta), np.sin(theta)])
-    assert meet(p, q).rank == meet_rank
-    assert rank(svd_reference_meet(p.mat, q.mat)) == 0
+    assert rank(svd_reference_meet(p.mat, q.mat)) == meet_rank
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    got = meet(p, q)
+    assert got.rank == meet_rank
+    assert calls == [(1, 2, 2), (1, 4, 2)][:svd_calls]
+    assert frobenius_norm(p.mat @ got.mat - got.mat) <= 1e-10 and frobenius_norm(q.mat @ got.mat - got.mat) <= 1e-10
+
+
+@pytest.mark.parametrize("theta", [1.5e-4, 1e-3])
+def test_meet_near_the_cut_matches_the_svd_route(theta):
+    # rank-8 ranges in C^16 sharing 7 directions, the 8th pair at angle theta: the Gram eigenvalue
+    # 1 - cos(theta) sits just above the 1e-8 cut, where the Gram eigenvectors are off by up to
+    # about 1e-16 / (1 - cos(theta)); the residual check must send such a meet to the second SVD
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        u = random_unitary(rng, 16)
+        b = u[:, :8].copy()
+        b[:, 7] = np.cos(theta) * u[:, 7] + np.sin(theta) * u[:, 8]
+        p, q = u[:, :8] @ u[:, :8].conj().T, b @ b.conj().T
+        got = meet(proj(p), proj(q)).mat
+        assert rank(got) == 7
+        assert np.abs(got - svd_reference_meet(p, q)).max() <= 1e-12
+
+
+def test_near_lines_keep_the_inequalities():
+    # a ^ b would be a line off both a and b by 5e-7 if the Gram cut alone decided it
+    theta = 1e-6
+    a, b, c = (projector_onto(v) for v in ([1.0, 0.0], [np.cos(theta), np.sin(theta)], [0.0, 1.0]))
+    report = distributivity_check(a, b, c)
+    assert report.inequality_holds
+    assert not report.meet_equal and not report.join_equal
+    assert [p.rank for p in (report.lhs_meet, report.rhs_meet, report.lhs_join, report.rhs_join)] == [1, 0, 1, 2]
 
 
 def test_distributivity_check_makes_two_svd_calls(monkeypatch):

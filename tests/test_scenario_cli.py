@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gamowlab import channels, scenario
+from gamowlab import channels, qlattice, scenario
 from gamowlab.cli import main
 from gamowlab.cmatrix import _pair_cross_norms, _pauli_vectors, commutator, frobenius_norm, pair_commutator_norms
 from gamowlab.commutators import CHUNK_BYTES, UNDERFLOW_FLOOR, envelope_fit, trajectory
@@ -347,6 +347,26 @@ def test_run_lattice_at_the_dimension_cap_has_exact_ranks(tmp_path):
     ]
 
 
+def test_run_lattice_of_near_lines_reports_the_inequalities(tmp_path):
+    # lines at 1e-6 rad meet only at the origin; counting them as meeting would put a ^ b
+    # off both lines by 5e-7, past the 1e-9 containment tolerance
+    theta = 1e-6
+    mats = [qlattice.projector_onto(v).mat for v in ([1.0, 0.0], [np.cos(theta), np.sin(theta)], [0.0, 1.0])]
+    path = write_scenario(tmp_path, {"kind": "lattice", "observables": [encode(m) for m in mats]})
+    out = tmp_path / "out"
+    assert scenario.run_file(path, out) == 0
+    assert (out / "lattice.txt").read_text().splitlines() == [
+        "meet distributivity: VIOLATED",
+        "join distributivity: VIOLATED",
+        "distributive inequalities: OK",
+        "rank a^(bvc) = 1",
+        "rank (a^b)v(a^c) = 0",
+        "rank av(b^c) = 1",
+        "rank (avb)^(avc) = 2",
+        "pairwise compatible: false",
+    ]
+
+
 def test_run_returns_2_on_invalid_scenario(tmp_path):
     path = write_scenario(tmp_path, resonance_payload(eps=-1.0))
     assert scenario.run_file(path, tmp_path / "out") == 2
@@ -398,13 +418,18 @@ def test_failed_write_leaves_no_output(tmp_path, monkeypatch, existing):
     assert not existing or list(out.iterdir()) == []
 
 
-def test_failed_rename_leaves_no_output_of_this_run(tmp_path, monkeypatch):
+@pytest.mark.parametrize("earlier_run", [False, True])
+def test_failed_rename_leaves_no_output_of_this_run(tmp_path, monkeypatch, earlier_run):
     # the second of the two resonance outputs fails to rename into an existing --out:
-    # the first, already renamed, must go too, and what --out held before must stay
+    # the first, already renamed, must go too, and so must an earlier run's file under the
+    # second name, which would otherwise be left as part of a set; other files stay
     path = write_scenario(tmp_path, resonance_payload())
     out = tmp_path / "out"
     out.mkdir()
     (out / "earlier.txt").write_text("kept\n", encoding="utf-8")
+    if earlier_run:
+        for name in ("commutators.csv", "fit.txt"):
+            (out / name).write_text("an earlier run\n", encoding="utf-8")
     replace = os.replace
     calls = []
 
@@ -416,8 +441,24 @@ def test_failed_rename_leaves_no_output_of_this_run(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", failing_second_replace)
     assert scenario.run_file(path, out) == 3
-    assert len(calls) == 2
+    assert calls == ["commutators.csv", "fit.txt"]
     assert sorted(p.name for p in out.iterdir()) == ["earlier.txt"]
+
+
+def test_failed_first_rename_keeps_an_earlier_run(tmp_path, monkeypatch):
+    # nothing of this run reached --out, so an earlier run's complete set stays
+    path = write_scenario(tmp_path, resonance_payload())
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("commutators.csv", "fit.txt"):
+        (out / name).write_text("an earlier run\n", encoding="utf-8")
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert scenario.run_file(path, out) == 3
+    assert sorted(p.name for p in out.iterdir()) == ["commutators.csv", "fit.txt"]
 
 
 # ---------------------------------------------------------------- determinism
