@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cmatrix import as_complex_matrix
-from .gamow import GamowSpace, basis_index
+from .gamow import _ROOT_BOX, GamowSpace
 
 __all__ = [
     "EvolutionVariant",
@@ -181,28 +181,17 @@ def heisenberg_evolve(op: EvolutionOperator, obs) -> np.ndarray:
     return u[..., :, None] * obs * v[..., None, :]
 
 
-def _plain_dyad(space: GamowSpace, j: int) -> np.ndarray:
-    """Coordinate matrix of the plain dyad |psi_j^D><psi_j^G|.
-
-    With E the unit matrix at the D diagonal slot of resonance j, the root
-    transport B |psi_j^D> = |psi_j^D) realizes the dyad as C E C, so that
-    B (C E C) B collapses onto the round dyad.
-    """
-    e = np.zeros((space.dim, space.dim), dtype=complex)
-    idx = basis_index(space, j, "D")
-    e[idx, idx] = 1.0
-    return space.root_c @ e @ space.root_c
-
-
 def semigroup_via_roots(space: GamowSpace, t: float) -> np.ndarray:
     """Rebuild the SEMIGROUP_D operator by sandwiching with the metric roots.
 
-    Computes B [ sum_j e^{-i t z_j} |D_j><G_j| ] B with the plain dyads
-    realized through the root transport. Exercises B C = C B = I through
-    the tiled complex arithmetic; agrees with
-    ``evolution_operator(space, t, SEMIGROUP_D)`` to roundoff.
+    Computes B [ sum_j e^{-i t z_j} |D_j><G_j| ] B one 2x2 box per
+    resonance. With E the unit matrix at a box's D slot, the root transport
+    B |psi_j^D> = |psi_j^D) realizes the plain dyad |psi_j^D><psi_j^G| as
+    C E C, so that B (C E C) B collapses onto the round dyad. That box is the
+    same for every resonance up to its phase e^{-i t z_j}, so the phases tile
+    it. Exercises B C = C B = I through the complex box arithmetic; agrees
+    with ``evolution_operator(space, t, SEMIGROUP_D)`` to roundoff.
     """
-    inner = np.zeros((space.dim, space.dim), dtype=complex)
-    for j, res in enumerate(space.resonances, start=1):
-        inner += np.exp(-1j * t * res.pole) * _plain_dyad(space, j)
-    return space.root_b @ inner @ space.root_b
+    c = _ROOT_BOX.conj().T
+    box = _ROOT_BOX @ np.outer(c[:, 0], c[0]) @ _ROOT_BOX  # B (C E C) B
+    return np.kron(np.diag(np.exp(-1j * t * space.poles)), box)

@@ -61,6 +61,7 @@ __all__ = [
 
 MAX_RESONANCES = 64  # new_space's cap; scenario files supply the resonances
 
+_SWAP_BOX = np.array([[0, 1], [1, 0]], dtype=complex)
 _ROOT_BOX = np.exp(-1j * np.pi / 4) * (np.sqrt(2) / 2) * np.array([[1j, 1], [1, 1j]])
 
 
@@ -99,18 +100,29 @@ class GamowSpace:
 
     Attributes:
         resonances: the N resonances, in basis order.
-        metric: the 2N x 2N block-antidiagonal pairing matrix A (A @ A = I).
+        poles, widths: the N decaying poles z_j and widths Gamma_j, in basis order.
+
+    Properties, each a new 2N x 2N array tiled from its 2x2 box:
+        metric: the block-antidiagonal pairing matrix A (A @ A = I).
         root_b: principal square root B of A.
         root_c: adjoint square root C = B^dag, also with C @ C = A.
-        poles, widths: the N decaying poles z_j and widths Gamma_j, in basis order.
     """
 
     resonances: tuple[Resonance, ...]
-    metric: np.ndarray = field(repr=False)
-    root_b: np.ndarray = field(repr=False)
-    root_c: np.ndarray = field(repr=False)
     poles: np.ndarray = field(repr=False)
     widths: np.ndarray = field(repr=False)
+
+    @property
+    def metric(self) -> np.ndarray:
+        return np.kron(np.eye(self.n_resonances), _SWAP_BOX)
+
+    @property
+    def root_b(self) -> np.ndarray:
+        return np.kron(np.eye(self.n_resonances), _ROOT_BOX)
+
+    @property
+    def root_c(self) -> np.ndarray:
+        return self.root_b.conj().T
 
     @property
     def n_resonances(self) -> int:
@@ -131,16 +143,8 @@ def new_space(resonances) -> GamowSpace:
     for r in res:
         if not isinstance(r, Resonance):
             raise TypeError(f"expected Resonance, got {type(r).__name__}")
-    n = len(res)
-    metric = np.zeros((2 * n, 2 * n), dtype=complex)
-    root_b = np.zeros((2 * n, 2 * n), dtype=complex)
-    box = np.array([[0, 1], [1, 0]], dtype=complex)
-    for j in range(n):
-        sl = slice(2 * j, 2 * j + 2)
-        metric[sl, sl] = box
-        root_b[sl, sl] = _ROOT_BOX
     poles, widths = np.array([r.pole for r in res], dtype=complex), np.array([r.width for r in res], dtype=float)
-    return GamowSpace(resonances=res, metric=metric, root_b=root_b, root_c=root_b.conj().T, poles=poles, widths=widths)
+    return GamowSpace(resonances=res, poles=poles, widths=widths)
 
 
 def basis_index(space: GamowSpace, j: int, kind: str) -> int:
@@ -174,7 +178,7 @@ def _as_vector(space: GamowSpace, v) -> np.ndarray:
 
 
 def pseudo_product(space: GamowSpace, v, w) -> complex:
-    """Indefinite pairing (v | w) = v^dag A w, conjugate-linear in ``v``."""
+    """Indefinite pairing (v | w) = v^dag A w, conjugate-linear in ``v``; A swaps each D and G slot."""
     v = _as_vector(space, v)
     w = _as_vector(space, w)
-    return complex(v.conj() @ (space.metric @ w))
+    return complex(v.conj() @ w.reshape(-1, 2)[:, ::-1].ravel())

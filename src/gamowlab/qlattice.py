@@ -265,15 +265,13 @@ def distributivity_check(a: Projector, b: Projector, c: Projector) -> Distributi
     )
 
 
-def abelian_certificate(observables: Sequence, tol: float) -> AbelianCertificate:
-    """Check all pairwise commutators of a family of observables.
+def abelian_certificate(observables: Sequence) -> AbelianCertificate:
+    """Check all pairwise commutators of a family of observables against COMPATIBILITY_TOL.
 
     Returns (abelian, worst_pair, worst_norm) with the indices of the
     pair realizing the largest commutator norm (None for a single
     observable).
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     mats = [as_complex_matrix(o) for o in observables]
     if len(mats) == 0:
         raise ValueError("abelian certificate needs at least one observable")
@@ -287,5 +285,5 @@ def abelian_certificate(observables: Sequence, tol: float) -> AbelianCertificate
     i, j = _pairs(len(mats))
     worst_norm = float(norms[worst])
     return AbelianCertificate(
-        abelian=worst_norm <= tol, worst_pair=(int(i[worst]), int(j[worst])), worst_norm=worst_norm
+        abelian=worst_norm <= COMPATIBILITY_TOL, worst_pair=(int(i[worst]), int(j[worst])), worst_norm=worst_norm
     )

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,20 @@ def test_roots_square_to_metric(n):
     assert np.abs(space.root_c @ space.root_c - space.metric).max() <= 1e-13
     np.testing.assert_array_equal(space.root_c, space.root_b.conj().T)
     assert np.abs(space.root_b - space.root_c).max() > 0.5  # distinct square roots
+
+
+def test_space_stores_its_boxes_not_dense_matrices():
+    # A, B and C are tiled on access; a 64-resonance space keeps no 128x128 array
+    # (one would take 256 KB)
+    resonances = [Resonance(0.1 * j, 0.5 + 0.25 * j) for j in range(MAX_RESONANCES)]
+    tracemalloc.start()
+    try:
+        space = new_space(resonances)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 16 * 1024
+    assert space.metric.shape == space.root_b.shape == space.root_c.shape == (128, 128)
 
 
 def test_roots_are_mutual_inverses():

@@ -123,7 +123,7 @@ def test_distributivity_absorption_with_bottom():
 def test_compatible_pairs():
     # the rule the lattice run writes as "pairwise compatible"
     def compatible(p, q):
-        return abelian_certificate([p.mat, q.mat], qlattice.COMPATIBILITY_TOL).abelian
+        return abelian_certificate([p.mat, q.mat]).abelian
 
     assert compatible(proj(np.diag([1.0, 0.0])), proj(np.diag([0.0, 1.0])))
     assert not compatible(proj(P_ZERO), proj(P_PLUS))
@@ -144,28 +144,28 @@ def test_incompatible_commutator_norm_value():
 
 def test_abelian_certificate_diagonals():
     mats = [np.diag([1.0, 2.0]), np.diag([3.0, -1.0]), np.diag([0.0, 5.0])]
-    cert = abelian_certificate(mats, tol=1e-10)
+    cert = abelian_certificate(mats)
     assert cert.abelian
     assert cert.worst_norm <= 1e-15
 
 
 def test_abelian_certificate_damping_limits():
     mats = [damping_limit(m) for m in (SIGMA_X + SIGMA_Y, np.array([[3, 7], [9, -2]]), np.eye(2))]
-    assert abelian_certificate(mats, tol=1e-12).abelian
+    assert abelian_certificate(mats).abelian
 
 
 def test_abelian_certificate_pauli_pair():
-    cert = abelian_certificate([SIGMA_X, SIGMA_Y], tol=1e-10)
+    cert = abelian_certificate([SIGMA_X, SIGMA_Y])
     assert not cert.abelian
     assert cert.worst_pair == (0, 1)
     assert cert.worst_norm == pytest.approx(2 * np.sqrt(2), rel=1e-15)
 
 
 def test_abelian_certificate_single_and_empty():
-    cert = abelian_certificate([SIGMA_X], tol=1e-10)
+    cert = abelian_certificate([SIGMA_X])
     assert cert.abelian and cert.worst_pair is None and cert.worst_norm == 0.0
     with pytest.raises(ValueError, match="at least one"):
-        abelian_certificate([], tol=1e-10)
+        abelian_certificate([])
 
 
 # ---------------------------------------------------------------- lattice laws

@@ -142,6 +142,17 @@ def test_validate_grid_and_variant(tmp_path):
     assert any("t_end must exceed t_start" in d for d in diagnostics)
 
 
+def test_grid_span_past_the_float_range_is_a_quiet_diagnostic(tmp_path):
+    # both ends are finite, but t_end - t_start is not: validation rejects the grid
+    # before it reaches linspace, which would warn of an overflow
+    path = write_scenario(tmp_path, resonance_payload(grid={"t_start": -1e308, "t_end": 1e308, "steps": 11}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert scenario.validate_file(path) == ["grid: t_end - t_start must be finite, got [-1e+308, 1e+308]"]
+        assert scenario.run_file(path, tmp_path / "out") == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_resonance_dimension_mismatch(tmp_path):
     payload = resonance_payload(
         resonances=[{"energy": 0.0, "width": 0.5}, {"energy": 1.0, "width": 1.0}]
@@ -725,6 +736,27 @@ def test_resonance_run_past_the_float_range_fails_quietly(tmp_path, overrides):
     assert_run_fails_quietly(tmp_path, payload)
 
 
+@pytest.mark.parametrize("n_res, code", [(1, 3), (2, 0)], ids=["demo-N1", "random-N2"])
+def test_semigroup_run_prints_no_warning(tmp_path, n_res, code):
+    # SEMIGROUP_D conjugation warns that it extrapolates; a scenario run keeps its exit
+    # code (the demo pair commutes on the decaying sector, so it has no points to fit)
+    # and prints nothing on stderr
+    payload = json.loads((GOLDEN / "demo_resonance.json").read_text())
+    payload["variant"] = "semigroup_d"
+    if n_res == 2:
+        rng = np.random.default_rng(5)
+        payload["resonances"] = [{"energy": 0.3, "width": 0.5}, {"energy": -0.2, "width": 0.8}]
+        payload["observables"] = [encode(random_hermitian(rng, 4)) for _ in range(2)]
+    path = write_scenario(tmp_path, payload)
+    result = subprocess.run(
+        [sys.executable, "-m", "gamowlab", "run", str(path), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == code
+    assert result.stderr == ""
+
+
 def resonance_objects(tmp_path, widths, t_end, steps, seed=47):
     """A loaded HERMITIAN scenario on [0, t_end]: random energies, the given widths, a random Hermitian pair."""
     rng = np.random.default_rng(seed)
@@ -870,13 +902,26 @@ def test_validate_and_run_agree_on_mutated_demos(leaf, value):
         assert_validate_and_run_agree(mutated_demo(name, path, value), Path(tmp))
 
 
-@pytest.mark.parametrize(
-    "path", [path for name, path in DEMO_LEAVES if name == "demo_damping.json"], ids=lambda path: ".".join(map(str, path))
-)
-def test_mutated_damping_demos_agree_and_run_quietly(tmp_path, path):
-    # every mutation of one leaf of the damping demo, with any numpy warning an error
+def assert_mutations_agree_quietly(name, path, tmp_path):
+    """Every mutation of one leaf of the demo ``name`` agrees, with any numpy warning an error."""
     for i, value in enumerate(MUTATIONS):
         (tmp_path / str(i)).mkdir()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert_validate_and_run_agree(mutated_demo("demo_damping.json", path, value), tmp_path / str(i))
+            assert_validate_and_run_agree(mutated_demo(name, path, value), tmp_path / str(i))
+
+
+def demo_leaf_params(name):
+    return pytest.mark.parametrize(
+        "path", [path for demo, path in DEMO_LEAVES if demo == name], ids=lambda path: ".".join(map(str, path))
+    )
+
+
+@demo_leaf_params("demo_damping.json")
+def test_mutated_damping_demos_agree_and_run_quietly(tmp_path, path):
+    assert_mutations_agree_quietly("demo_damping.json", path, tmp_path)
+
+
+@demo_leaf_params("demo_lattice.json")
+def test_mutated_lattice_demos_agree_and_run_quietly(tmp_path, path):
+    assert_mutations_agree_quietly("demo_lattice.json", path, tmp_path)
