@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cmatrix import as_complex_matrix
-from .gamow import _ROOT_BOX, GamowSpace
+from .gamow import _ROUND_D_BOX, GamowSpace
 
 __all__ = [
     "EvolutionVariant",
@@ -192,6 +192,4 @@ def semigroup_via_roots(space: GamowSpace, t: float) -> np.ndarray:
     it. Exercises B C = C B = I through the complex box arithmetic; agrees
     with ``evolution_operator(space, t, SEMIGROUP_D)`` to roundoff.
     """
-    c = _ROOT_BOX.conj().T
-    box = _ROOT_BOX @ np.outer(c[:, 0], c[0]) @ _ROOT_BOX  # B (C E C) B
-    return np.kron(np.diag(np.exp(-1j * t * space.poles)), box)
+    return np.kron(np.diag(np.exp(-1j * t * space.poles)), _ROUND_D_BOX)

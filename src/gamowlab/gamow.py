@@ -63,6 +63,9 @@ MAX_RESONANCES = 64  # new_space's cap; scenario files supply the resonances
 
 _SWAP_BOX = np.array([[0, 1], [1, 0]], dtype=complex)
 _ROOT_BOX = np.exp(-1j * np.pi / 4) * (np.sqrt(2) / 2) * np.array([[1j, 1], [1, 1j]])
+# B (C E C) B with E the unit at the D slot: one resonance's round dyad |D)(G|
+# rebuilt through the root transport of a plain dyad (see semigroup_via_roots).
+_ROUND_D_BOX = _ROOT_BOX @ np.outer(_ROOT_BOX.conj()[0], _ROOT_BOX.conj()[:, 0]) @ _ROOT_BOX
 
 
 @dataclass(frozen=True)

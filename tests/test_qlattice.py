@@ -151,7 +151,8 @@ def test_abelian_certificate_diagonals():
 
 def test_abelian_certificate_damping_limits():
     mats = [damping_limit(m) for m in (SIGMA_X + SIGMA_Y, np.array([[3, 7], [9, -2]]), np.eye(2))]
-    assert abelian_certificate(mats).abelian
+    cert = abelian_certificate(mats)
+    assert cert.abelian and cert.worst_norm <= 1e-12
 
 
 def test_abelian_certificate_pauli_pair():
