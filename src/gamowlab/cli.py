@@ -43,7 +43,11 @@ def main(argv=None) -> int:
             return scenario.report_invalid(diagnostics)
         print("scenario is valid")
         return EXIT_OK
-    written = scenario.write_demo_files(args.out)
+    try:
+        written = scenario.write_demo_files(args.out)
+    except OSError as exc:
+        print(f"runtime error: {exc}")
+        return 3
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK

@@ -55,7 +55,6 @@ __all__ = [
     "new_space",
     "basis_vector",
     "pseudo_product",
-    "basis_index",
     "MAX_RESONANCES",
 ]
 
@@ -150,22 +149,15 @@ def new_space(resonances) -> GamowSpace:
     return GamowSpace(resonances=res, poles=poles, widths=widths)
 
 
-def basis_index(space: GamowSpace, j: int, kind: str) -> int:
-    """0-based coordinate index of |psi_j^D) or |psi_j^G), j being 1-based."""
+def basis_vector(space: GamowSpace, j: int, kind: str) -> np.ndarray:
+    """Coordinate vector of the round ket |psi_j^D) or |psi_j^G), j being 1-based."""
     if not 1 <= j <= space.n_resonances:
         raise ValueError(f"resonance index {j} out of range 1..{space.n_resonances}")
     k = kind.upper() if isinstance(kind, str) else kind
-    if k == "D":
-        return 2 * (j - 1)
-    if k == "G":
-        return 2 * (j - 1) + 1
-    raise ValueError(f"basis kind must be 'D' or 'G', got {kind!r}")
-
-
-def basis_vector(space: GamowSpace, j: int, kind: str) -> np.ndarray:
-    """Coordinate vector of the round ket |psi_j^D) or |psi_j^G)."""
+    if k not in ("D", "G"):
+        raise ValueError(f"basis kind must be 'D' or 'G', got {kind!r}")
     vec = np.zeros(space.dim, dtype=complex)
-    vec[basis_index(space, j, kind)] = 1.0
+    vec[2 * (j - 1) + (k == "G")] = 1.0
     return vec
 
 

@@ -39,11 +39,14 @@ within the 1e-9 equality tolerance of both ranges it was taken from.
 
 The kernels work on (m, d, d) stacks: one SVD call serves m meets (a
 second one when the residual check fails), one masked product forms all
-their projectors, and each stack of results passes the projector checks
+their projectors, and each stack of meets passes the projector checks
 once, as a stack, so a result checked as part of its stack is not
-checked again. :func:`distributivity_check` makes its 10 meets in two
-such calls, one per dependency level; :func:`meet`, :func:`join` and
-:func:`ortho` are the same kernels on stacks of one.
+checked again. Complements are plain I - P and are never checked: a
+:class:`Projector` is checked together with its complement when it is
+built, and a computed meet B B^dagger, B orthonormal, sits far inside
+the tolerances, its complement with it. :func:`distributivity_check`
+makes its 10 meets in two such calls, one per dependency level;
+:func:`meet` and :func:`join` are the same kernels on stacks of one.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ _MEET_RESIDUAL_TOL = 1e-11
 
 @dataclass(frozen=True)
 class Projector:
-    """An orthogonal projector: Hermitian and idempotent."""
+    """An orthogonal projector: P and its complement I - P checked as one stack, Hermitian and idempotent."""
 
     mat: np.ndarray
 
@@ -91,7 +94,7 @@ class Projector:
         m = as_complex_matrix(self.mat)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"projector must be square, got {m.shape}")
-        _check_projectors(m[None])
+        _check_projectors(np.stack([m, np.eye(m.shape[0]) - m]))
         object.__setattr__(self, "mat", m)
 
     @property
@@ -168,11 +171,6 @@ def _check_projectors(stack: np.ndarray) -> np.ndarray:
     return stack
 
 
-def _orthos(p: np.ndarray) -> np.ndarray:
-    """Orthocomplements I - P of an (m, d, d) stack of projectors, checked as a stack."""
-    return _check_projectors(np.eye(p.shape[-1]) - p)
-
-
 def _meets(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Meets of the members of two (m, d, d) stacks of projectors, checked as a stack.
 
@@ -225,14 +223,13 @@ def meet(p: Projector, q: Projector) -> Projector:
 
 def join(p: Projector, q: Projector) -> Projector:
     """Projector onto the span of range(p) union range(q), by De Morgan: ~(~p ^ ~q)."""
-    _check_same_dim(p, q)
-    complements = _orthos(np.stack([p.mat, q.mat]))
-    return _checked(_orthos(_meets(complements[:1], complements[1:]))[0])
+    eye = np.eye(_check_same_dim(p, q))
+    return _checked(eye - _meets(eye - p.mat[None], eye - q.mat[None])[0])
 
 
 def ortho(p: Projector) -> Projector:
     """Orthocomplement I - p."""
-    return _checked(_orthos(p.mat[None])[0])
+    return _checked(np.eye(p.dim) - p.mat)
 
 
 def distributivity_check(a: Projector, b: Projector, c: Projector) -> DistributivityReport:
@@ -241,15 +238,15 @@ def distributivity_check(a: Projector, b: Projector, c: Projector) -> Distributi
     The 10 meets run in two stacked calls, one per dependency level; every
     join is the complement of a meet of complements (De Morgan).
     """
-    _check_same_dim(a, b, c)
-    na, nb, nc = _orthos(np.stack([a.mat, b.mat, c.mat]))
+    eye = np.eye(_check_same_dim(a, b, c))
+    na, nb, nc = eye - np.stack([a.mat, b.mat, c.mat])
     # level 1: ~(b v c), a ^ b, a ^ c, b ^ c, ~(a v b), ~(a v c)
     first = _meets(np.stack([nb, a.mat, a.mat, b.mat, na, na]), np.stack([nc, b.mat, c.mat, c.mat, nb, nc]))
-    b_or_c, n_ab, n_ac, n_bc, a_or_b, a_or_c = _orthos(first)
+    b_or_c, n_ab, n_ac, n_bc, a_or_b, a_or_c = eye - first
     # level 2: a ^ (b v c), ~((a ^ b) v (a ^ c)), ~(a v (b ^ c)), (a v b) ^ (a v c)
     second = _meets(np.stack([a.mat, n_ab, na, a_or_b]), np.stack([b_or_c, n_ac, n_bc, a_or_c]))
     lhs_meet, rhs_join = second[0], second[3]
-    rhs_meet, lhs_join = _orthos(second[1:3])
+    rhs_meet, lhs_join = eye - second[1:3]
     # both equalities, then both containments range(q) subset range(p) as p q = q
     gaps = np.stack([lhs_meet - rhs_meet, lhs_join - rhs_join,
                      lhs_meet @ rhs_meet - rhs_meet, rhs_join @ lhs_join - lhs_join])

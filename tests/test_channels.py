@@ -273,12 +273,31 @@ def test_pauli_commutators_die_under_damping():
             assert frobenius_norm(commutator(evolved[i], evolved[j])) < 1e-10
 
 
-def test_heisenberg_leaves_non_hermitian_inputs_unsymmetrized():
+@pytest.mark.parametrize("exponent", [0, -40, -50, -60])
+def test_heisenberg_leaves_non_hermitian_inputs_unsymmetrized(exponent):
     ch = damping_channel(0.5)
     upper = np.array([[0, 1], [0, 0]], dtype=complex)
     out = apply_heisenberg(ch, upper)
     # dual of a strictly upper-triangular input stays strictly upper-triangular
     np.testing.assert_allclose(out, np.array([[0, np.sqrt(0.5)], [0, 0]]), atol=1e-15)
+    # at any scale: a power-of-two multiple steps to the same multiple, bit for bit
+    c = 2.0**exponent
+    np.testing.assert_array_equal(apply_heisenberg(ch, c * upper), c * out)
+
+
+def test_heisenberg_step_commutes_with_the_adjoint_bit_for_bit():
+    rng = np.random.default_rng(41)
+    ch = KrausChannel(dim=3, kraus=tuple(random_kraus_family(rng, 3, 3)))
+    stack = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    adjoint = stack.conj().swapaxes(-1, -2)
+    np.testing.assert_array_equal(apply_heisenberg(ch, adjoint), apply_heisenberg(ch, stack).conj().swapaxes(-1, -2))
+    for n in (1, 2, 5):
+        np.testing.assert_array_equal(
+            iterate_heisenberg(ch, adjoint, n), iterate_heisenberg(ch, stack, n).conj().swapaxes(-1, -2)
+        )
+    # so Hermitian members come out exactly Hermitian
+    out = apply_heisenberg(ch, stack + adjoint)
+    np.testing.assert_array_equal(out, out.conj().swapaxes(-1, -2))
 
 
 # ---------------------------------------------------------------- superoperator

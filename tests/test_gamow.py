@@ -98,6 +98,7 @@ def test_basis_vector_convention():
     np.testing.assert_array_equal(basis_vector(space, 1, "D"), [1, 0])
     space2 = new_space([Resonance(0.0, 1.0), Resonance(0.0, 2.0)])
     np.testing.assert_array_equal(basis_vector(space2, 2, "G"), [0, 0, 0, 1])
+    np.testing.assert_array_equal(basis_vector(space2, 1, "g"), [0, 1, 0, 0])
 
 
 def test_basis_vector_errors():

@@ -442,3 +442,29 @@ def test_projector_of_a_transposed_view():
     p = random_projector(np.random.default_rng(37), 4, 2)
     assert not p.T.flags.c_contiguous
     np.testing.assert_array_equal(Projector(p.T).mat, p.T)  # p^T = conj(p) is a projector too
+
+
+def test_projector_is_checked_with_its_complement():
+    # P passes the idempotent check, but one rounding of 1 - P_00 puts I - P past it
+    with pytest.raises(ValueError, match="not idempotent"):
+        Projector(np.diag([-9.999999e-11, 1]).astype(complex))
+
+
+def test_complements_are_not_checked_again(monkeypatch):
+    p = Projector(np.diag([-5e-11, 1]).astype(complex))  # I - P passes at construction too
+    checked = []
+    check = qlattice._check_projectors
+
+    def counting_check(stack):
+        checked.append(len(stack))
+        return check(stack)
+
+    monkeypatch.setattr(qlattice, "_check_projectors", counting_check)
+    q = Projector(P_PLUS)
+    assert checked == [2]
+    np.testing.assert_array_equal(ortho(p).mat, np.eye(2) - p.mat)
+    assert checked == [2]
+    assert join(p, q).rank == 2
+    assert checked == [2, 1]  # the one meet of the complements
+    distributivity_check(p, q, Projector(P_MINUS))
+    assert checked == [2, 1, 2, 6, 4]  # the two levels of meets

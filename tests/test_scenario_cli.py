@@ -212,6 +212,21 @@ def test_lattice_entry_beyond_projector_bound_is_a_diagnostic(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_lattice_projector_with_a_bad_complement_is_a_diagnostic(tmp_path, capsys):
+    # P = diag(-9.999999e-11, 1) passes the idempotent check but I - P does not:
+    # validate and run both reject it, and run does not fail on it instead
+    p_bad = encode(np.diag([-9.999999e-11, 1.0]))
+    p_plus = [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]
+    p_zero = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+    path = write_scenario(tmp_path, {"kind": "lattice", "observables": [p_bad, p_plus, p_zero]})
+    expected = ["invalid scenario: observables[0]: projector is not idempotent to 1e-10"]
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines() == expected
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().out.splitlines() == expected
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "overrides, expected",
     [
@@ -532,6 +547,14 @@ def test_cli_demo_and_run(tmp_path, capsys):
     code = main(["run", str(tmp_path / "d" / "demo_resonance.json"), "--out", str(tmp_path / "o")])
     assert code == 0
     assert "slope=-1" in capsys.readouterr().out
+
+
+def test_cli_demo_failed_write_is_a_runtime_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert main(["demo", "--out", str(taken)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("runtime error: ")
 
 
 def test_cli_subprocess_end_to_end(tmp_path):
