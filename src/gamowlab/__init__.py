@@ -28,7 +28,6 @@ from .commutators import (
     ansatz_coefficients,
     ansatz_report,
     envelope_fit,
-    factored_commutator,
     growth_witness,
     phase_constancy_check,
     trajectory,
@@ -36,14 +35,9 @@ from .commutators import (
 from .evolution import (
     EvolutionOperator,
     EvolutionVariant,
-    GamowHamiltonian,
-    HamiltonianKind,
-    VariantError,
     evolution_operator,
-    hamiltonian,
     heisenberg_evolve,
     hermitian_square_law,
-    inverse,
     semigroup_via_roots,
 )
 from .gamow import GamowSpace, Resonance, basis_vector, new_space, pseudo_product
@@ -55,8 +49,6 @@ from .qlattice import (
     distributivity_check,
     join,
     meet,
-    ortho,
-    projector_onto,
 )
 
 __version__ = "0.1.0"

@@ -27,12 +27,10 @@ versus off-diagonal parts of the factors). Consequences worth knowing:
 * Off-diagonal entries follow the envelope r^2 exactly only when the
   energy is zero or the entry vanishes; otherwise they oscillate inside
   the envelope.
-* The factored form e^{-t Gamma} U(t) K U(t) (see
-  :func:`factored_commutator`) agrees with the exact trajectory exactly
-  when E_R = 0, where U(t)^2 reduces to e^{-t Gamma} I. Its diagonal
-  coefficients carry the phases e^{-+ 2 i t E_R}; the exact ones do not.
-  Both routes are exposed so the difference can be measured instead of
-  assumed away.
+* The factored form e^{-t Gamma} U(t) K U(t), which replaces U(t)^2 by
+  e^{-t Gamma} I, agrees with the exact trajectory exactly when E_R = 0.
+  Its diagonal coefficients carry the phases e^{-+ 2 i t E_R}; the exact
+  ones do not.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cmatrix import _frobenius_norms, as_complex_matrix, commutator
+from .cmatrix import _frobenius_norms, as_complex_matrix
 from .evolution import EvolutionVariant, evolution_operator, heisenberg_evolve
 from .gamow import GamowSpace
 
@@ -51,7 +49,6 @@ __all__ = [
     "AnsatzReport",
     "time_grid",
     "trajectory",
-    "factored_commutator",
     "fit_window_start",
     "envelope_fit",
     "ansatz_coefficients",
@@ -167,21 +164,6 @@ def trajectory(space: GamowSpace, o1, o2, times, variant=EvolutionVariant.HERMIT
     return CommutatorTrajectory(space=space, variant=variant, times=ts, values=values, norms=norms)
 
 
-def factored_commutator(space: GamowSpace, o1, o2, t: float) -> np.ndarray:
-    """Single-resonance factored form e^{-t Gamma} U(t) [O1, O2] U(t).
-
-    This is the HERMITIAN-variant shortcut obtained by replacing U(t)^2
-    with e^{-t Gamma} I; it equals the exact evolved commutator when the
-    resonance energy is zero, and carries diagonal phases e^{-+2 i t E_R}
-    otherwise.
-    """
-    if space.n_resonances != 1:
-        raise ValueError("factored form is defined for a single resonance")
-    u = evolution_operator(space, t, EvolutionVariant.HERMITIAN).diag
-    k = commutator(as_complex_matrix(o1), as_complex_matrix(o2))
-    return np.exp(-t * space.resonances[0].width) * (u[:, None] * k * u)
-
-
 def fit_window_start(n_times: int, n_resonances: int, window_fraction: float | None = None) -> int:
     """Start index of the envelope fit's window: the trailing ``window_fraction`` of the grid.
 
@@ -256,9 +238,10 @@ def phase_constancy_check(space: GamowSpace, traj: CommutatorTrajectory) -> bool
     -2 E_R (mod 2 pi) to :data:`PHASE_TOL`.
 
     Note: for the exact trajectory the diagonal coefficients are
-    time-independent, so the phase clause holds only at E_R = 0; the
-    stated rate is realized by :func:`factored_commutator` snapshots.
-    A commutator trajectory built from such snapshots is checked as-is.
+    time-independent, so the phase clause holds only at E_R = 0. The
+    stated rate is that of the factored form e^{-t Gamma} U(t) [O1, O2] U(t),
+    whose diagonal coefficients rotate at -2 E_R; a trajectory built from
+    such snapshots is checked as-is.
     """
     if space.n_resonances != 1:
         raise ValueError("phase constancy is a single-resonance check")

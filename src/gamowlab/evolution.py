@@ -48,41 +48,18 @@ from .gamow import _ROUND_D_BOX, GamowSpace
 
 __all__ = [
     "EvolutionVariant",
-    "HamiltonianKind",
-    "GamowHamiltonian",
     "EvolutionOperator",
-    "VariantError",
-    "hamiltonian",
     "evolution_operator",
-    "inverse",
     "hermitian_square_law",
     "heisenberg_evolve",
     "semigroup_via_roots",
 ]
 
 
-class VariantError(ValueError):
-    """Raised when an operation is undefined for an evolution variant."""
-
-
 class EvolutionVariant(enum.Enum):
     SEMIGROUP_D = "semigroup_d"
     INVERTIBLE = "invertible"
     HERMITIAN = "hermitian"
-
-
-class HamiltonianKind(enum.Enum):
-    #: z_j on the decaying slots, 0 on the growing slots.
-    EFFECTIVE = "effective"
-    #: z_j on the decaying slots, z_j^* on the growing slots (pseudo-Hermitian).
-    FULL_HERMITIAN = "full_hermitian"
-
-
-@dataclass(frozen=True)
-class GamowHamiltonian:
-    space: GamowSpace
-    kind: HamiltonianKind
-    diag: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -93,16 +70,6 @@ class EvolutionOperator:
     t: float | np.ndarray
     variant: EvolutionVariant
     diag: np.ndarray = field(repr=False)
-
-
-def hamiltonian(space: GamowSpace, kind: HamiltonianKind) -> GamowHamiltonian:
-    """Diagonal Hamiltonian on the Gamow sector, per ``kind``."""
-    kind = HamiltonianKind(kind)
-    diag = np.zeros(space.dim, dtype=complex)
-    diag[0::2] = space.poles
-    if kind is HamiltonianKind.FULL_HERMITIAN:
-        diag[1::2] = space.poles.conj()
-    return GamowHamiltonian(space=space, kind=kind, diag=diag)
 
 
 def evolution_operator(space: GamowSpace, t, variant: EvolutionVariant) -> EvolutionOperator:
@@ -125,18 +92,6 @@ def evolution_operator(space: GamowSpace, t, variant: EvolutionVariant) -> Evolu
     elif variant is EvolutionVariant.HERMITIAN:
         diag[..., 1::2] = np.exp(+1j * column * space.poles.conj())
     return EvolutionOperator(space=space, t=float(ts) if ts.ndim == 0 else ts, variant=variant, diag=diag)
-
-
-def inverse(op: EvolutionOperator) -> EvolutionOperator:
-    """U(t)^-1 = U(-t), defined for the INVERTIBLE variant only.
-
-    The SEMIGROUP_D operator is singular; the HERMITIAN operator has a
-    matrix inverse, but it is not U(-t), so treating it as a group
-    element would be misleading.
-    """
-    if op.variant is not EvolutionVariant.INVERTIBLE:
-        raise VariantError(f"inverse is only defined for INVERTIBLE, got {op.variant.name}")
-    return evolution_operator(op.space, -op.t, EvolutionVariant.INVERTIBLE)
 
 
 def hermitian_square_law(space: GamowSpace, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -167,7 +122,7 @@ def heisenberg_evolve(op: EvolutionOperator, obs) -> np.ndarray:
         raise ValueError(f"observable shape {obs.shape} does not match space dimension {dim}")
     u = op.diag
     if op.variant is EvolutionVariant.INVERTIBLE:
-        v = inverse(op).diag
+        v = evolution_operator(op.space, -op.t, op.variant).diag  # U(-t) = U(t)^-1
     elif op.variant is EvolutionVariant.HERMITIAN:
         v = u
     else:

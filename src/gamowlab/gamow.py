@@ -31,14 +31,13 @@ box with
     e^{-i pi/4} * (sqrt(2)/2) * [[i, 1], [1, i]]  =  (1/2) [[1+i, 1-i],
                                                             [1-i, 1+i]],
 
-and ``root_c`` is its adjoint, the other square root (B^dag B^dag =
-(B B)^dag = A^dag = A). The other branch of (-i)^(1/2) would square
-correctly too; the principal branch is fixed so B is reproducible
-bit for bit. The roots transport plain (angular-bracket) Gamow vectors
-to round ones: B |psi_j^D> = |psi_j^D) and |psi_j^G) = C |psi_j^G>,
-with the matching bras transported by the same factors, so that
-sandwiching a plain dyad between B...B (or C...C) collapses onto the
-corresponding round dyad.
+and its adjoint C = B^dag is the other square root (C C = (B B)^dag =
+A^dag = A). The other branch of (-i)^(1/2) would square correctly too;
+the principal branch is fixed so B is reproducible bit for bit. The
+roots transport plain (angular-bracket) Gamow vectors to round ones:
+B |psi_j^D> = |psi_j^D) and |psi_j^G) = C |psi_j^G>, with the matching
+bras transported by the same factors, so that sandwiching a plain dyad
+between B...B (or C...C) collapses onto the corresponding round dyad.
 """
 
 from __future__ import annotations
@@ -67,6 +66,14 @@ _ROOT_BOX = np.exp(-1j * np.pi / 4) * (np.sqrt(2) / 2) * np.array([[1j, 1], [1, 
 _ROUND_D_BOX = _ROOT_BOX @ np.outer(_ROOT_BOX.conj()[0], _ROOT_BOX.conj()[:, 0]) @ _ROOT_BOX
 
 
+def _finite(value) -> bool:
+    """``math.isfinite``, but False for an int past the float range, where it raises OverflowError."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class Resonance:
     """A resonance pole pair, parametrized by real energy and width > 0.
@@ -80,7 +87,7 @@ class Resonance:
     def __post_init__(self) -> None:
         for name in ("energy", "width"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not _finite(value):
                 raise ValueError(f"{name}: must be a finite number, got {value!r}")
         if self.width <= 0:
             raise ValueError(f"width: must be positive (> 0), got {self.width}")
@@ -106,8 +113,7 @@ class GamowSpace:
 
     Properties, each a new 2N x 2N array tiled from its 2x2 box:
         metric: the block-antidiagonal pairing matrix A (A @ A = I).
-        root_b: principal square root B of A.
-        root_c: adjoint square root C = B^dag, also with C @ C = A.
+        root_b: principal square root B of A; its adjoint C = B^dag is the other root.
     """
 
     resonances: tuple[Resonance, ...]
@@ -121,10 +127,6 @@ class GamowSpace:
     @property
     def root_b(self) -> np.ndarray:
         return np.kron(np.eye(self.n_resonances), _ROOT_BOX)
-
-    @property
-    def root_c(self) -> np.ndarray:
-        return self.root_b.conj().T
 
     @property
     def n_resonances(self) -> int:

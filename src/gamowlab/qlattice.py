@@ -62,10 +62,8 @@ __all__ = [
     "Projector",
     "DistributivityReport",
     "AbelianCertificate",
-    "projector_onto",
     "meet",
     "join",
-    "ortho",
     "distributivity_check",
     "abelian_certificate",
     "RANK_CUTOFF",
@@ -127,20 +125,6 @@ class DistributivityReport:
     meet_equal: bool
     join_equal: bool
     inequality_holds: bool
-
-
-def projector_onto(vectors) -> Projector:
-    """Orthogonal projector onto the span of a vector or sequence of vectors."""
-    arr = np.asarray(vectors, dtype=complex)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    elif arr.ndim == 2:
-        arr = arr.T  # sequence of vectors comes in as rows
-    else:
-        raise ValueError(f"expected a vector or a sequence of vectors, got shape {arr.shape}")
-    u, s, _ = np.linalg.svd(arr, full_matrices=False)
-    basis = u[:, s > RANK_CUTOFF]
-    return Projector(basis @ basis.conj().T)
 
 
 def _checked(mat: np.ndarray) -> Projector:
@@ -225,11 +209,6 @@ def join(p: Projector, q: Projector) -> Projector:
     """Projector onto the span of range(p) union range(q), by De Morgan: ~(~p ^ ~q)."""
     eye = np.eye(_check_same_dim(p, q))
     return _checked(eye - _meets(eye - p.mat[None], eye - q.mat[None])[0])
-
-
-def ortho(p: Projector) -> Projector:
-    """Orthocomplement I - p."""
-    return _checked(np.eye(p.dim) - p.mat)
 
 
 def distributivity_check(a: Projector, b: Projector, c: Projector) -> DistributivityReport:

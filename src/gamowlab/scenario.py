@@ -39,7 +39,7 @@ import numpy as np
 from . import channels, commutators, qlattice
 from .cmatrix import _pair_cross_norms, _pauli_vectors
 from .evolution import EvolutionVariant
-from .gamow import Resonance, new_space
+from .gamow import Resonance, _finite, new_space
 
 __all__ = ["Scenario", "load_scenario", "validate_file", "report_invalid", "run_file", "write_demo_files"]
 
@@ -75,7 +75,7 @@ class _Invalid(ValueError):
 
 
 def _number(raw, above: float = -math.inf) -> float:
-    if not isinstance(raw, (int, float)) or isinstance(raw, bool) or not math.isfinite(raw):
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool) or not _finite(raw):
         raise ValueError("must be a finite number")
     if not raw > above:
         raise ValueError(f"must be > {above}, got {float(raw)}")
@@ -112,7 +112,7 @@ def _each(raw, build, count: int | None = None) -> list:
 def _matrix(raw, dim: int | None = None) -> np.ndarray:
     try:
         arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # also an int past the float range
         raise ValueError("entries must be [re, im] pairs of numbers") from None
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"must be a square matrix of [re, im] pairs, got shape {arr.shape}")
@@ -351,44 +351,51 @@ _KINDS = {"damping": (_DAMPING_FIELDS, _run_damping), "resonance": (_RESONANCE_F
           "lattice": (_LATTICE_FIELDS, _run_lattice)}
 
 
-def run_file(path, outdir) -> int:
-    """Run a scenario file; returns 0 (ok), 2 (validation) or 3 (runtime).
+def _write_files(out: Path, texts: dict[str, str]) -> None:
+    """Write each text to ``out / name``, all of them or none, and raise any OSError again after the cleanup.
 
-    The output files are written only once the whole run has succeeded, each
-    under a temporary name in ``outdir`` and renamed into place once all are
-    written. On failure the temporaries go, and ``outdir`` too if this call
-    made it. A failure after a file was renamed into place also removes
-    every file of this run's output names from ``outdir``: those already
-    renamed and any an earlier run left under the names not yet reached.
-    ``outdir`` then holds no part of this run's output and no partial set
-    of an earlier run's.
+    Each text is written under a temporary name in ``out``, and all are renamed
+    into place once all are written. On failure the temporaries go, and ``out``
+    too if this call made it; after a rename, so do the files under every name,
+    an earlier call's included. ``out`` then holds no partial set.
     """
-    diagnostics, sc = load_scenario(path)
-    if diagnostics:
-        return report_invalid(diagnostics)
-    out = Path(outdir)
     created = not out.exists()
     temps: list[Path] = []
     renamed = False
     try:
-        with warnings.catch_warnings():  # a SEMIGROUP_D evolution warns that it extrapolates
-            warnings.filterwarnings("ignore", "SEMIGROUP_D has no canonical", RuntimeWarning)
-            files, summary = _KINDS[sc.kind][1](sc.objects)
         out.mkdir(parents=True, exist_ok=True)
-        for name, lines in files.items():
+        for name, text in texts.items():
             temps.append(out / f".{name}.partial")
-            temps[-1].write_text("\n".join(lines) + "\n", encoding="utf-8")
-        for temp, name in zip(temps, files):
+            temps[-1].write_text(text, encoding="utf-8")
+        for temp, name in zip(temps, texts):
             os.replace(temp, out / name)
             renamed = True
-    except (ValueError, OSError) as exc:
+    except OSError:
         for temp in temps:
             temp.unlink(missing_ok=True)
         if renamed:
-            for name in files:
-                (out / name).unlink(missing_ok=True)
+            for name in texts:
+                if not (out / name).is_dir():  # a directory under an output name is not a file of ours
+                    (out / name).unlink(missing_ok=True)
         if created:
             shutil.rmtree(out, ignore_errors=True)
+        raise
+
+
+def run_file(path, outdir) -> int:
+    """Run a scenario file; returns 0 (ok), 2 (validation) or 3 (runtime).
+
+    The outputs are written by :func:`_write_files` once the whole run has succeeded.
+    """
+    diagnostics, sc = load_scenario(path)
+    if diagnostics:
+        return report_invalid(diagnostics)
+    try:
+        with warnings.catch_warnings():  # a SEMIGROUP_D evolution warns that it extrapolates
+            warnings.filterwarnings("ignore", "SEMIGROUP_D has no canonical", RuntimeWarning)
+            files, summary = _KINDS[sc.kind][1](sc.objects)
+        _write_files(Path(outdir), {name: "\n".join(lines) + "\n" for name, lines in files.items()})
+    except (ValueError, OSError) as exc:
         print(f"runtime error: {exc}")
         return 3
     print(summary)
@@ -396,9 +403,7 @@ def run_file(path, outdir) -> int:
 
 
 def write_demo_files(outdir) -> list[Path]:
-    """Write the three worked example scenarios as ready-to-run files."""
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Write the three worked example scenarios as ready-to-run files, all of them or none."""
     sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
     sigma_y = np.array([[0, -1j], [1j, 0]], dtype=complex)
     p0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -425,9 +430,6 @@ def write_demo_files(outdir) -> list[Path]:
             "observables": [_encode_matrix(p0), _encode_matrix(p_plus), _encode_matrix(p_minus)],
         },
     }
-    written = []
-    for name, payload in demos.items():
-        path = out / name
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        written.append(path)
-    return written
+    out = Path(outdir)
+    _write_files(out, {name: json.dumps(payload, indent=2) + "\n" for name, payload in demos.items()})
+    return [out / name for name in demos]

@@ -2,8 +2,10 @@
 
 import numpy as np
 
-from gamowlab.cmatrix import frobenius_norm
+from gamowlab.cmatrix import commutator, frobenius_norm
 from gamowlab.commutators import UNDERFLOW_FLOOR
+from gamowlab.evolution import EvolutionVariant, evolution_operator
+from gamowlab.qlattice import RANK_CUTOFF, Projector
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -54,6 +56,32 @@ def random_projector(rng, dim, rank=None):
     u = random_unitary(rng, dim)
     cols = u[:, :rank]
     return cols @ cols.conj().T
+
+
+def span_projector(vectors):
+    """The projector onto the span of a vector, or of a sequence of vectors given as rows."""
+    u, s, _ = np.linalg.svd(np.atleast_2d(np.asarray(vectors, dtype=complex)).T, full_matrices=False)
+    basis = u[:, s > RANK_CUTOFF]
+    return Projector(basis @ basis.conj().T)
+
+
+def generator(space, growing=True):
+    """The diagonal generator of the Gamow sector: z_j at each D slot, z_j^* (or 0 if not ``growing``) at each G slot."""
+    diag = np.zeros(space.dim, dtype=complex)
+    diag[0::2] = space.poles
+    if growing:
+        diag[1::2] = space.poles.conj()
+    return np.diag(diag)
+
+
+def factored_snapshot(space, o1, o2, t):
+    """The single-resonance factored form e^{-t Gamma} U(t) [O1, O2] U(t) of the HERMITIAN variant.
+
+    It replaces U(t)^2 by e^{-t Gamma} I, so it equals the evolved commutator
+    when the energy is zero and carries diagonal phases e^{-+2 i t E} otherwise.
+    """
+    u = evolution_operator(space, t, EvolutionVariant.HERMITIAN).diag
+    return np.exp(-t * space.widths[0]) * (u[:, None] * commutator(o1, o2) * u)
 
 
 def block_xy_pair(rng, n_res):

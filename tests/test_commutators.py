@@ -12,14 +12,13 @@ from gamowlab.commutators import (
     ansatz_coefficients,
     ansatz_report,
     envelope_fit,
-    factored_commutator,
     growth_witness,
     phase_constancy_check,
     trajectory,
 )
 from gamowlab.evolution import EvolutionVariant, evolution_operator, heisenberg_evolve
 from gamowlab.gamow import Resonance, new_space
-from support import SIGMA_X, SIGMA_Y, block_xy_pair, per_time_ansatz, random_hermitian
+from support import SIGMA_X, SIGMA_Y, block_xy_pair, factored_snapshot, per_time_ansatz, random_hermitian
 
 HERM = EvolutionVariant.HERMITIAN
 
@@ -131,7 +130,7 @@ def test_factored_form_equals_exact_at_zero_energy():
     o1, o2 = random_hermitian(rng, 2), random_hermitian(rng, 2)
     for t in (0.1, 1.0, 3.0):
         traj = trajectory(space, o1, o2, np.array([t]))
-        fac = factored_commutator(space, o1, o2, t)
+        fac = factored_snapshot(space, o1, o2, t)
         scale = max(1.0, np.abs(fac).max())
         assert np.abs(traj.values[0] - fac).max() <= 1e-12 * scale
 
@@ -140,18 +139,12 @@ def test_factored_form_carries_energy_phases():
     space = space1(energy=1.0, width=0.5)
     k = commutator(SIGMA_X, SIGMA_Y)
     for t in (0.3, 1.0):
-        fac = factored_commutator(space, SIGMA_X, SIGMA_Y, t)
+        fac = factored_snapshot(space, SIGMA_X, SIGMA_Y, t)
         # diagonal of the factored form rotates at rate -2E inside e^{-2tG}
         expected = np.exp(-2 * t * 0.5) * np.diag(
             [k[0, 0] * np.exp(-2j * t), k[1, 1] * np.exp(2j * t)]
         )
         np.testing.assert_allclose(fac, expected, atol=1e-14)
-
-
-def test_factored_form_needs_single_resonance():
-    space = new_space([Resonance(0.0, 0.5), Resonance(0.0, 1.0)])
-    with pytest.raises(ValueError, match="single resonance"):
-        factored_commutator(space, np.eye(4), np.eye(4), 1.0)
 
 
 def test_entry_moduli_follow_envelope_zero_energy():
@@ -406,7 +399,7 @@ def test_phase_constancy_on_factored_snapshots():
     # the factored form does advance the argument at rate -2E
     space = space1(energy=1.0, width=0.5)
     ts = times(51)
-    values = tuple(factored_commutator(space, SIGMA_X, SIGMA_Y, t) for t in ts)
+    values = tuple(factored_snapshot(space, SIGMA_X, SIGMA_Y, t) for t in ts)
     traj = CommutatorTrajectory(
         space=space,
         variant=HERM,

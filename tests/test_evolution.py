@@ -5,17 +5,13 @@ import pytest
 
 from gamowlab.evolution import (
     EvolutionVariant,
-    HamiltonianKind,
-    VariantError,
     evolution_operator,
-    hamiltonian,
     heisenberg_evolve,
     hermitian_square_law,
-    inverse,
     semigroup_via_roots,
 )
 from gamowlab.gamow import Resonance, new_space
-from support import random_hermitian
+from support import generator, random_hermitian
 
 HERM = EvolutionVariant.HERMITIAN
 INV = EvolutionVariant.INVERTIBLE
@@ -29,37 +25,6 @@ def spaces_for_tests():
         new_space([Resonance(1.0, 0.5), Resonance(-0.5, 2.0)]),
         new_space([Resonance(0.3, 0.4), Resonance(0.0, 1.0), Resonance(2.0, 3.0)]),
     ]
-
-
-# ---------------------------------------------------------------- hamiltonians
-
-
-def test_effective_hamiltonian_single_resonance():
-    space = new_space([Resonance(1.0, 0.5)])
-    h = hamiltonian(space, HamiltonianKind.EFFECTIVE)
-    np.testing.assert_array_equal(np.diag(h.diag), np.diag([1.0 - 0.25j, 0.0]))
-
-
-def test_full_hermitian_hamiltonian_single_resonance():
-    space = new_space([Resonance(1.0, 0.5)])
-    h = hamiltonian(space, HamiltonianKind.FULL_HERMITIAN)
-    np.testing.assert_array_equal(np.diag(h.diag), np.diag([1.0 - 0.25j, 1.0 + 0.25j]))
-
-
-def test_full_hermitian_powers():
-    space = new_space([Resonance(1.0, 0.5)])
-    h = np.diag(hamiltonian(space, HamiltonianKind.FULL_HERMITIAN).diag)
-    z = 1.0 - 0.25j
-    np.testing.assert_allclose(
-        np.linalg.matrix_power(h, 5), np.diag([z**5, np.conj(z) ** 5]), atol=1e-13
-    )
-
-
-def test_full_hermitian_is_pseudo_hermitian():
-    for space in spaces_for_tests():
-        h = np.diag(hamiltonian(space, HamiltonianKind.FULL_HERMITIAN).diag)
-        a = space.metric
-        assert np.abs(a @ h.conj().T @ a - h).max() <= 1e-13
 
 
 # ---------------------------------------------------------------- operators
@@ -129,21 +94,14 @@ def test_rejects_nonfinite_time():
 
 
 def test_inverse_roundtrip():
+    # U(-t) inverts U(t), so the INVERTIBLE conjugation U(t) O U(-t) is undone by the one at -t
+    rng = np.random.default_rng(11)
     space = new_space([Resonance(1.0, 0.5), Resonance(0.0, 2.0)])
+    obs = random_hermitian(rng, space.dim)
     for t in (-5.0, -1.2, 0.0, 0.7, 5.0):
-        op = evolution_operator(space, t, INV)
-        inv_op = inverse(op)
-        assert inv_op.t == -t
-        product = np.diag(op.diag) @ np.diag(inv_op.diag)
-        np.testing.assert_allclose(product, np.eye(space.dim), atol=1e-12)
-
-
-def test_inverse_rejects_other_variants():
-    space = new_space([Resonance(1.0, 0.5)])
-    with pytest.raises(VariantError, match="INVERTIBLE"):
-        inverse(evolution_operator(space, 1.0, SEMI))
-    with pytest.raises(VariantError, match="INVERTIBLE"):
-        inverse(evolution_operator(space, 1.0, HERM))
+        op, back = evolution_operator(space, t, INV), evolution_operator(space, -t, INV)
+        np.testing.assert_allclose(np.diag(op.diag) @ np.diag(back.diag), np.eye(space.dim), atol=1e-12)
+        np.testing.assert_allclose(heisenberg_evolve(back, heisenberg_evolve(op, obs)), obs, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- square law
@@ -268,8 +226,6 @@ def test_time_array_operator_is_a_stack_of_scalar_operators(variant):
     assert all(type(o.t) is float for o in scalar_ops)
     np.testing.assert_array_equal(op.diag, np.stack([o.diag for o in scalar_ops]))
     np.testing.assert_array_equal(heisenberg_evolve(op, obs), np.stack([heisenberg_evolve(o, obs) for o in scalar_ops]))
-    if variant is INV:
-        np.testing.assert_array_equal(inverse(op).diag, np.stack([inverse(o).diag for o in scalar_ops]))
 
 
 def test_time_array_operator_keeps_the_semigroup_warning():
@@ -328,9 +284,16 @@ def test_semigroup_property_on_decaying_sector():
 # ---------------------------------------------------------------- generators
 
 
+def test_full_hermitian_is_pseudo_hermitian():
+    for space in spaces_for_tests():
+        h = generator(space)
+        a = space.metric
+        assert np.abs(a @ h.conj().T @ a - h).max() <= 1e-13
+
+
 def test_generator_consistency_invertible():
     space = new_space([Resonance(1.0, 0.5), Resonance(-0.5, 2.0)])
-    h = np.diag(hamiltonian(space, HamiltonianKind.FULL_HERMITIAN).diag)
+    h = generator(space)
     for t in (1e-4, -1e-4, 5e-5):
         u = np.diag(evolution_operator(space, t, INV).diag)
         assert np.abs(u - (np.eye(space.dim) - 1j * t * h)).max() <= 1e-7
@@ -338,7 +301,7 @@ def test_generator_consistency_invertible():
 
 def test_generator_consistency_semigroup_on_decaying_sector():
     space = new_space([Resonance(1.0, 0.5), Resonance(-0.5, 2.0)])
-    h = np.diag(hamiltonian(space, HamiltonianKind.EFFECTIVE).diag)
+    h = generator(space, growing=False)
     proj = np.diag([1.0, 0.0, 1.0, 0.0])
     for t in (1e-4, -1e-4):
         u = np.diag(evolution_operator(space, t, SEMI).diag)
@@ -357,12 +320,8 @@ def test_semigroup_reconstruction_via_roots():
             assert np.abs(recon - direct).max() <= 1e-12 * max(1.0, np.abs(direct).max())
 
 
-def test_variant_and_kind_accept_value_strings():
+def test_variant_accepts_value_strings():
     space = new_space([Resonance(0.0, 1.0)])
     by_enum = np.diag(evolution_operator(space, 0.5, HERM).diag)
     by_name = np.diag(evolution_operator(space, 0.5, "hermitian").diag)
     np.testing.assert_array_equal(by_enum, by_name)
-    np.testing.assert_array_equal(
-        np.diag(hamiltonian(space, "effective").diag),
-        np.diag(hamiltonian(space, HamiltonianKind.EFFECTIVE).diag),
-    )

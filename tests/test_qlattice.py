@@ -10,14 +10,16 @@ from gamowlab.qlattice import (
     distributivity_check,
     join,
     meet,
-    ortho,
-    projector_onto,
 )
-from support import P_MINUS, P_PLUS, P_ZERO, SIGMA_X, SIGMA_Y, random_projector, random_unitary
+from support import P_MINUS, P_PLUS, P_ZERO, SIGMA_X, SIGMA_Y, random_projector, random_unitary, span_projector
 
 
 def proj(mat) -> Projector:
     return Projector(np.asarray(mat, dtype=complex))
+
+
+def complement(p: Projector) -> Projector:
+    return proj(np.eye(p.dim) - p.mat)
 
 
 def assert_proj_eq(p: Projector, q, tol=1e-9):
@@ -35,14 +37,7 @@ def test_projector_validation():
         Projector(0.5 * np.eye(2))
 
 
-def test_projector_onto_builds_projectors():
-    p = projector_onto([1.0, 1.0])
-    assert_proj_eq(p, P_PLUS, tol=1e-12)
-    q = projector_onto([[1.0, 0.0], [0.0, 1.0]])
-    assert_proj_eq(q, np.eye(2), tol=1e-12)
-
-
-# ---------------------------------------------------------------- meet / join / ortho
+# ---------------------------------------------------------------- meet / join
 
 
 def test_meet_idempotent_and_top():
@@ -53,6 +48,7 @@ def test_meet_idempotent_and_top():
 
 def test_meet_of_distinct_lines_is_zero():
     assert_proj_eq(meet(proj(P_ZERO), proj(P_PLUS)), np.zeros((2, 2)))
+    assert_proj_eq(meet(proj(P_PLUS), proj(P_MINUS)), np.zeros((2, 2)))  # a line and its complement
 
 
 def test_join_bottom_and_lines():
@@ -68,18 +64,10 @@ def test_meet_join_dimension_check():
         meet(proj(np.eye(2)), proj(np.eye(3)))
 
 
-def test_ortho():
-    zero = proj(np.zeros((2, 2)))
-    assert_proj_eq(ortho(zero), np.eye(2), tol=0)
-    p = proj(P_PLUS)
-    assert_proj_eq(ortho(ortho(p)), P_PLUS, tol=0)
-    assert_proj_eq(meet(p, ortho(p)), np.zeros((2, 2)))
-
-
 def test_meet_join_nontrivial_intersection():
     # planes x-y and y-z in 3-d intersect in the y axis
-    p = projector_onto([[1, 0, 0], [0, 1, 0]])
-    q = projector_onto([[0, 1, 0], [0, 0, 1]])
+    p = span_projector([[1, 0, 0], [0, 1, 0]])
+    q = span_projector([[0, 1, 0], [0, 0, 1]])
     expected = np.zeros((3, 3))
     expected[1, 1] = 1.0
     assert_proj_eq(meet(p, q), expected)
@@ -128,7 +116,7 @@ def test_compatible_pairs():
     assert compatible(proj(np.diag([1.0, 0.0])), proj(np.diag([0.0, 1.0])))
     assert not compatible(proj(P_ZERO), proj(P_PLUS))
     p = proj(P_PLUS)
-    assert compatible(p, ortho(p))
+    assert compatible(p, complement(p))
 
 
 def test_incompatible_commutator_norm_value():
@@ -178,8 +166,8 @@ def test_de_morgan_on_random_pairs():
         d = int(rng.integers(2, 7))
         p = proj(random_projector(rng, d))
         q = proj(random_projector(rng, d))
-        lhs = ortho(join(p, q))
-        rhs = meet(ortho(p), ortho(q))
+        lhs = complement(join(p, q))
+        rhs = meet(complement(p), complement(q))
         assert frobenius_norm(lhs.mat - rhs.mat) <= 1e-9
 
 
@@ -192,7 +180,7 @@ def test_join_matches_span_of_both_ranges():
         d = int(rng.integers(2, 8))
         pairs.append((proj(random_projector(rng, d)), proj(random_projector(rng, d))))
     for p, q in pairs:
-        reference = projector_onto(np.hstack([p.mat, q.mat]).T)
+        reference = span_projector(np.hstack([p.mat, q.mat]).T)
         assert frobenius_norm(join(p, q).mat - reference.mat) <= 1e-9
 
 
@@ -317,8 +305,8 @@ def check_triples():
     triples["near"] = []
     for theta in (1e-11, 1e-10, 1e-8, 1e-6, 1e-4):
         cos, sin = np.cos(theta), np.sin(theta)
-        lines = [projector_onto(v).mat for v in ([1, 0], [cos, sin], [0, 1])]
-        planes = [projector_onto(v).mat for v in ([[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, cos, sin]], [[0, 0, 1]])]
+        lines = [span_projector(v).mat for v in ([1, 0], [cos, sin], [0, 1])]
+        planes = [span_projector(v).mat for v in ([[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, cos, sin]], [[0, 0, 1]])]
         triples["near"] += [tuple(lines), tuple(planes), (planes[1], planes[0], planes[2])]
     return triples
 
@@ -352,8 +340,8 @@ def test_meet_cut_on_the_principal_angle(theta, meet_rank, svd_calls, monkeypatc
     # the rank cutoff joins lines closer than about 1.4e-10 rad. The Gram matrix's eigenvalue 1 - cos(theta)
     # falls below its 1e-8 cut up to about 1.4e-4 rad; there the residual check sends the meets to the
     # second SVD unless the lines are within about 1.4e-11 rad
-    p = projector_onto([1.0, 0.0])
-    q = projector_onto([np.cos(theta), np.sin(theta)])
+    p = span_projector([1.0, 0.0])
+    q = span_projector([np.cos(theta), np.sin(theta)])
     assert rank(svd_reference_meet(p.mat, q.mat)) == meet_rank
     calls = []
     svd = np.linalg.svd
@@ -388,7 +376,7 @@ def test_meet_near_the_cut_matches_the_svd_route(theta):
 def test_near_lines_keep_the_inequalities():
     # a ^ b would be a line off both a and b by 5e-7 if the Gram cut alone decided it
     theta = 1e-6
-    a, b, c = (projector_onto(v) for v in ([1.0, 0.0], [np.cos(theta), np.sin(theta)], [0.0, 1.0]))
+    a, b, c = (span_projector(v) for v in ([1.0, 0.0], [np.cos(theta), np.sin(theta)], [0.0, 1.0]))
     report = distributivity_check(a, b, c)
     assert report.inequality_holds
     assert not report.meet_equal and not report.join_equal
@@ -461,8 +449,6 @@ def test_complements_are_not_checked_again(monkeypatch):
 
     monkeypatch.setattr(qlattice, "_check_projectors", counting_check)
     q = Projector(P_PLUS)
-    assert checked == [2]
-    np.testing.assert_array_equal(ortho(p).mat, np.eye(2) - p.mat)
     assert checked == [2]
     assert join(p, q).rank == 2
     assert checked == [2, 1]  # the one meet of the complements

@@ -12,13 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gamowlab import channels, qlattice, scenario
+from gamowlab import channels, scenario
 from gamowlab.cli import main
 from gamowlab.cmatrix import _pair_cross_norms, _pauli_vectors, commutator, frobenius_norm, pair_commutator_norms
 from gamowlab.commutators import CHUNK_BYTES, UNDERFLOW_FLOOR, envelope_fit, trajectory
 from gamowlab.evolution import EvolutionVariant, evolution_operator, heisenberg_evolve
 from gamowlab.gamow import Resonance, new_space
-from support import pauli_vector, per_time_ansatz, random_hermitian, random_unitary
+from support import pauli_vector, per_time_ansatz, random_hermitian, random_unitary, span_projector
 
 
 def encode(mat):
@@ -176,6 +176,24 @@ def test_non_finite_resonance_is_a_diagnostic(tmp_path, resonance, field):
     assert any(d.startswith(f"resonances[0].{field}:") and "finite" in d for d in diagnostics)
     assert scenario.run_file(path, tmp_path / "out") == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_int_past_the_float_range_is_a_diagnostic_at_its_path(tmp_path, capsys):
+    # json reads 10**400 back as an int that no float holds; each field reports it at its path
+    huge = 10**400
+    damping = json.loads((GOLDEN / "demo_damping.json").read_text())
+    damping["p"] = huge
+    damping["observables"].append([[[huge, 0], [0, 0]], [[0, 0], [1, 0]]])
+    resonance = resonance_payload(resonances=[{"energy": 0.0, "width": huge}])
+    for name, payload, expected in [
+        ("damping.json", damping, ["p: must be a finite number", "observables[2]: entries must be [re, im] pairs of numbers"]),
+        ("resonance.json", resonance, [f"resonances[0].width: must be a finite number, got {huge!r}"]),
+    ]:
+        path = write_scenario(tmp_path, payload, name)
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out.splitlines() == [f"invalid scenario: {line}" for line in expected]
+    with pytest.raises(ValueError, match="width: must be a finite number"):
+        Resonance(0.0, huge)
 
 
 def test_resonance_cap_is_a_diagnostic_for_validate_and_run(tmp_path):
@@ -377,7 +395,7 @@ def test_run_lattice_of_near_lines_reports_the_inequalities(tmp_path):
     # lines at 1e-6 rad meet only at the origin; counting them as meeting would put a ^ b
     # off both lines by 5e-7, past the 1e-9 containment tolerance
     theta = 1e-6
-    mats = [qlattice.projector_onto(v).mat for v in ([1.0, 0.0], [np.cos(theta), np.sin(theta)], [0.0, 1.0])]
+    mats = [span_projector(v).mat for v in ([1.0, 0.0], [np.cos(theta), np.sin(theta)], [0.0, 1.0])]
     path = write_scenario(tmp_path, {"kind": "lattice", "observables": [encode(m) for m in mats]})
     out = tmp_path / "out"
     assert scenario.run_file(path, out) == 0
@@ -471,6 +489,15 @@ def test_failed_rename_leaves_no_output_of_this_run(tmp_path, monkeypatch, earli
     assert sorted(p.name for p in out.iterdir()) == ["earlier.txt"]
 
 
+def test_directory_under_an_output_name_is_a_runtime_error(tmp_path):
+    # the rename onto the directory fails; the cleanup removes the renamed csv and leaves the directory
+    path = write_scenario(tmp_path, resonance_payload())
+    out = tmp_path / "out"
+    (out / "fit.txt").mkdir(parents=True)
+    assert scenario.run_file(path, out) == 3
+    assert [p.name for p in out.iterdir()] == ["fit.txt"]
+
+
 def test_failed_first_rename_keeps_an_earlier_run(tmp_path, monkeypatch):
     # nothing of this run reached --out, so an earlier run's complete set stays
     path = write_scenario(tmp_path, resonance_payload())
@@ -555,6 +582,16 @@ def test_cli_demo_failed_write_is_a_runtime_error(tmp_path, capsys):
     assert main(["demo", "--out", str(taken)]) == 3
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and lines[0].startswith("runtime error: ")
+
+
+def test_cli_demo_failed_rename_leaves_no_partial_set(tmp_path, capsys):
+    # a directory under the second demo's name stops its rename: the first demo, already renamed, goes too
+    out = tmp_path / "d"
+    (out / "demo_resonance.json").mkdir(parents=True)
+    assert main(["demo", "--out", str(out)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("runtime error: ")
+    assert [p.name for p in out.iterdir()] == ["demo_resonance.json"]
 
 
 def test_cli_subprocess_end_to_end(tmp_path):
@@ -891,7 +928,7 @@ def leaf_paths(node, path=()):
 DEMO_LEAVES = [
     (demo.name, path) for demo in sorted(GOLDEN.glob("*.json")) for path in leaf_paths(json.loads(demo.read_text()))
 ]
-MUTATIONS = [None, "x", True, -1, 0, 0.5, 5e-324, 1e308, float("nan"), float("inf"), [], {}, 10**7]
+MUTATIONS = [None, "x", True, -1, 0, 0.5, 5e-324, 1e308, float("nan"), float("inf"), [], {}, 10**7, 10**400]
 
 
 def mutated_demo(name, path, value):
