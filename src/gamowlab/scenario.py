@@ -17,8 +17,8 @@ read becomes a ``scenario: unknown key`` diagnostic. ``MAX_*`` cap the size of a
 
 A resonance run reduces each chunk of commutators to its CSV rows as it comes and
 keeps only their norms. A damping run steps its observables' Pauli vectors by the
-channel's transfer block and makes one cross-norm call per chunk of steps. Both
-chunks hold ``commutators.CHUNK_BYTES`` of commutators.
+channel's transfer block, with one multiply.accumulate and one cross-norm call per
+chunk of steps. Both chunks hold ``commutators.CHUNK_BYTES`` of commutators.
 
 Outputs are written with shortest round-trip float formatting and fixed
 row order, so identical scenarios produce byte-identical files.
@@ -260,29 +260,26 @@ def _run_damping(o: dict) -> tuple[dict[str, list[str]], str]:
     scale = channels._pauli_transfer(o["channel"]).diagonal()
     vectors = _pauli_vectors(o["observables"])
     k = len(vectors)
-    rows = []
-    first_below: int | None = None
-    # Steps go one at a time, each from the last, into a (steps, k, 3) block; one
+    worst = np.empty(o["n_max"] + 1)
+    # Per chunk of steps, a (steps, k, 3) block: row 0 holds the last chunk's
+    # vectors times scale (the initial vectors in the first chunk), the other
+    # rows hold scale, and one multiply.accumulate fills in each step from the
+    # last, the same products in the same order as a loop of steps. One
     # cross-norm call per block gives its rows of norms. A step's k(k-1)/2
     # commutators take 64 bytes each (2x2 complex).
     for chunk in commutators._chunks(o["n_max"] + 1, 64 * k * (k - 1) // 2):
-        steps = range(chunk.start, chunk.stop)
-        block = np.empty((len(steps), *vectors.shape), dtype=np.complex128)
-        for s, n in enumerate(steps):
-            if n > 0:
-                vectors = vectors * scale
-            block[s] = vectors
-        for n, norms in zip(steps, _pair_cross_norms(block).tolist()):
-            worst = max(norms)
-            rows.append((n, worst))
-            if first_below is None and worst < o["eps"]:
-                first_below = n
-    lines = ["n,norm"]
-    lines += [f"{n},{_fmt(norm)}" for n, norm in rows]
+        block = np.empty((chunk.stop - chunk.start, *vectors.shape), dtype=np.complex128)
+        block[:] = scale
+        block[0] = vectors * scale if chunk.start else vectors
+        vectors = np.multiply.accumulate(block, axis=0, out=block)[-1]
+        worst[chunk] = _pair_cross_norms(block).max(axis=1)
+    norms = worst.tolist()
+    lines = ["n,norm"] + [f"{n},{_fmt(norm)}" for n, norm in enumerate(norms)]
+    first_below = next((n for n, norm in enumerate(norms) if norm < o["eps"]), None)
     reached = f"commuting at n={first_below}" if first_below is not None else "eps not reached"
     return {"commutators.csv": lines}, (
         f"damping: p={o['p']}, n_max={o['n_max']}, worst-pair norm "
-        f"{rows[0][1]:.6g} -> {rows[-1][1]:.6g}, {reached}"
+        f"{norms[0]:.6g} -> {norms[-1]:.6g}, {reached}"
     )
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gamowlab.cmatrix import (
+    _frobenius_norms,
     _pair_cross_norms,
     _pauli_vectors,
     as_complex_matrix,
@@ -217,3 +218,14 @@ def test_norm_kernel_is_quiet_past_the_float_range():
         assert pair_commutator_norms(huge).tolist() == [2.82842712474619e+300]
         with pytest.raises(ValueError, match="overflow"):
             frobenius_norm(np.full((2, 2), 1e308))
+
+
+def test_norm_kernel_of_empty_and_nan_stacks():
+    # an empty stack has no members to range-test; NaN fails the range test, and
+    # _pair_cross_norms, which has no entry check, passes it on as the kernel's ValueError
+    assert _frobenius_norms(np.empty((0, 2, 2), dtype=np.complex128)).shape == (0,)
+    assert _pair_cross_norms(np.empty((0, 3, 3), dtype=np.complex128)).shape == (0, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow"):
+            _pair_cross_norms(np.full((3, 3), np.nan, dtype=np.complex128))

@@ -659,9 +659,9 @@ def matrix_damping_norms(o):
     return np.array(worst)
 
 
-def damping_objects(tmp_path, k, n_max, eps, seed=29):
+def damping_objects(tmp_path, k, n_max, eps, seed=29, magnitude=1.0):
     rng = np.random.default_rng(seed)
-    observables = [encode(random_hermitian(rng, 2)) for _ in range(k)]
+    observables = [encode(magnitude * random_hermitian(rng, 2)) for _ in range(k)]
     payload = {"kind": "damping", "p": 0.2, "n_max": n_max, "eps": eps, "observables": observables}
     diagnostics, sc = scenario.load_scenario(write_scenario(tmp_path, payload))
     assert diagnostics == []
@@ -686,6 +686,31 @@ def test_chunked_damping_run_equals_the_per_step_loop(tmp_path, k, n_max):
     reference = matrix_damping_norms(objects)
     live = reference > 1e-6 * reference[0]
     np.testing.assert_allclose(norms[live], reference[live], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("magnitude", [1e-150, 1e150])
+@pytest.mark.parametrize("k, n_max", [(2, 300), (9, 40), (64, 20)])
+def test_chunked_damping_run_with_extreme_entries_equals_the_per_step_loop(tmp_path, k, n_max, magnitude):
+    # every pair's plain sum of squares leaves [2^-600, 2^600], so each chunk row takes
+    # the norm kernel's rescale path, and the cross products come near the ends of the float range
+    objects = damping_objects(tmp_path, k, n_max, 1e-300, magnitude=magnitude)
+    expected = per_step_damping(objects)
+    norms = np.array([float(line.split(",")[1]) for line in expected[0]["commutators.csv"][1:]])
+    assert ((norms < 2.0**-300) | (norms > 2.0**300)).all()
+    assert scenario._run_damping(objects) == expected
+
+
+def test_damping_run_at_the_ends_of_the_eps_range(tmp_path):
+    # eps just above the step-0 norm: commuting at once; eps = 1e-300: never
+    objects = damping_objects(tmp_path, 5, 30, 1e-300)
+    expected = per_step_damping(objects)
+    assert expected[1].endswith("eps not reached")
+    assert scenario._run_damping(objects) == expected
+    eps = float(np.nextafter(float(expected[0]["commutators.csv"][1].split(",")[1]), np.inf))
+    objects = damping_objects(tmp_path, 5, 30, eps)
+    expected = per_step_damping(objects)
+    assert expected[1].endswith("commuting at n=0")
+    assert scenario._run_damping(objects) == expected
 
 
 def test_chunked_damping_run_holds_no_run_sized_block(tmp_path):
