@@ -210,18 +210,12 @@ def apply_heisenberg(ch: KrausChannel, obs) -> np.ndarray:
 def iterate_heisenberg(ch: KrausChannel, obs, n: int) -> np.ndarray:
     """n-fold composition of the Heisenberg dual; n = 0 returns obs.
 
-    S^n comes from repeated squaring, so the cost grows with log n.
+    S^n comes from ``np.linalg.matrix_power`` (repeated squaring), so the cost
+    grows with log n; a negative n, which it would invert, is refused.
     """
     if n < 0:
         raise ValueError(f"iteration count must be nonnegative, got {n}")
-    power = np.eye(ch.dim * ch.dim, dtype=complex)
-    square = ch.superop
-    while n:
-        if n & 1:
-            power = power @ square
-        square = square @ square
-        n >>= 1
-    return _heisenberg(power, ch.dim, obs)
+    return _heisenberg(np.linalg.matrix_power(ch.superop, n), ch.dim, obs)
 
 
 def damping_closed_form(p: float, n: int, obs) -> np.ndarray:

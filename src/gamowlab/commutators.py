@@ -1,4 +1,4 @@
-"""Commutator trajectories, decay-envelope fits and diagonal-form reports.
+"""Both commutator series: resonance trajectories with their envelope fits and diagonal-form reports, and damping norms.
 
 The central object is the trajectory of [O1(t), O2(t)] under a chosen
 evolution variant, where O(t) = heisenberg_evolve(U(t), O). The HERMITIAN
@@ -11,6 +11,9 @@ the chunk's times, both observables evolved as stacks, the commutators
 from two stacked products and their norms from batched inner products.
 :func:`trajectory` stacks the chunks; a scenario run reduces each one as it
 comes, to its norms and :func:`ansatz_coefficients`.
+
+The damping series lives here too: ``_damping_norms`` steps a qubit family's
+Pauli vectors by a channel, a chunk of steps at a time, to worst-pair norms.
 
 Exact structure for one resonance under the HERMITIAN conjugation, with
 K = [O1, O2] and r = e^{-t Gamma}:
@@ -39,7 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cmatrix import _frobenius_norms, as_complex_matrix
+from .channels import KrausChannel, _pauli_transfer
+from .cmatrix import _frobenius_norms, _pair_cross_norms, _pauli_vectors, as_complex_matrix
 from .evolution import EvolutionVariant, evolution_operator, heisenberg_evolve
 from .gamow import GamowSpace
 
@@ -69,7 +73,7 @@ PHASE_TOL = 1e-6
 
 #: Byte size of each (chunk, d, d) complex stack the chunked evaluation holds
 #: at once: a chunk spans CHUNK_BYTES // (16 d^2) grid times, one at least.
-#: The damping run blocks its channel steps to the same budget.
+#: ``_damping_norms`` blocks its channel steps to the same budget.
 CHUNK_BYTES = 16 * 1024
 
 
@@ -128,7 +132,7 @@ def _chunks(n_items: int, item_bytes: int):
     """Slices of consecutive indices, each spanning as many items of ``item_bytes`` as CHUNK_BYTES holds, one at least.
 
     A grid time of a (chunk, d, d) stack takes 16 d^2 bytes; a channel step
-    of the damping run takes those of its k(k-1)/2 pair commutators.
+    of :func:`_damping_norms` takes those of its k(k-1)/2 pair commutators.
     """
     step = max(1, CHUNK_BYTES // item_bytes)
     return (slice(lo, min(lo + step, n_items)) for lo in range(0, n_items, step))
@@ -151,6 +155,33 @@ def _commutator_chunks(space: GamowSpace, o1, o2, ts: np.ndarray, variant: Evolu
             comm = a @ b
             comm -= b @ a
         yield chunk, comm, _frobenius_norms(comm)
+
+
+def _damping_norms(channel: KrausChannel, observables: np.ndarray, n_max: int) -> np.ndarray:
+    """The worst pair's commutator norm of the (k, 2, 2) ``observables`` after each of 0..n_max channel steps.
+
+    In Pauli coordinates a channel step maps each observable's traceless vector r
+    by the channel's 3x3 transfer block, which for amplitude damping is diagonal:
+    a step scales r. No cancellation against the identity part, which the
+    commutators do not see, loses the decaying z component deep in the decay.
+    """
+    scale = _pauli_transfer(channel).diagonal()
+    vectors = _pauli_vectors(observables)
+    k = len(vectors)
+    worst = np.empty(n_max + 1)
+    # Per chunk of steps, a (steps, k, 3) block: row 0 holds the last chunk's
+    # vectors times scale (the initial vectors in the first chunk), the other
+    # rows hold scale, and one multiply.accumulate fills in each step from the
+    # last, the same products in the same order as a loop of steps. One
+    # cross-norm call per block gives its rows of norms. A step's k(k-1)/2
+    # commutators take 64 bytes each (2x2 complex).
+    for chunk in _chunks(n_max + 1, 64 * k * (k - 1) // 2):
+        block = np.empty((chunk.stop - chunk.start, *vectors.shape), dtype=np.complex128)
+        block[:] = scale
+        block[0] = vectors * scale if chunk.start else vectors
+        vectors = np.multiply.accumulate(block, axis=0, out=block)[-1]
+        worst[chunk] = _pair_cross_norms(block).max(axis=1)
+    return worst
 
 
 def trajectory(space: GamowSpace, o1, o2, times, variant=EvolutionVariant.HERMITIAN) -> CommutatorTrajectory:
@@ -180,14 +211,11 @@ def fit_window_start(n_times: int, n_resonances: int, window_fraction: float | N
     return start
 
 
-def _decay_fit(ts: np.ndarray, norms: np.ndarray, n_resonances: int, window_fraction: float | None) -> DecayFit:
-    """Least-squares slope of log norm versus time on the :func:`fit_window_start` window.
+def _decay_fit(ts: np.ndarray, norms: np.ndarray) -> DecayFit:
+    """Least-squares slope of log norm versus time at the given points.
 
     Points at or below the underflow floor are dropped.
     """
-    start = fit_window_start(ts.size, n_resonances, window_fraction)
-    ts = ts[start:]
-    norms = norms[start:]
     usable = norms > UNDERFLOW_FLOOR
     if int(usable.sum()) < 2:
         raise ValueError("fewer than 2 usable points above the underflow floor; no fit")
@@ -199,8 +227,9 @@ def _decay_fit(ts: np.ndarray, norms: np.ndarray, n_resonances: int, window_frac
 
 
 def envelope_fit(traj: CommutatorTrajectory, window_fraction: float | None = None) -> DecayFit:
-    """The decay fit of the trajectory's norms; see :func:`_decay_fit`."""
-    return _decay_fit(traj.times, traj.norms, traj.space.n_resonances, window_fraction)
+    """The decay fit of the trajectory's norms on the :func:`fit_window_start` window; see :func:`_decay_fit`."""
+    start = fit_window_start(traj.times.size, traj.space.n_resonances, window_fraction)
+    return _decay_fit(traj.times[start:], traj.norms[start:])
 
 
 def ansatz_coefficients(space: GamowSpace, times, commutators, norms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -15,10 +15,10 @@ Validation builds every object a run uses from its kind's field table; construct
 errors become ``field: message`` diagnostics, and a top-level key the kind does not
 read becomes a ``scenario: unknown key`` diagnostic. ``MAX_*`` cap the size of a run.
 
-A resonance run reduces each chunk of commutators to its CSV rows as it comes and
-keeps only their norms. A damping run steps its observables' Pauli vectors by the
-channel's transfer block, with one multiply.accumulate and one cross-norm call per
-chunk of steps. Both chunks hold ``commutators.CHUNK_BYTES`` of commutators.
+Both commutator series are computed in :mod:`gamowlab.commutators`; this module
+only formats and writes them. A resonance run reduces each chunk of
+``commutators._commutator_chunks`` to its CSV rows as it comes and keeps only their
+norms; a damping run writes the worst-pair norms of ``commutators._damping_norms``.
 
 Outputs are written with shortest round-trip float formatting and fixed
 row order, so identical scenarios produce byte-identical files.
@@ -37,7 +37,6 @@ from pathlib import Path
 import numpy as np
 
 from . import channels, commutators, qlattice
-from .cmatrix import _pair_cross_norms, _pauli_vectors
 from .evolution import EvolutionVariant
 from .gamow import Resonance, _finite, new_space
 
@@ -46,7 +45,7 @@ __all__ = ["Scenario", "load_scenario", "validate_file", "report_invalid", "run_
 MAX_GRID_STEPS = 100_000
 MAX_TRAJECTORY_ENTRIES = 2**24  # steps * (2N)^2 commutator entries, a bound on run time; the run keeps none
 MAX_N_MAX = 1_000_000
-MAX_DAMPING_OBSERVABLES = 64  # k(k-1)/2 cross products and 2x2 commutators per step; a chunk holds CHUNK_BYTES of the commutators, or one step's
+MAX_DAMPING_OBSERVABLES = 64  # k(k-1)/2 cross products and 2x2 commutators per step; a chunk of commutators._damping_norms holds CHUNK_BYTES of the commutators, or one step's
 MAX_LATTICE_DIM = 256
 
 
@@ -153,10 +152,9 @@ def _times(_, b) -> np.ndarray:
     return commutators.time_grid(np.linspace(b["t_start"], b["t_end"], b["steps"]))
 
 
-def _fit_window(raw, b) -> float | None:
+def _fit_start(raw, b) -> int:
     fraction = None if raw is _ABSENT else _number(raw)
-    commutators.fit_window_start(b["times"].size, b["space"].n_resonances, fraction)
-    return fraction
+    return commutators.fit_window_start(b["times"].size, b["space"].n_resonances, fraction)
 
 
 def _projectors(raw, _) -> list[qlattice.Projector]:
@@ -183,7 +181,7 @@ _RESONANCE_FIELDS = (
     ("times", "grid", _times),
     (None, "grid", lambda _, b: _capped(b["times"].size * b["space"].dim**2, MAX_TRAJECTORY_ENTRIES, "trajectory entries")),
     ("eps", "eps", lambda raw, _: _number(raw, above=0)),
-    ("fit_window", "fit_window", _fit_window),
+    ("fit_start", "fit_window", _fit_start),
     ("observables", "observables", lambda raw, b: _each(raw, lambda m: _matrix(m, b["space"].dim), 2)),
 )
 _LATTICE_FIELDS = (("projectors", "observables", _projectors),)
@@ -248,33 +246,9 @@ def report_invalid(diagnostics: list[str]) -> int:
     return 2
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _run_damping(o: dict) -> tuple[dict[str, list[str]], str]:
-    # In Pauli coordinates a channel step maps each observable's traceless vector r
-    # by the channel's 3x3 transfer block, which for amplitude damping is diagonal:
-    # a step scales r. No cancellation against the identity part, which the
-    # commutators do not see, loses the decaying z component deep in the decay.
-    scale = channels._pauli_transfer(o["channel"]).diagonal()
-    vectors = _pauli_vectors(o["observables"])
-    k = len(vectors)
-    worst = np.empty(o["n_max"] + 1)
-    # Per chunk of steps, a (steps, k, 3) block: row 0 holds the last chunk's
-    # vectors times scale (the initial vectors in the first chunk), the other
-    # rows hold scale, and one multiply.accumulate fills in each step from the
-    # last, the same products in the same order as a loop of steps. One
-    # cross-norm call per block gives its rows of norms. A step's k(k-1)/2
-    # commutators take 64 bytes each (2x2 complex).
-    for chunk in commutators._chunks(o["n_max"] + 1, 64 * k * (k - 1) // 2):
-        block = np.empty((chunk.stop - chunk.start, *vectors.shape), dtype=np.complex128)
-        block[:] = scale
-        block[0] = vectors * scale if chunk.start else vectors
-        vectors = np.multiply.accumulate(block, axis=0, out=block)[-1]
-        worst[chunk] = _pair_cross_norms(block).max(axis=1)
-    norms = worst.tolist()
-    lines = ["n,norm"] + [f"{n},{_fmt(norm)}" for n, norm in enumerate(norms)]
+    norms = commutators._damping_norms(o["channel"], o["observables"], o["n_max"]).tolist()
+    lines = ["n,norm"] + [f"{n},{norm!r}" for n, norm in enumerate(norms)]
     first_below = next((n for n, norm in enumerate(norms) if norm < o["eps"]), None)
     reached = f"commuting at n={first_below}" if first_below is not None else "eps not reached"
     return {"commutators.csv": lines}, (
@@ -303,17 +277,17 @@ def _run_resonance(o: dict) -> tuple[dict[str, list[str]], str]:
                 f"{'true' if t >= 0 else 'false'}"
             )
 
-    fit = commutators._decay_fit(times, norms, space.n_resonances, o["fit_window"])
-    expected = -2.0 * min(space.widths)
+    fit = commutators._decay_fit(times[o["fit_start"] :], norms[o["fit_start"] :])
+    expected = -2.0 * float(space.widths.min())
     deviation = abs(fit.slope - expected)
     below = np.nonzero(norms < eps)[0]
-    t_c_text = _fmt(times[below[0]]) if below.size else f"not reached by t_end={_fmt(times[-1])}"
+    t_c_text = f"{float(times[below[0]])!r}" if below.size else f"not reached by t_end={float(times[-1])!r}"
     fit_lines = [
-        f"slope = {_fmt(fit.slope)}",
-        f"intercept = {_fmt(fit.intercept)}",
-        f"expected_slope = {_fmt(expected)}",
-        f"abs_deviation = {_fmt(deviation)}",
-        f"t_c(eps={_fmt(eps)}) = {t_c_text}",
+        f"slope = {fit.slope!r}",
+        f"intercept = {fit.intercept!r}",
+        f"expected_slope = {expected!r}",
+        f"abs_deviation = {deviation!r}",
+        f"t_c(eps={eps!r}) = {t_c_text}",
     ]
     return {"commutators.csv": lines, "fit.txt": fit_lines}, (
         f"resonance: N={space.n_resonances}, variant={o['variant'].value}, "
