@@ -116,35 +116,34 @@ def _pauli_vectors(stack: np.ndarray) -> np.ndarray:
     return stack.reshape(*stack.shape[:-2], 4) @ _HALF_PAULIS_H
 
 
-@functools.lru_cache(maxsize=64)
-def _cross_operands(k: int) -> np.ndarray:
-    """Flat (4, P, 3) indices into k Pauli vectors of a_{m+1}, b_{m+2}, a_{m+2}, b_{m+1} for every pair (a, b) of :func:`_pairs`."""
-    i, j = _pairs(k)
-    nxt, after = [1, 2, 0], [2, 0, 1]  # (a x b)_m = a_{m+1} b_{m+2} - a_{m+2} b_{m+1}, indices mod 3
-    # by indexing alone: integer arithmetic is numpy code that a damping run would map in for this only
-    flat = np.arange(3 * k).reshape(k, 3)
-    index = np.stack([flat[i][:, nxt], flat[j][:, after], flat[i][:, after], flat[j][:, nxt]])
-    index.setflags(write=False)
-    return index
-
-
 def _pair_cross_norms(vectors: np.ndarray) -> np.ndarray:
     """Frobenius norms of [X_i, X_j] for every pair i < j of qubit matrices given by a (..., k, 3) stack of Pauli vectors.
 
     With X = x_0 I + r.sigma, [X_i, X_j] = 2i (r_i x r_j).sigma, so each pair
     takes one cross product and no 2x2 matrix product; pairs and leading axes
-    are those of :func:`pair_commutator_norms`. All cross products, of every
-    pair and leading index, go through one 2-d product with the exact
-    weights of :data:`_TWO_I_PAULIS` into commutators, and those through the
-    scaled norm kernel, so they are as safe from the float range as its
-    norms. Every row's bits are those of the call on its own stack.
+    are those of :func:`pair_commutator_norms`. Each pair's two vectors are
+    gathered once, and each component of its cross product is written in
+    place, so per pair and leading index the call holds less than 192 bytes
+    at once: first the two gathered vectors, the cross product and one
+    component's product (160 bytes), then the 64-byte commutator and its
+    conjugate in the norm kernel. All cross products go through one 2-d
+    product with the exact weights of :data:`_TWO_I_PAULIS` into
+    commutators, and those through the scaled norm kernel, so they are as
+    safe from the float range as its norms. Every row's bits are those of
+    the call on its own stack.
     """
-    k = vectors.shape[-2]
-    operands = vectors.reshape(*vectors.shape[:-2], 3 * k)[..., _cross_operands(k)]
-    a_next, b_after, a_after, b_next = (operands[..., m, :, :] for m in range(4))
+    i, j = _pairs(vectors.shape[-2])
+    a, b = vectors[..., i, :], vectors[..., j, :]
+    cross = np.empty(a.shape, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed product is the kernel's ValueError
-        comm = (a_next * b_after - a_after * b_next).reshape(-1, 3) @ _TWO_I_PAULIS
-    return _frobenius_norms(comm.reshape(-1, 2, 2)).reshape(a_next.shape[:-1])
+        for m, nxt, after in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # (a x b)_m = a_{m+1} b_{m+2} - a_{m+2} b_{m+1}
+            np.multiply(a[..., nxt], b[..., after], out=cross[..., m])
+            cross[..., m] -= a[..., after] * b[..., nxt]
+        del a, b
+        comm = cross.reshape(-1, 3) @ _TWO_I_PAULIS
+    shape = cross.shape[:-1]
+    del cross
+    return _frobenius_norms(comm.reshape(-1, 2, 2)).reshape(shape)
 
 
 def _sumsq(stack: np.ndarray) -> np.ndarray:

@@ -5,15 +5,16 @@ evolution variant, where O(t) = heisenberg_evolve(U(t), O). The HERMITIAN
 variant is the default for commutator studies; INVERTIBLE is kept for the
 growth counterexample.
 
-The grid is walked in chunks of consecutive times whose (chunk, d, d)
-stacks hold at most :data:`CHUNK_BYTES` each: one evolution operator over
-the chunk's times, both observables evolved as stacks, the commutators
+The grid is walked in chunks of consecutive times: one evolution operator
+over the chunk's times, both observables evolved as stacks, the commutators
 from two stacked products and their norms from batched inner products.
 :func:`trajectory` stacks the chunks; a scenario run reduces each one as it
 comes, to its norms and :func:`ansatz_coefficients`.
 
 The damping series lives here too: ``_damping_norms`` steps a qubit family's
 Pauli vectors by a channel, a chunk of steps at a time, to worst-pair norms.
+Both series size their chunks by :data:`CHUNK_BYTES`, which counts every
+array a chunk holds at once, temporaries included.
 
 Exact structure for one resonance under the HERMITIAN conjugation, with
 K = [O1, O2] and r = e^{-t Gamma}:
@@ -71,10 +72,11 @@ UNDERFLOW_FLOOR = 1e-280
 MODULUS_TOL = 1e-9
 PHASE_TOL = 1e-6
 
-#: Byte size of each (chunk, d, d) complex stack the chunked evaluation holds
-#: at once: a chunk spans CHUNK_BYTES // (16 d^2) grid times, one at least.
-#: ``_damping_norms`` blocks its channel steps to the same budget.
-CHUNK_BYTES = 16 * 1024
+#: Bytes that all the arrays of one chunk of either commutator series hold at
+#: once, temporaries included: a chunk spans CHUNK_BYTES // (7 * 16 d^2) grid
+#: times of a resonance run, or CHUNK_BYTES // (48 k + 192 k(k-1)/2) steps of
+#: a damping run, one at least.
+CHUNK_BYTES = 192 * 1024
 
 
 @dataclass(frozen=True)
@@ -131,8 +133,13 @@ def time_grid(times) -> np.ndarray:
 def _chunks(n_items: int, item_bytes: int):
     """Slices of consecutive indices, each spanning as many items of ``item_bytes`` as CHUNK_BYTES holds, one at least.
 
-    A grid time of a (chunk, d, d) stack takes 16 d^2 bytes; a channel step
-    of :func:`_damping_norms` takes those of its k(k-1)/2 pair commutators.
+    ``item_bytes`` is all that one item has alive at the chunk's peak: a grid
+    time of :func:`_commutator_chunks` and its consumer holds up to seven
+    (d, d) complex matrices (the two evolved observables, the commutator, one
+    product, and the copies the norm kernel and :func:`ansatz_coefficients`
+    make), with its share of the small per-time arrays; a channel step of
+    :func:`_damping_norms` holds its k Pauli vectors and less than 192 bytes
+    per pair (see :func:`~gamowlab.cmatrix._pair_cross_norms`).
     """
     step = max(1, CHUNK_BYTES // item_bytes)
     return (slice(lo, min(lo + step, n_items)) for lo in range(0, n_items, step))
@@ -147,7 +154,7 @@ def _commutator_chunks(space: GamowSpace, o1, o2, ts: np.ndarray, variant: Evolu
     o1, o2, dim = as_complex_matrix(o1), as_complex_matrix(o2), space.dim
     if o1.shape != (dim, dim) or o2.shape != (dim, dim):
         raise ValueError(f"observables must be {dim}x{dim} for this space, got {o1.shape} and {o2.shape}")
-    for chunk in _chunks(ts.size, 16 * dim**2):
+    for chunk in _chunks(ts.size, 7 * 16 * dim**2):
         with np.errstate(over="ignore", invalid="ignore"):
             op = evolution_operator(space, ts[chunk], variant)
             a = heisenberg_evolve(op, o1)
@@ -173,9 +180,10 @@ def _damping_norms(channel: KrausChannel, observables: np.ndarray, n_max: int) -
     # vectors times scale (the initial vectors in the first chunk), the other
     # rows hold scale, and one multiply.accumulate fills in each step from the
     # last, the same products in the same order as a loop of steps. One
-    # cross-norm call per block gives its rows of norms. A step's k(k-1)/2
-    # commutators take 64 bytes each (2x2 complex).
-    for chunk in _chunks(n_max + 1, 64 * k * (k - 1) // 2):
+    # cross-norm call per block gives its rows of norms. A step holds its k
+    # vectors in the block (48 bytes each) and about 192 bytes per pair in
+    # the cross-norm call.
+    for chunk in _chunks(n_max + 1, 48 * k + 192 * k * (k - 1) // 2):
         block = np.empty((chunk.stop - chunk.start, *vectors.shape), dtype=np.complex128)
         block[:] = scale
         block[0] = vectors * scale if chunk.start else vectors

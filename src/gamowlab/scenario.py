@@ -45,7 +45,7 @@ __all__ = ["Scenario", "load_scenario", "validate_file", "report_invalid", "run_
 MAX_GRID_STEPS = 100_000
 MAX_TRAJECTORY_ENTRIES = 2**24  # steps * (2N)^2 commutator entries, a bound on run time; the run keeps none
 MAX_N_MAX = 1_000_000
-MAX_DAMPING_OBSERVABLES = 64  # k(k-1)/2 cross products and 2x2 commutators per step; a chunk of commutators._damping_norms holds CHUNK_BYTES of the commutators, or one step's
+MAX_DAMPING_OBSERVABLES = 64  # k(k-1)/2 cross products and 2x2 commutators per step; all arrays of a chunk of commutators._damping_norms hold CHUNK_BYTES, or one step's
 MAX_LATTICE_DIM = 256
 
 

@@ -2,9 +2,11 @@
 
 import numpy as np
 
+from gamowlab import commutators
 from gamowlab.cmatrix import commutator, frobenius_norm
 from gamowlab.commutators import UNDERFLOW_FLOOR
 from gamowlab.evolution import EvolutionVariant, evolution_operator
+from gamowlab.gamow import Resonance, new_space
 from gamowlab.qlattice import RANK_CUTOFF, Projector
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -112,3 +114,26 @@ def per_time_ansatz(space, traj, k):
         np.fill_diagonal(off, 0.0)
         residual = min(1.0, frobenius_norm(off) / total)
     return scale * np.diagonal(val)[0::2], scale * np.diagonal(val)[1::2], residual
+
+
+def chunk_calls(run, *args):
+    """Run ``run(*args)``; return the (item_bytes, slices) of every ``commutators._chunks`` call it made."""
+    calls, chunks = [], commutators._chunks
+    def recorded(n_items, item_bytes):
+        slices = list(chunks(n_items, item_bytes))
+        calls.append((item_bytes, slices))
+        return iter(slices)
+    commutators._chunks = recorded
+    try:
+        run(*args)
+    finally:
+        commutators._chunks = chunks
+    return calls
+
+
+def chunk_length(dim):
+    """Grid times in a full chunk of a (dim, dim) trajectory: the first slice ``commutators._chunks`` cuts from a long grid for the run's item bytes."""
+    space = new_space([Resonance(0.0, 1.0)] * (dim // 2))
+    eye = np.eye(dim, dtype=complex)
+    ((item_bytes, _),) = chunk_calls(commutators.trajectory, space, eye, eye, [0.0])
+    return next(commutators._chunks(2**40, item_bytes)).stop

@@ -4,11 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
+from gamowlab.channels import damping_channel
 from gamowlab.cmatrix import commutator, frobenius_norm
 from gamowlab.commutators import (
     CHUNK_BYTES,
     CommutatorTrajectory,
     UNDERFLOW_FLOOR,
+    _commutator_chunks,
+    _damping_norms,
     ansatz_coefficients,
     ansatz_report,
     envelope_fit,
@@ -18,7 +21,16 @@ from gamowlab.commutators import (
 )
 from gamowlab.evolution import EvolutionVariant, evolution_operator, heisenberg_evolve
 from gamowlab.gamow import Resonance, new_space
-from support import SIGMA_X, SIGMA_Y, block_xy_pair, factored_snapshot, per_time_ansatz, random_hermitian
+from support import (
+    SIGMA_X,
+    SIGMA_Y,
+    block_xy_pair,
+    chunk_calls,
+    chunk_length,
+    factored_snapshot,
+    per_time_ansatz,
+    random_hermitian,
+)
 
 HERM = EvolutionVariant.HERMITIAN
 
@@ -224,10 +236,6 @@ def random_space(rng, n_res):
     return new_space([Resonance(float(e), float(w)) for e, w in zip(energies, widths)])
 
 
-def chunk_length(n_res):
-    return max(1, CHUNK_BYTES // (16 * (2 * n_res) ** 2))
-
-
 def per_time_trajectory(space, o1, o2, ts, variant):
     """The reference: one operator, two conjugations, a commutator and a norm per grid time."""
     values, norms = [], []
@@ -245,7 +253,7 @@ def test_chunked_trajectory_equals_the_per_time_loop(variant, n_res):
     rng = np.random.default_rng(31 + n_res)
     space = random_space(rng, n_res)
     o1, o2 = random_hermitian(rng, space.dim), random_hermitian(rng, space.dim)
-    steps = 5 if n_res == 64 else 2 * chunk_length(n_res) + 3  # one time per chunk at N = 64
+    steps = 5 if n_res == 64 else 2 * chunk_length(space.dim) + 3  # one time per chunk at N = 64
     ts = np.linspace(-0.5, 4.0, steps)
     traj = trajectory(space, o1, o2, ts, variant)
     values, norms = per_time_trajectory(space, o1, o2, ts, variant)
@@ -259,7 +267,7 @@ def test_chunked_norms_take_the_scaled_fallback(scale):
     rng = np.random.default_rng(37)
     space = random_space(rng, 2)
     o1, o2 = scale * random_hermitian(rng, 4), scale * random_hermitian(rng, 4)
-    ts = np.linspace(0.0, 3.0, chunk_length(2) + 7)
+    ts = np.linspace(0.0, 3.0, chunk_length(space.dim) + 7)
     traj = trajectory(space, o1, o2, ts)
     values, norms = per_time_trajectory(space, o1, o2, ts, HERM)
     np.testing.assert_array_equal(traj.values, values)
@@ -281,7 +289,7 @@ def test_ansatz_coefficients_equal_the_per_time_formula(n_res):
     rng = np.random.default_rng(41 + n_res)
     space = random_space(rng, n_res)
     o1, o2 = random_hermitian(rng, space.dim), random_hermitian(rng, space.dim)
-    steps = 4 if n_res == 64 else chunk_length(n_res) + 5
+    steps = 4 if n_res == 64 else chunk_length(space.dim) + 5
     traj = trajectory(space, o1, o2, np.linspace(0.0, 8.0, steps))
     alphas, betas, residuals = ansatz_coefficients(space, traj.times, traj.values, traj.norms)
     assert alphas.shape == betas.shape == (steps, n_res) and residuals.shape == (steps,)
@@ -304,20 +312,58 @@ def test_ansatz_coefficients_equal_the_per_time_formula(n_res):
 
 @pytest.mark.parametrize("n_res, steps", [(64, 51), (2, 1001)])
 def test_chunked_evaluation_holds_no_trajectory_sized_temporary(n_res, steps):
-    # peak traced memory is the stacked trajectory plus a few chunk stacks; a (T, d, d)
+    # peak traced memory is the stacked trajectory plus one chunk's budget; a (T, d, d)
     # temporary on top of ``values`` would exceed it (13 MB at N = 64, 250 KB at N = 2)
     rng = np.random.default_rng(43)
     space = random_space(rng, n_res)
     o1, o2 = random_hermitian(rng, space.dim), random_hermitian(rng, space.dim)
     ts = np.linspace(0.0, 20.0, steps)
-    chunk_bytes = max(CHUNK_BYTES, 16 * space.dim**2)  # a chunk spans one grid time at least
+    ((item_bytes, _),) = chunk_calls(trajectory, space, o1, o2, ts[:1])
     tracemalloc.start()
     try:
         traj = trajectory(space, o1, o2, ts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < traj.values.nbytes + traj.norms.nbytes + 8 * chunk_bytes
+    assert peak <= traj.values.nbytes + traj.norms.nbytes + max(CHUNK_BYTES, item_bytes) + 2**14
+
+
+def streamed_resonance(space, o1, o2, ts):
+    """The resonance run's loop without its CSV lines: each chunk reduced by ansatz_coefficients as it comes."""
+    for chunk, comm, norms in _commutator_chunks(space, o1, o2, ts, HERM):
+        ansatz_coefficients(space, ts[chunk], comm, norms)
+
+
+def assert_chunks_keep_the_byte_budget(run, *args):
+    # the first run records its chunks and fills the caches the second one reads
+    ((item_bytes, chunks),) = chunk_calls(run, *args)
+    assert len(chunks) > 1
+    tracemalloc.start()
+    try:
+        kept = run(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept_bytes = 0 if kept is None else kept.nbytes  # the run's result, one entry per item, is no chunk's
+    assert peak - kept_bytes <= max(CHUNK_BYTES, item_bytes) + 2**14
+
+
+@pytest.mark.parametrize("k, n_max", [(2, 1500), (8, 100), (9, 100), (64, 3)])
+def test_damping_chunks_keep_the_byte_budget(k, n_max):
+    # CHUNK_BYTES bounds every array a chunk of steps holds at once, or one step's at k = 64
+    rng = np.random.default_rng(47 + k)
+    observables = np.array([random_hermitian(rng, 2) for _ in range(k)])
+    assert_chunks_keep_the_byte_budget(_damping_norms, damping_channel(0.03), observables, n_max)
+
+
+@pytest.mark.parametrize("n_res, steps", [(1, 1001), (2, 1001), (64, 3)])
+def test_resonance_chunks_keep_the_byte_budget(n_res, steps):
+    # CHUNK_BYTES bounds every array a chunk of grid times holds at once, with the run's
+    # ansatz_coefficients on it, or one grid time's at N = 64
+    rng = np.random.default_rng(53 + n_res)
+    space = random_space(rng, n_res)
+    o1, o2 = random_hermitian(rng, space.dim), random_hermitian(rng, space.dim)
+    assert_chunks_keep_the_byte_budget(streamed_resonance, space, o1, o2, np.linspace(0.0, 8.0, steps))
 
 
 # ---------------------------------------------------------------- ansatz reports

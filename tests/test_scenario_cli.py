@@ -13,13 +13,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gamowlab import channels, scenario
+from gamowlab import channels, commutators, scenario
 from gamowlab.cli import main
 from gamowlab.cmatrix import _pair_cross_norms, _pauli_vectors, commutator, frobenius_norm, pair_commutator_norms
-from gamowlab.commutators import CHUNK_BYTES, UNDERFLOW_FLOOR, envelope_fit, trajectory
+from gamowlab.commutators import UNDERFLOW_FLOOR, envelope_fit, trajectory
 from gamowlab.evolution import EvolutionVariant, evolution_operator, heisenberg_evolve
 from gamowlab.gamow import Resonance, new_space
-from support import pauli_vector, per_time_ansatz, random_hermitian, random_unitary, span_projector
+from support import (
+    chunk_calls,
+    chunk_length,
+    pauli_vector,
+    per_time_ansatz,
+    random_hermitian,
+    random_unitary,
+    span_projector,
+)
 
 
 def encode(mat):
@@ -669,12 +677,17 @@ def damping_objects(tmp_path, k, n_max, eps, seed=29, magnitude=1.0):
     return sc.objects
 
 
-@pytest.mark.parametrize("k, n_max", [(2, 1), (2, 300), (9, 1), (9, 40), (64, 1), (64, 20)])
+@pytest.mark.parametrize("k, n_max", [(2, 1), (2, 300), (2, 1500), (9, 1), (9, 40), (64, 1), (64, 20)])
 def test_chunked_damping_run_equals_the_per_step_loop(tmp_path, k, n_max):
-    # chunks of 256, 7 and 1 steps at k = 2, 9 and 64; 301 and 41 steps leave a short last chunk
-    steps_per_chunk = max(1, CHUNK_BYTES // (64 * k * (k - 1) // 2))
-    target = n_max if n_max < steps_per_chunk else steps_per_chunk + (n_max - steps_per_chunk) // 2
-    norms = per_step_damping(damping_objects(tmp_path, k, n_max, 1e-300))[0]["commutators.csv"][1:]
+    # the run's own chunks: 682, 26 and 1 steps at k = 2, 9 and 64, so 1501 and 41 steps
+    # leave a short last chunk; commuting is first reached at the first step of the second
+    # chunk, the one carried over from the chunk before, or at n_max in a one-chunk run
+    objects = damping_objects(tmp_path, k, n_max, 1e-300)
+    ((_, chunks),) = chunk_calls(commutators._damping_norms, objects["channel"], objects["observables"], n_max)
+    lengths = [chunk.stop - chunk.start for chunk in chunks]
+    assert len(chunks) == 1 or lengths[0] == 1 or lengths[-1] < lengths[0]
+    target = chunks[1].start if len(chunks) > 1 else n_max
+    norms = per_step_damping(objects)[0]["commutators.csv"][1:]
     # eps just above the norm at the target step: commuting is first reached there
     eps = float(np.nextafter(float(norms[target].split(",")[1]), np.inf))
     objects = damping_objects(tmp_path, k, n_max, eps)
@@ -857,19 +870,21 @@ def resonance_objects(tmp_path, widths, t_end, steps, seed=47):
 
 
 @pytest.mark.parametrize(
-    "widths, t_end, steps, dead",
+    "widths, full_chunks, tail, dead",
     [
-        ((0.6, 0.9), 8.0, CHUNK_BYTES // (16 * 4**2) + 5, 0),  # N = 2: a short last chunk
-        (tuple(np.linspace(0.1, 1.0, 64)), 8.0, 4, 0),  # N = 64: one grid time per chunk
-        # N = 2, 400 steps: the norms fall under the underflow floor late in the sixth
-        # chunk, so the short seventh chunk has no live residual
-        ((1.0, 1.02), 345.0, 400, 20),
+        ((0.6, 0.9), 1, 5, 0),  # N = 2: a full chunk, then a short last chunk of 5 grid times
+        (tuple(np.linspace(0.1, 1.0, 64)), 4, 0, 0),  # N = 64: one grid time per chunk
+        # N = 2: the norms fall under the underflow floor near t = 324, late in the third
+        # chunk; the short fourth chunk starts at t = 326 and has no live residual
+        ((1.0, 1.02), 3, 20, 20),
     ],
     ids=["N2", "N64", "underflow"],
 )
-def test_streamed_resonance_run_equals_the_trajectory(tmp_path, widths, t_end, steps, dead):
+def test_streamed_resonance_run_equals_the_trajectory(tmp_path, widths, full_chunks, tail, dead):
     # the run reduces each chunk as it comes; its columns equal the per-time reference
     # on the stacked trajectory, and its fit that of the trajectory
+    steps = full_chunks * chunk_length(2 * len(widths)) + tail
+    t_end = 326.0 * (steps - 1) / (steps - tail) if dead else 8.0
     objects = resonance_objects(tmp_path, widths, t_end, steps)
     space, times = objects["space"], objects["times"]
     files, _ = scenario._run_resonance(objects)
