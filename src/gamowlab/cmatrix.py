@@ -166,8 +166,7 @@ def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
     """
     # The range test is one max and one min reduction; NaN fails it, as its
     # comparisons are false. The first max or min reduction of a process maps
-    # ~64 kB of numpy code once, which the damping run's worst-pair max
-    # shares: damping_stack peak_rss_mb read 38.91 -> 38.99 MB (+0.2%).
+    # ~64 kB of numpy code once, which the damping run's worst-pair max shares.
     # An all-zero stack, such as the exact completeness defect of most
     # damping channels, already has its exact norms, 0, and skips the
     # rescale.

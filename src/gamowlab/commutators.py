@@ -13,8 +13,7 @@ comes, to its norms and :func:`ansatz_coefficients`.
 
 The damping series lives here too: ``_damping_norms`` steps a qubit family's
 Pauli vectors by a channel, a chunk of steps at a time, to worst-pair norms.
-Both series size their chunks by :data:`CHUNK_BYTES`, which counts every
-array a chunk holds at once, temporaries included.
+Both series size their chunks by :data:`CHUNK_BYTES`.
 
 Exact structure for one resonance under the HERMITIAN conjugation, with
 K = [O1, O2] and r = e^{-t Gamma}:
@@ -73,9 +72,7 @@ MODULUS_TOL = 1e-9
 PHASE_TOL = 1e-6
 
 #: Bytes that all the arrays of one chunk of either commutator series hold at
-#: once, temporaries included: a chunk spans CHUNK_BYTES // (7 * 16 d^2) grid
-#: times of a resonance run, or CHUNK_BYTES // (48 k + 192 k(k-1)/2) steps of
-#: a damping run, one at least.
+#: once, temporaries included; a chunk spans one grid time or step at least.
 CHUNK_BYTES = 192 * 1024
 
 
@@ -133,13 +130,7 @@ def time_grid(times) -> np.ndarray:
 def _chunks(n_items: int, item_bytes: int):
     """Slices of consecutive indices, each spanning as many items of ``item_bytes`` as CHUNK_BYTES holds, one at least.
 
-    ``item_bytes`` is all that one item has alive at the chunk's peak: a grid
-    time of :func:`_commutator_chunks` and its consumer holds up to seven
-    (d, d) complex matrices (the two evolved observables, the commutator, one
-    product, and the copies the norm kernel and :func:`ansatz_coefficients`
-    make), with its share of the small per-time arrays; a channel step of
-    :func:`_damping_norms` holds its k Pauli vectors and less than 192 bytes
-    per pair (see :func:`~gamowlab.cmatrix._pair_cross_norms`).
+    ``item_bytes`` is all that one item has alive at the chunk's peak.
     """
     step = max(1, CHUNK_BYTES // item_bytes)
     return (slice(lo, min(lo + step, n_items)) for lo in range(0, n_items, step))
@@ -151,10 +142,10 @@ def _commutator_chunks(space: GamowSpace, o1, o2, ts: np.ndarray, variant: Evolu
     An evolved entry past the float range reaches the commutators as inf or nan,
     with no numpy warning, and the norm kernel raises ValueError on it.
     """
-    o1, o2, dim = as_complex_matrix(o1), as_complex_matrix(o2), space.dim
-    if o1.shape != (dim, dim) or o2.shape != (dim, dim):
-        raise ValueError(f"observables must be {dim}x{dim} for this space, got {o1.shape} and {o2.shape}")
-    for chunk in _chunks(ts.size, 7 * 16 * dim**2):
+    # A grid time, with its consumer, holds up to seven (d, d) complex matrices: the two
+    # evolved observables, the commutator, one product, and the copies the norm kernel and
+    # ansatz_coefficients make, with its share of the small per-time arrays.
+    for chunk in _chunks(ts.size, 7 * 16 * space.dim**2):
         with np.errstate(over="ignore", invalid="ignore"):
             op = evolution_operator(space, ts[chunk], variant)
             a = heisenberg_evolve(op, o1)
@@ -176,18 +167,18 @@ def _damping_norms(channel: KrausChannel, observables: np.ndarray, n_max: int) -
     vectors = _pauli_vectors(observables)
     k = len(vectors)
     worst = np.empty(n_max + 1)
-    # Per chunk of steps, a (steps, k, 3) block: row 0 holds the last chunk's
-    # vectors times scale (the initial vectors in the first chunk), the other
-    # rows hold scale, and one multiply.accumulate fills in each step from the
-    # last, the same products in the same order as a loop of steps. One
-    # cross-norm call per block gives its rows of norms. A step holds its k
-    # vectors in the block (48 bytes each) and about 192 bytes per pair in
-    # the cross-norm call.
+    # Per chunk of steps, a (steps, k, 3) block: row 0 holds the vectors at the
+    # chunk's first step, the other rows hold scale, and one multiply.accumulate
+    # fills in each step from the last; the next step after the last row goes on
+    # to the next chunk. These are the same products in the same order as a loop
+    # of steps. One cross-norm call per block gives its rows of norms. A step
+    # holds its k vectors in the block (48 bytes each) and about 192 bytes per
+    # pair in the cross-norm call.
     for chunk in _chunks(n_max + 1, 48 * k + 192 * k * (k - 1) // 2):
         block = np.empty((chunk.stop - chunk.start, *vectors.shape), dtype=np.complex128)
-        block[:] = scale
-        block[0] = vectors * scale if chunk.start else vectors
-        vectors = np.multiply.accumulate(block, axis=0, out=block)[-1]
+        block[0], block[1:] = vectors, scale
+        np.multiply.accumulate(block, axis=0, out=block)
+        vectors = block[-1] * scale
         worst[chunk] = _pair_cross_norms(block).max(axis=1)
     return worst
 
@@ -251,10 +242,9 @@ def ansatz_coefficients(space: GamowSpace, times, commutators, norms) -> tuple[n
     diagonal = np.diagonal(values, axis1=1, axis2=2)
     residuals = np.zeros(times.size)
     live = norms > UNDERFLOW_FLOOR
-    if live.any():
-        off = values[live]
-        off.reshape(len(off), -1)[:, :: space.dim + 1] = 0.0
-        residuals[live] = np.minimum(1.0, _frobenius_norms(off) / norms[live])
+    off = values[live]
+    off.reshape(-1, space.dim**2)[:, :: space.dim + 1] = 0.0
+    residuals[live] = np.minimum(1.0, _frobenius_norms(off) / norms[live])
     return scale * diagonal[:, 0::2], scale * diagonal[:, 1::2], residuals
 
 

@@ -119,7 +119,7 @@ def heisenberg_evolve(op: EvolutionOperator, obs) -> np.ndarray:
     obs = as_complex_matrix(obs)
     dim = op.space.dim
     if obs.shape != (dim, dim):
-        raise ValueError(f"observable shape {obs.shape} does not match space dimension {dim}")
+        raise ValueError(f"observable shape {obs.shape} does not match the {dim}x{dim} space")
     u = op.diag
     if op.variant is EvolutionVariant.INVERTIBLE:
         v = evolution_operator(op.space, -op.t, op.variant).diag  # U(-t) = U(t)^-1

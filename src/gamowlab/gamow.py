@@ -152,30 +152,30 @@ def new_space(resonances) -> GamowSpace:
 
 
 def basis_vector(space: GamowSpace, j: int, kind: str) -> np.ndarray:
-    """Coordinate vector of the round ket |psi_j^D) or |psi_j^G), j being 1-based."""
+    """Coordinate vector of the round ket |psi_j^D) (``kind`` "D") or |psi_j^G) ("G"), j being 1-based."""
     if not 1 <= j <= space.n_resonances:
         raise ValueError(f"resonance index {j} out of range 1..{space.n_resonances}")
-    k = kind.upper() if isinstance(kind, str) else kind
-    if k not in ("D", "G"):
+    if kind not in ("D", "G"):
         raise ValueError(f"basis kind must be 'D' or 'G', got {kind!r}")
     vec = np.zeros(space.dim, dtype=complex)
-    vec[2 * (j - 1) + (k == "G")] = 1.0
+    vec[2 * (j - 1) + (kind == "G")] = 1.0
     return vec
 
 
 def _as_vector(space: GamowSpace, v) -> np.ndarray:
     arr = np.asarray(v, dtype=complex)
-    if arr.ndim == 2 and 1 in arr.shape:
-        arr = arr.ravel()
-    if arr.ndim != 1 or arr.shape[0] != space.dim:
-        raise ValueError(f"expected a vector of length {space.dim}, got shape {np.shape(v)}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if arr.shape != (space.dim,):
+        raise ValueError(f"expected a vector of length {space.dim}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
         raise ValueError("vector entries must be finite")
     return arr
 
 
 def pseudo_product(space: GamowSpace, v, w) -> complex:
-    """Indefinite pairing (v | w) = v^dag A w, conjugate-linear in ``v``; A swaps each D and G slot."""
+    """Indefinite pairing (v | w) = v^dag A w, conjugate-linear in ``v``; A swaps each D and G slot.
+
+    ``v`` and ``w`` are 1-d vectors of 2N finite entries.
+    """
     v = _as_vector(space, v)
     w = _as_vector(space, w)
     return complex(v.conj() @ w.reshape(-1, 2)[:, ::-1].ravel())

@@ -38,14 +38,14 @@ import numpy as np
 
 from . import channels, commutators, qlattice
 from .evolution import EvolutionVariant
-from .gamow import Resonance, _finite, new_space
+from .gamow import MAX_RESONANCES, Resonance, _finite, new_space
 
 __all__ = ["Scenario", "load_scenario", "validate_file", "report_invalid", "run_file", "write_demo_files"]
 
 MAX_GRID_STEPS = 100_000
 MAX_TRAJECTORY_ENTRIES = 2**24  # steps * (2N)^2 commutator entries, a bound on run time; the run keeps none
 MAX_N_MAX = 1_000_000
-MAX_DAMPING_OBSERVABLES = 64  # k(k-1)/2 cross products and 2x2 commutators per step; all arrays of a chunk of commutators._damping_norms hold CHUNK_BYTES, or one step's
+MAX_DAMPING_OBSERVABLES = 64  # k(k-1)/2 pairs per step
 MAX_LATTICE_DIM = 256
 
 
@@ -93,6 +93,13 @@ def _integer(raw, low: int, cap: int, what: str) -> int:
     return _capped(raw, cap, what)
 
 
+def _capped_list(raw, cap: int, what: str):
+    """``raw``; a list is checked against ``cap`` first, so an over-cap list builds none of its items."""
+    if isinstance(raw, list):
+        _capped(len(raw), cap, what)
+    return raw
+
+
 def _each(raw, build, count: int | None = None) -> list:
     """Build every item of a nonempty list, of ``count`` items if given."""
     if not isinstance(raw, list) or not raw:
@@ -127,10 +134,9 @@ def _encode_matrix(mat: np.ndarray) -> list:
 
 
 def _damping_stack(raw, _) -> np.ndarray:
-    mats = _each(raw, lambda m: _matrix(m, 2))
+    mats = _each(_capped_list(raw, MAX_DAMPING_OBSERVABLES, "observables"), lambda m: _matrix(m, 2))
     if len(mats) < 2:
         raise ValueError("damping scenarios need at least two matrices")
-    _capped(len(mats), MAX_DAMPING_OBSERVABLES, "observables")
     return np.stack(mats)
 
 
@@ -173,7 +179,7 @@ _DAMPING_FIELDS = (
     ("observables", "observables", _damping_stack),
 )
 _RESONANCE_FIELDS = (
-    ("space", "resonances", lambda raw, _: new_space(_each(raw, _resonance))),
+    ("space", "resonances", lambda raw, _: new_space(_each(_capped_list(raw, MAX_RESONANCES, "resonances"), _resonance))),
     ("variant", "variant", lambda raw, _: EvolutionVariant(raw)),
     ("t_start", "grid.t_start", lambda raw, _: _number(raw)),
     ("t_end", "grid.t_end", lambda raw, _: _number(raw)),

@@ -98,7 +98,7 @@ def test_basis_vector_convention():
     np.testing.assert_array_equal(basis_vector(space, 1, "D"), [1, 0])
     space2 = new_space([Resonance(0.0, 1.0), Resonance(0.0, 2.0)])
     np.testing.assert_array_equal(basis_vector(space2, 2, "G"), [0, 0, 0, 1])
-    np.testing.assert_array_equal(basis_vector(space2, 1, "g"), [0, 1, 0, 0])
+    np.testing.assert_array_equal(basis_vector(space2, 1, "G"), [0, 1, 0, 0])
 
 
 def test_basis_vector_errors():
@@ -144,13 +144,8 @@ def test_pseudo_product_dimension_error():
     space = single_space()
     with pytest.raises(ValueError, match="length 2"):
         pseudo_product(space, np.ones(3), np.ones(3))
-
-
-def test_pseudo_product_accepts_column_shape():
-    space = single_space()
-    d = basis_vector(space, 1, "D").reshape(2, 1)
-    g = basis_vector(space, 1, "G").reshape(2, 1)
-    assert pseudo_product(space, d, g) == 1.0
+    with pytest.raises(ValueError, match=r"length 2, got shape \(2, 1\)"):
+        pseudo_product(space, np.ones((2, 1)), np.ones(2))
 
 
 # ---------------------------------------------------------------- immutability

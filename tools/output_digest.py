@@ -1,0 +1,97 @@
+"""Print one sha256 over everything a fixed set of scenario runs shows, to check that a change keeps it.
+
+Usage, once per checkout, from the repository root:
+
+    PYTHONPATH=<checkout>/src python3 tools/output_digest.py
+
+The gamowlab package is the one on the path. The scenarios are the benchmark
+pools of seeds 1-3 of every workload, written by ``perfbench/workloads.py``
+into a temporary directory, the three demo scenarios the package writes, and
+a two-resonance HERMITIAN probe whose fast width pushes the alpha/beta scale
+e^{2 t Gamma} past the float range. Each scenario runs
+through ``scenario.run_file`` in this process. The digest covers, per scenario
+in a fixed order: its name relative to the temporary directory, its input
+bytes, its exit code, its stdout with that directory's path replaced, every
+warning it raised, and the name and bytes of every output file. The output
+is the scenario count and the digest. ``perfbench/`` is only read: no
+bytecode is written for it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+sys.dont_write_bytecode = True
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import numpy as np  # noqa: E402
+import workloads  # noqa: E402
+
+from gamowlab import scenario  # noqa: E402
+
+SEEDS = (1, 2, 3)
+
+
+def _probe() -> dict:
+    rng = np.random.default_rng(1806)
+    return {
+        "kind": "resonance",
+        "resonances": [{"energy": 0.3, "width": 0.2}, {"energy": -0.7, "width": 2.0}],
+        "variant": "hermitian",
+        "grid": {"t_start": 0.0, "t_end": 200.0, "steps": 101},
+        "eps": 1e-3,
+        "observables": [workloads._encode(workloads._hermitian(rng, 4)) for _ in range(2)],
+    }
+
+
+def _scenarios(tmp: Path) -> list[Path]:
+    paths = []
+    for seed in SEEDS:
+        for workload in workloads.WORKLOADS:
+            manifest = workloads.generate(workload, seed, tmp / f"seed{seed}")
+            paths += [Path(entry["path"]) for entry in manifest["scenarios"]]
+    paths += scenario.write_demo_files(tmp / "demos")
+    probe = tmp / "probe" / "two_resonance_overflow.json"
+    probe.parent.mkdir()
+    probe.write_text(json.dumps(_probe()) + "\n", encoding="utf-8")
+    return paths + [probe]
+
+
+def _record(path: Path, tmp: Path) -> dict:
+    name = path.relative_to(tmp).as_posix()
+    out = tmp / "out" / name
+    stdout = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(stdout):
+        warnings.simplefilter("always")
+        code = scenario.run_file(path, out)
+    files = sorted(out.iterdir()) if out.exists() else []
+    return {
+        "name": name,
+        "input": hashlib.sha256(path.read_bytes()).hexdigest(),
+        "code": code,
+        "stdout": stdout.getvalue().replace(str(tmp), "<tmp>"),
+        "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
+        "files": {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files},
+    }
+
+
+def main() -> int:
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmpdir:
+        tmp = Path(tmpdir).resolve()
+        paths = _scenarios(tmp)
+        for path in paths:
+            digest.update(json.dumps(_record(path, tmp), sort_keys=True).encode() + b"\n")
+    print(f"{len(paths)} scenarios, sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
