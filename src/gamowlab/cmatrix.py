@@ -116,30 +116,51 @@ def _pauli_vectors(stack: np.ndarray) -> np.ndarray:
     return stack.reshape(*stack.shape[:-2], 4) @ _HALF_PAULIS_H
 
 
+@functools.lru_cache(maxsize=64)
+def _cross_indices(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Indices into a flattened (..., 3k) stack of Pauli vectors of a_{m+1}, b_{m+2}, a_{m+2} and b_{m+1}.
+
+    Each is a (P, 3) array over the pairs (a, b) of :func:`_pairs` and the
+    components m of a x b; read-only, as they are shared.
+    """
+    i, j = _pairs(k)
+    nxt, after = np.array([1, 2, 0]), np.array([2, 0, 1])
+    indices = tuple(3 * side[:, None] + part for side, part in ((i, nxt), (j, after), (i, after), (j, nxt)))
+    for index in indices:
+        index.setflags(write=False)
+    return indices
+
+
 def _pair_cross_norms(vectors: np.ndarray) -> np.ndarray:
     """Frobenius norms of [X_i, X_j] for every pair i < j of qubit matrices given by a (..., k, 3) stack of Pauli vectors.
 
     With X = x_0 I + r.sigma, [X_i, X_j] = 2i (r_i x r_j).sigma, so each pair
     takes one cross product and no 2x2 matrix product; pairs and leading axes
-    are those of :func:`pair_commutator_norms`. Each pair's two vectors are
-    gathered once, and each component of its cross product is written in
-    place, so per pair and leading index the call holds less than 192 bytes
-    at once: first the two gathered vectors, the cross product and one
-    component's product (160 bytes), then the 64-byte commutator and its
-    conjugate in the norm kernel. All cross products go through one 2-d
-    product with the exact weights of :data:`_TWO_I_PAULIS` into
-    commutators, and those through the scaled norm kernel, so they are as
-    safe from the float range as its norms. Every row's bits are those of
+    are those of :func:`pair_commutator_norms`. Each operand of
+    (a x b)_m = a_{m+1} b_{m+2} - a_{m+2} b_{m+1} is one ``take`` from the
+    flattened vectors, which returns a C-ordered (..., P, 3) array, so the
+    products and the later reshape run on contiguous memory (fancy indexing
+    on the last axis would return it F-ordered, and the reshape would copy).
+    Per pair and leading index the call holds at most three operands at once
+    (144 bytes), then the 64-byte commutator and its conjugate in the norm
+    kernel. ``take`` copies a read-only index array, 24 bytes per pair once
+    per call, so a one-step call peaks at 168 bytes per pair (tracemalloc,
+    k = 64) and a 34-step call at 147 (k = 8). All cross products go
+    through one 2-d product with the exact weights of :data:`_TWO_I_PAULIS`
+    into commutators, and those through the scaled norm kernel, so they are
+    as safe from the float range as its norms. Every row's bits are those of
     the call on its own stack.
     """
-    i, j = _pairs(vectors.shape[-2])
-    a, b = vectors[..., i, :], vectors[..., j, :]
-    cross = np.empty(a.shape, dtype=np.complex128)
+    k = vectors.shape[-2]
+    a1, b2, a2, b1 = _cross_indices(k)
+    flat = vectors.reshape(*vectors.shape[:-2], 3 * k)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed product is the kernel's ValueError
-        for m, nxt, after in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # (a x b)_m = a_{m+1} b_{m+2} - a_{m+2} b_{m+1}
-            np.multiply(a[..., nxt], b[..., after], out=cross[..., m])
-            cross[..., m] -= a[..., after] * b[..., nxt]
-        del a, b
+        cross = flat.take(a1, axis=-1)
+        cross *= flat.take(b2, axis=-1)
+        other = flat.take(a2, axis=-1)
+        other *= flat.take(b1, axis=-1)
+        cross -= other
+        del other
         comm = cross.reshape(-1, 3) @ _TWO_I_PAULIS
     shape = cross.shape[:-1]
     del cross

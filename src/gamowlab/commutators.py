@@ -172,8 +172,9 @@ def _damping_norms(channel: KrausChannel, observables: np.ndarray, n_max: int) -
     # fills in each step from the last; the next step after the last row goes on
     # to the next chunk. These are the same products in the same order as a loop
     # of steps. One cross-norm call per block gives its rows of norms. A step
-    # holds its k vectors in the block (48 bytes each) and about 192 bytes per
-    # pair in the cross-norm call.
+    # holds its k vectors in the block (48 bytes each), and the budget counts
+    # 192 bytes per pair for the cross-norm call, a bound on the at most 168
+    # it holds (see its docstring).
     for chunk in _chunks(n_max + 1, 48 * k + 192 * k * (k - 1) // 2):
         block = np.empty((chunk.stop - chunk.start, *vectors.shape), dtype=np.complex128)
         block[0], block[1:] = vectors, scale

@@ -3,7 +3,7 @@
 import numpy as np
 
 from gamowlab import commutators
-from gamowlab.cmatrix import commutator, frobenius_norm
+from gamowlab.cmatrix import _TWO_I_PAULIS, _frobenius_norms, _pairs, commutator, frobenius_norm
 from gamowlab.commutators import UNDERFLOW_FLOOR
 from gamowlab.evolution import EvolutionVariant, evolution_operator
 from gamowlab.gamow import Resonance, new_space
@@ -21,6 +21,23 @@ P_MINUS = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
 def pauli_vector(obs):
     """Independent oracle for a 2x2 matrix: r = ((O01 + O10)/2, i(O01 - O10)/2, (O00 - O11)/2), so O = (Tr O / 2) I + r.sigma."""
     return np.array([(obs[0, 1] + obs[1, 0]) / 2, 1j * (obs[0, 1] - obs[1, 0]) / 2, (obs[0, 0] - obs[1, 1]) / 2])
+
+
+def strided_pair_cross_norms(vectors):
+    """Reference for ``cmatrix._pair_cross_norms``: its earlier form, one gather per pair side and each cross-product component written through a stride-3 view.
+
+    The current kernel must give these bits: the same products, subtraction,
+    commutator weights and norm kernel, in another memory layout.
+    """
+    i, j = _pairs(vectors.shape[-2])
+    a, b = vectors[..., i, :], vectors[..., j, :]
+    cross = np.empty(a.shape, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, nxt, after in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            np.multiply(a[..., nxt], b[..., after], out=cross[..., m])
+            cross[..., m] -= a[..., after] * b[..., nxt]
+        comm = cross.reshape(-1, 3) @ _TWO_I_PAULIS
+    return _frobenius_norms(comm.reshape(-1, 2, 2)).reshape(cross.shape[:-1])
 
 
 def random_complex(rng, shape, scale=1.0):

@@ -15,7 +15,7 @@ from gamowlab.cmatrix import (
     frobenius_norm,
     pair_commutator_norms,
 )
-from support import SIGMA_X, SIGMA_Y, SIGMA_Z
+from support import SIGMA_X, SIGMA_Y, SIGMA_Z, strided_pair_cross_norms
 
 finite_complex = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
 
@@ -175,19 +175,23 @@ def test_pair_commutator_norms_of_a_block_reject_overflow_in_any_step():
         pair_commutator_norms(block)
 
 
-@pytest.mark.parametrize("k", [2, 3, 9])
-def test_pair_cross_norms_equal_the_matrix_kernel(k):
+@pytest.mark.parametrize(("k", "steps"), [(2, 4), (3, 4), (9, 4), (64, 4), (2, 1500)],
+                         ids=["2", "3", "9", "64", "2-1500"])
+def test_pair_cross_norms_equal_the_matrix_kernel(k, steps):
     # non-Hermitian members (complex Pauli vectors) and a leading axis of steps, two
-    # of them scaled out of the plain sum of squares' range: rows equal the per-step calls
+    # of them scaled out of the plain sum of squares' range: rows equal the per-step
+    # calls, and every bit equals the strided reference; k = 64 is the damping run's
+    # one step per chunk, and 1,500 steps of k = 2 are more than one chunk
     rng = np.random.default_rng(13)
-    block = rng.normal(size=(4, k, 2, 2)) + 1j * rng.normal(size=(4, k, 2, 2))
+    block = rng.normal(size=(steps, k, 2, 2)) + 1j * rng.normal(size=(steps, k, 2, 2))
     block[1] *= 1e-100
     block[3] *= 1e150
     vectors = _pauli_vectors(block)
-    assert vectors.shape == (4, k, 3)
+    assert vectors.shape == (steps, k, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         norms = _pair_cross_norms(vectors)
+        np.testing.assert_array_equal(norms, strided_pair_cross_norms(vectors))
         np.testing.assert_array_equal(norms, [_pair_cross_norms(step) for step in vectors])
         np.testing.assert_allclose(norms, pair_commutator_norms(block), rtol=1e-13, atol=0)
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="overflow"):
