@@ -291,8 +291,9 @@ def growth_witness(space: GamowSpace, obs, t: float) -> float:
     """Demonstrate the growing term of INVERTIBLE conjugation.
 
     Returns |O(t)[2,1]| / |O[2,1]| (1-based slots) for a single resonance,
-    which equals e^{+t Gamma}: the lower-left entry of an observable blows
-    up under U(t) O U(-t), the reason that conjugation rule is rejected
+    which equals e^{+t Gamma}: under the INVERTIBLE operator, the
+    pseudo-adjoint conjugation U O U# = U(t) O U(-t) blows up the
+    lower-left entry of an observable, the reason that variant is rejected
     for decay studies.
     """
     if space.n_resonances != 1:

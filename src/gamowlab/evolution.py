@@ -14,11 +14,12 @@ Three operator variants are built from the resonance poles z_j:
   have modulus e^{-t Gamma_j / 2} for t >= 0, so conjugation damps every
   observable entry. This is the default workhorse for commutator decay.
 
-Heisenberg conjugation per variant: INVERTIBLE uses U(t) O U(-t);
-HERMITIAN uses U(t) O U(t) (the operator equals its own pseudo-adjoint,
-A U^dag A = U); SEMIGROUP_D has no canonical conjugation rule, so
-U(t) O U(t)^dag is provided with a RuntimeWarning -- treat its results
-as an extrapolation, not a prescription.
+Heisenberg conjugation has one rule, O(t) = U O U#, with the
+pseudo-adjoint U# = A U^dag A, the adjoint under the indefinite pairing
+(v|w) = v^dag A w. For INVERTIBLE, U# = U(-t) = U(t)^-1; HERMITIAN equals
+its own pseudo-adjoint, so U# = U. SEMIGROUP_D has no canonical
+conjugation rule, so U(t) O U(t)^dag is provided with a RuntimeWarning --
+treat its results as an extrapolation, not a prescription.
 
 Every operator is stored as its diagonal ``diag`` (D slots [0::2], G
 slots [1::2]), so each conjugation is the entrywise scaling O_ab u_a v_b.
@@ -64,10 +65,8 @@ class EvolutionVariant(enum.Enum):
 
 @dataclass(frozen=True)
 class EvolutionOperator:
-    """U(t) as its diagonal; for a 1-d array ``t`` of T times, ``diag`` has shape (T, 2N)."""
+    """U(t) as its diagonal; an operator over T times has a (T, 2N) ``diag``."""
 
-    space: GamowSpace
-    t: float | np.ndarray
     variant: EvolutionVariant
     diag: np.ndarray = field(repr=False)
 
@@ -91,7 +90,7 @@ def evolution_operator(space: GamowSpace, t, variant: EvolutionVariant) -> Evolu
         diag[..., 1::2] = np.exp(-1j * column * space.poles.conj())
     elif variant is EvolutionVariant.HERMITIAN:
         diag[..., 1::2] = np.exp(+1j * column * space.poles.conj())
-    return EvolutionOperator(space=space, t=float(ts) if ts.ndim == 0 else ts, variant=variant, diag=diag)
+    return EvolutionOperator(variant=variant, diag=diag)
 
 
 def hermitian_square_law(space: GamowSpace, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -112,19 +111,19 @@ def hermitian_square_law(space: GamowSpace, t: float) -> tuple[np.ndarray, np.nd
 
 
 def heisenberg_evolve(op: EvolutionOperator, obs) -> np.ndarray:
-    """Conjugate an observable with the evolution operator, per variant.
+    """Conjugate an observable with the evolution operator: U O U#, with U# = A U^dag A.
 
-    An operator over T times gives the (T, d, d) stack of evolved observables.
+    SEMIGROUP_D takes U^dag in place of U# and warns. An operator over T
+    times gives the (T, d, d) stack of evolved observables.
     """
     obs = as_complex_matrix(obs)
-    dim = op.space.dim
+    u = op.diag
+    dim = u.shape[-1]
     if obs.shape != (dim, dim):
         raise ValueError(f"observable shape {obs.shape} does not match the {dim}x{dim} space")
-    u = op.diag
-    if op.variant is EvolutionVariant.INVERTIBLE:
-        v = evolution_operator(op.space, -op.t, op.variant).diag  # U(-t) = U(t)^-1
-    elif op.variant is EvolutionVariant.HERMITIAN:
-        v = u
+    v = u.conj()
+    if op.variant is not EvolutionVariant.SEMIGROUP_D:
+        v = v.reshape(*u.shape[:-1], -1, 2)[..., ::-1].reshape(u.shape)  # A swaps each D and G slot
     else:
         warnings.warn(
             "SEMIGROUP_D has no canonical Heisenberg conjugation; using U O U^dag as an "
@@ -132,7 +131,6 @@ def heisenberg_evolve(op: EvolutionOperator, obs) -> np.ndarray:
             RuntimeWarning,
             stacklevel=2,
         )
-        v = u.conj()
     return u[..., :, None] * obs * v[..., None, :]
 
 

@@ -97,11 +97,6 @@ class Resonance:
         """Lower-half-plane pole z = E - i Gamma / 2 (the decaying one)."""
         return complex(self.energy, -self.width / 2.0)
 
-    @property
-    def conjugate_pole(self) -> complex:
-        """Upper-half-plane pole z^* = E + i Gamma / 2 (the growing one)."""
-        return complex(self.energy, self.width / 2.0)
-
 
 @dataclass(frozen=True)
 class GamowSpace:

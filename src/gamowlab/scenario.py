@@ -164,10 +164,9 @@ def _fit_start(raw, b) -> int:
 
 
 def _projectors(raw, _) -> list[qlattice.Projector]:
-    mats = _each(raw, _matrix, 3)
+    mats = _each(raw, lambda m: _matrix(_capped_list(m, MAX_LATTICE_DIM, "matrix rows")), 3)
     if len({m.shape for m in mats}) != 1:
         raise ValueError("lattice projectors must share a dimension")
-    _capped(mats[0].shape[0], MAX_LATTICE_DIM, "matrix rows")
     return _each(mats, qlattice.Projector)
 
 

@@ -16,7 +16,7 @@ def single_space(energy=1.0, width=0.5):
 def test_resonance_poles():
     r = Resonance(energy=1.0, width=0.5)
     assert r.pole == 1.0 - 0.25j
-    assert r.conjugate_pole == 1.0 + 0.25j
+    assert r.pole.conjugate() == 1.0 + 0.25j
 
 
 @pytest.mark.parametrize("width", [0.0, -1.0])

@@ -300,9 +300,12 @@ def zero_matrices(count, dim):
         (resonance_payload(resonances=[{"energy": 0.0, "width": -1.0}]
                            + [{"energy": 0.0, "width": 0.5}] * MAX_RESONANCES),
          MAX_RESONANCES),
+        # an over-cap first matrix and a malformed third: each matrix's rows are capped before it is built
+        ({"kind": "lattice", "observables": zero_matrices(1, scenario.MAX_LATTICE_DIM + 1) + [SIGMA_X, [[1, 0]]]},
+         scenario.MAX_LATTICE_DIM),
     ],
     ids=["grid-steps", "trajectory-entries", "n-max", "damping-observables", "lattice-dimension",
-         "damping-observables-malformed-first", "resonances-malformed-first"],
+         "damping-observables-malformed-first", "resonances-malformed-first", "lattice-dimension-malformed-third"],
 )
 def test_over_cap_input_is_a_diagnostic(tmp_path, payload, cap):
     path = write_scenario(tmp_path, payload)

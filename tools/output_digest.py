@@ -7,14 +7,24 @@ Usage, once per checkout, from the repository root:
 The gamowlab package is the one on the path. The scenarios are the benchmark
 pools of seeds 1-3 of every workload, written by ``perfbench/workloads.py``
 into a temporary directory, the three demo scenarios the package writes, and
-a two-resonance HERMITIAN probe whose fast width pushes the alpha/beta scale
-e^{2 t Gamma} past the float range. Each scenario runs
-through ``scenario.run_file`` in this process. The digest covers, per scenario
-in a fixed order: its name relative to the temporary directory, its input
-bytes, its exit code, its stdout with that directory's path replaced, every
-warning it raised, and the name and bytes of every output file. The output
-is the scenario count, the BLAS thread count and the digest. ``perfbench/``
-is only read: no bytecode is written for it.
+three two-resonance probes with seeded random Hermitian observables, one per
+evolution variant, since every benchmark pool and demo scenario is HERMITIAN:
+
+* ``two_resonance_overflow``, HERMITIAN: a fast width of 2 on the grid
+  [0, 200] pushes the alpha/beta scale e^{2 t Gamma} past the float range;
+* ``two_resonance_invertible``: the pseudo-adjoint conjugation
+  U(t) O U(-t), whose terms grow like e^{+t Gamma}, on the grid [-1, 6];
+* ``two_resonance_semigroup_d``: the U O U^dag extrapolation and its
+  filtered warning, on the grid [-1, 6].
+
+The two grids through t = 0 keep widths at 2 or below, so nothing leaves the
+float range. Each scenario runs through ``scenario.run_file`` in this
+process. The digest covers, per scenario in a fixed order: its name relative
+to the temporary directory, its input bytes, its exit code, its stdout with
+that directory's path replaced, every warning it raised, and the name and
+bytes of every output file. The output is the scenario count, the BLAS thread
+count and the digest. ``perfbench/`` is only read: no bytecode is written for
+it.
 
 BLAS runs on one thread, set before numpy is imported, as in
 ``perfbench/run.py``: a large matrix product splits its sums by the thread
@@ -51,15 +61,23 @@ from gamowlab import scenario  # noqa: E402
 SEEDS = (1, 2, 3)
 
 
-def _probe() -> dict:
+def _probes() -> dict[str, dict]:
     rng = np.random.default_rng(1806)
+
+    def probe(resonances, variant, t_start, t_end, steps):
+        return {
+            "kind": "resonance",
+            "resonances": [{"energy": e, "width": w} for e, w in resonances],
+            "variant": variant,
+            "grid": {"t_start": t_start, "t_end": t_end, "steps": steps},
+            "eps": 1e-3,
+            "observables": [workloads._encode(workloads._hermitian(rng, 4)) for _ in range(2)],
+        }
+
     return {
-        "kind": "resonance",
-        "resonances": [{"energy": 0.3, "width": 0.2}, {"energy": -0.7, "width": 2.0}],
-        "variant": "hermitian",
-        "grid": {"t_start": 0.0, "t_end": 200.0, "steps": 101},
-        "eps": 1e-3,
-        "observables": [workloads._encode(workloads._hermitian(rng, 4)) for _ in range(2)],
+        "two_resonance_overflow": probe([(0.3, 0.2), (-0.7, 2.0)], "hermitian", 0.0, 200.0, 101),
+        "two_resonance_invertible": probe([(0.5, 0.4), (-1.25, 2.0)], "invertible", -1.0, 6.0, 71),
+        "two_resonance_semigroup_d": probe([(0.0, 1.0), (0.5, 0.3)], "semigroup_d", -1.0, 6.0, 71),
     }
 
 
@@ -70,10 +88,12 @@ def _scenarios(tmp: Path) -> list[Path]:
             manifest = workloads.generate(workload, seed, tmp / f"seed{seed}")
             paths += [Path(entry["path"]) for entry in manifest["scenarios"]]
     paths += scenario.write_demo_files(tmp / "demos")
-    probe = tmp / "probe" / "two_resonance_overflow.json"
-    probe.parent.mkdir()
-    probe.write_text(json.dumps(_probe()) + "\n", encoding="utf-8")
-    return paths + [probe]
+    (tmp / "probe").mkdir()
+    for name, payload in _probes().items():
+        probe = tmp / "probe" / f"{name}.json"
+        probe.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+        paths.append(probe)
+    return paths
 
 
 def _record(path: Path, tmp: Path) -> dict:
