@@ -81,7 +81,6 @@ class CommutatorTrajectory:
     """Commutators [O1(t), O2(t)], stacked as one (T, d, d) array, and their norms."""
 
     space: GamowSpace
-    variant: EvolutionVariant
     times: np.ndarray
     values: np.ndarray = field(repr=False)
     norms: np.ndarray = field(repr=False)
@@ -192,7 +191,7 @@ def trajectory(space: GamowSpace, o1, o2, times, variant=EvolutionVariant.HERMIT
     norms = np.empty(ts.size)
     for chunk, comm, chunk_norms in _commutator_chunks(space, o1, o2, ts, variant):
         values[chunk], norms[chunk] = comm, chunk_norms
-    return CommutatorTrajectory(space=space, variant=variant, times=ts, values=values, norms=norms)
+    return CommutatorTrajectory(space=space, times=ts, values=values, norms=norms)
 
 
 def fit_window_start(n_times: int, n_resonances: int, window_fraction: float | None = None) -> int:

@@ -20,33 +20,27 @@ a mid-gap cutoff is robust). Join follows from meet by De Morgan,
 p v q = ~(~p ^ ~q), and containment range(q) subset range(p) is p q = q.
 Every result is B B^dagger for an orthonormal basis B.
 
-The meet is computed from the Gram matrix G = C^dagger C = (I - p) + (I - q),
-half the size of C, and checked against C. G is positive semidefinite, so
-its singular values are its eigenvalues, the squared singular values of
-C. Each principal angle theta between the two ranges (Bjorck and Golub,
-Math. Comp. 27, 1973) gives G an eigenvalue 1 - cos(theta), about
-theta^2 / 2, while G's eigenvalues are resolved only to about
-1e-16 ||G||. So G alone cannot tell ranges that meet from ranges at a
-principal angle of a few 1e-8 rad, and the eigenvalue cut of 1e-8 only
-picks candidates: the eigenvectors below it, those of principal angles
-under about 1.4e-4 rad. The candidate meet N stands when the residual
-||C N||, accurate to roundoff because it is taken from C, certifies that
-every candidate direction lies within the rank cutoff of range(p) and
-range(q) and that N is within 1e-11 of the cutoff's meet; otherwise the
-meets are taken again from one SVD of C. Ranges at a principal angle
-above about 1.4e-10 rad thus never count as meeting, and a meet lies
-within the 1e-9 equality tolerance of both ranges it was taken from.
+The null space is read off the triangular factor R of C = Q R (the
+R-SVD: Chan, ACM TOMS 8, 1982; Golub and Van Loan, Matrix Computations,
+5.4). R has the singular values and right singular vectors of C in half
+the rows. The QR of C and the SVD of R are both backward stable, so
+singular values near the cutoff are resolved to about 1e-15; nothing is
+squared. Ranges at a principal angle theta (Bjorck and Golub, Math.
+Comp. 27, 1973) give C a singular value sqrt(1 - cos(theta)), about
+theta / sqrt(2), so ranges at a principal angle above about 1.4e-10 rad
+never count as meeting, and a meet lies within the 1e-9 equality
+tolerance of both ranges it was taken from.
 
-The kernels work on (m, d, d) stacks: one SVD call serves m meets (a
-second one when the residual check fails), one masked product forms all
-their projectors, and each stack of meets passes the projector checks
-once, as a stack, so a result checked as part of its stack is not
-checked again. Complements are plain I - P and are never checked: a
-:class:`Projector` is checked together with its complement when it is
-built, and a computed meet B B^dagger, B orthonormal, sits far inside
-the tolerances, its complement with it. :func:`distributivity_check`
-makes its 10 meets in two such calls, one per dependency level;
-:func:`meet` and :func:`join` are the same kernels on stacks of one.
+The kernels work on (m, d, d) stacks: one QR and one SVD call serve m
+meets, one masked product forms all their projectors, and each stack of
+meets passes the projector checks once, as a stack, so a result checked
+as part of its stack is not checked again. Complements are plain I - P
+and are never checked: a :class:`Projector` is checked together with its
+complement when it is built, and a computed meet B B^dagger, B
+orthonormal, sits far inside the tolerances, its complement with it.
+:func:`distributivity_check` makes its 10 meets in two such calls, one
+per dependency level; :func:`meet` and :func:`join` are the same kernels
+on stacks of one.
 """
 
 from __future__ import annotations
@@ -76,10 +70,6 @@ EQUALITY_TOL = 1e-9
 
 _HERMITIAN_TOL = 1e-12
 _IDEMPOTENT_TOL = 1e-10
-# Eigenvalues of a meet's Gram matrix at or below this are candidates for its null space,
-# kept when the residual passes the second cut; see _meets and the module docstring.
-_NULL_EIGENVALUE_CUT = 1e-8
-_MEET_RESIDUAL_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -158,31 +148,18 @@ def _check_projectors(stack: np.ndarray) -> np.ndarray:
 def _meets(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Meets of the members of two (m, d, d) stacks of projectors, checked as a stack.
 
-    One SVD call on the (m, d, d) Gram stack G = (I - P) + (I - Q), whose
-    s are its eigenvalues in descending order, the candidates (at most the
-    1e-8 cut) last; one masked product (V mask) V^dagger, V = vh^dagger,
-    forms every candidate meet N. The level keeps them when each member's
-    residual ||C N||_F on the stacked complements C = (I - P; I - Q) is at
-    most 1e-11 sigma, sigma the square root of its smallest non-candidate
-    eigenvalue. Then every candidate direction has a singular value of C
-    of at most 1.5e-11 (sigma^2 <= 2), within the rank cutoff, and N lies
-    within an angle of 1e-11 of the rank cutoff's meet, since any direction
-    outside that meet has a singular value of at least sigma. Otherwise the
-    level is taken again from one SVD of the (m, 2d, d) stack C, cut at the
-    rank cutoff, with the same masked product. A Hermitian eigensolver is
-    no faster at d = 16 and would bring in LAPACK's zheevd and numpy's sort
-    kernels, about 0.6 MB of resident code that no other step of a run uses.
+    One QR call on the (m, 2d, d) stack of complements C = (I - P; I - Q)
+    gives each member's triangular factor R, and one SVD call on the
+    (m, d, d) stack of R gives C's singular values and right singular
+    vectors vh; one masked product (V mask) V^dagger, V = vh^dagger, with
+    the mask s <= RANK_CUTOFF, forms every meet. A Hermitian eigensolver on
+    C^dagger C would square the singular values and bring in LAPACK's
+    zheevd and numpy's sort kernels, resident code no other step of a run
+    uses.
     """
-    d = p.shape[-1]
-    eye = np.eye(d)
-    comps = np.concatenate([eye - p, eye - q], axis=1)
-    _, s, vh = np.linalg.svd(comps[:, :d] + comps[:, d:])
-    null = s <= _NULL_EIGENVALUE_CUT
-    out = (vh.conj().transpose(0, 2, 1) * null[:, None, :]) @ vh
-    if not (_sumsq(comps @ out) <= _MEET_RESIDUAL_TOL**2 * np.where(null, np.inf, s).min(axis=-1)).all():
-        _, s, vh = np.linalg.svd(comps, full_matrices=False)
-        out = (vh.conj().transpose(0, 2, 1) * (s <= RANK_CUTOFF)[:, None, :]) @ vh
-    return _check_projectors(out)
+    eye = np.eye(p.shape[-1])
+    _, s, vh = np.linalg.svd(np.linalg.qr(np.concatenate([eye - p, eye - q], axis=1), mode="r"))
+    return _check_projectors((vh.conj().transpose(0, 2, 1) * (s <= RANK_CUTOFF)[:, None, :]) @ vh)
 
 
 def _check_same_dim(*ps: Projector) -> int:
@@ -197,9 +174,8 @@ def meet(p: Projector, q: Projector) -> Projector:
 
     The right singular vectors of the stacked complements (I - p; I - q)
     with singular value at most the rank cutoff, so ranges at a principal
-    angle above about 1.4e-10 rad do not meet. Computed from the Gram matrix
-    (I - p) + (I - q) and checked against the complements (see the module
-    docstring).
+    angle above about 1.4e-10 rad do not meet. Computed from the SVD of the
+    complements' triangular factor (see the module docstring).
     """
     _check_same_dim(p, q)
     return _checked(_meets(p.mat[None], q.mat[None])[0])

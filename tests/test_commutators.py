@@ -448,7 +448,6 @@ def test_phase_constancy_on_factored_snapshots():
     values = tuple(factored_snapshot(space, SIGMA_X, SIGMA_Y, t) for t in ts)
     traj = CommutatorTrajectory(
         space=space,
-        variant=HERM,
         times=ts,
         values=values,
         norms=np.array([frobenius_norm(v) for v in values]),

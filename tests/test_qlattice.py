@@ -247,15 +247,10 @@ def test_meet_join_commutative_associative():
 
 
 def reference_meet(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """One meet per call: the Gram matrix's candidate null space, kept if its residual passes, else the SVD route."""
+    """One meet per call: the SVD of the stacked complements' triangular factor, cut at RANK_CUTOFF."""
     eye = np.eye(len(p))
-    _, s, vh = np.linalg.svd((eye - p) + (eye - q))
-    null = s <= qlattice._NULL_EIGENVALUE_CUT
-    candidate = (vh.conj().T * null) @ vh
-    residual = np.linalg.norm(np.vstack([(eye - p) @ candidate, (eye - q) @ candidate]))
-    if residual <= qlattice._MEET_RESIDUAL_TOL * np.sqrt(s[~null].min(initial=np.inf)):
-        return candidate
-    return svd_reference_meet(p, q)
+    _, s, vh = np.linalg.svd(np.linalg.qr(np.vstack([eye - p, eye - q]), mode="r"))
+    return (vh.conj().T * (s <= qlattice.RANK_CUTOFF)) @ vh
 
 
 def svd_reference_meet(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -332,14 +327,10 @@ def test_distributivity_check_equals_the_per_meet_compositions(case):
         assert report.inequality_holds
 
 
-@pytest.mark.parametrize(
-    "theta, meet_rank, svd_calls", [(1e-11, 1, 1), (1e-10, 1, 2), (1e-6, 0, 2), (1e-4, 0, 2), (1e-2, 0, 1)]
-)
-def test_meet_cut_on_the_principal_angle(theta, meet_rank, svd_calls, monkeypatch):
+@pytest.mark.parametrize("theta, meet_rank", [(1e-11, 1), (1e-10, 1), (1e-6, 0), (1e-4, 0), (1e-2, 0)])
+def test_meet_cut_on_the_principal_angle(theta, meet_rank, monkeypatch):
     # lines at angle theta: the complements' singular value is sqrt(1 - cos(theta)) ~ theta / sqrt(2), so
-    # the rank cutoff joins lines closer than about 1.4e-10 rad. The Gram matrix's eigenvalue 1 - cos(theta)
-    # falls below its 1e-8 cut up to about 1.4e-4 rad; there the residual check sends the meets to the
-    # second SVD unless the lines are within about 1.4e-11 rad
+    # the rank cutoff joins lines closer than about 1.4e-10 rad, from one SVD of the triangular factor
     p = span_projector([1.0, 0.0])
     q = span_projector([np.cos(theta), np.sin(theta)])
     assert rank(svd_reference_meet(p.mat, q.mat)) == meet_rank
@@ -353,28 +344,36 @@ def test_meet_cut_on_the_principal_angle(theta, meet_rank, svd_calls, monkeypatc
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     got = meet(p, q)
     assert got.rank == meet_rank
-    assert calls == [(1, 2, 2), (1, 4, 2)][:svd_calls]
+    assert calls == [(1, 2, 2)]
     assert frobenius_norm(p.mat @ got.mat - got.mat) <= 1e-10 and frobenius_norm(q.mat @ got.mat - got.mat) <= 1e-10
+
+
+def shared_ranges(rng, d, shared, thetas):
+    """Rank-(shared + 1) projectors in C^d sharing `shared` directions, the last one tilted by each theta."""
+    u = random_unitary(rng, d)
+    mats = []
+    for theta in thetas:
+        b = u[:, : shared + 1].copy()
+        b[:, shared] = np.cos(theta) * u[:, shared] + np.sin(theta) * u[:, shared + 1]
+        mats.append(b @ b.conj().T)
+    return mats
 
 
 @pytest.mark.parametrize("theta", [1.5e-4, 1e-3])
 def test_meet_near_the_cut_matches_the_svd_route(theta):
-    # rank-8 ranges in C^16 sharing 7 directions, the 8th pair at angle theta: the Gram eigenvalue
-    # 1 - cos(theta) sits just above the 1e-8 cut, where the Gram eigenvectors are off by up to
-    # about 1e-16 / (1 - cos(theta)); the residual check must send such a meet to the second SVD
+    # rank-8 ranges in C^16 sharing 7 directions, the 8th pair at angle theta: the eigenvalue
+    # 1 - cos(theta) of C^dagger C would sit just above a 1e-8 cut, where its eigenvectors are off by
+    # up to about 1e-16 / (1 - cos(theta)); the meet must still match the SVD of C to roundoff
     rng = np.random.default_rng(41)
     for _ in range(5):
-        u = random_unitary(rng, 16)
-        b = u[:, :8].copy()
-        b[:, 7] = np.cos(theta) * u[:, 7] + np.sin(theta) * u[:, 8]
-        p, q = u[:, :8] @ u[:, :8].conj().T, b @ b.conj().T
+        p, q = shared_ranges(rng, 16, 7, [0.0, theta])
         got = meet(proj(p), proj(q)).mat
         assert rank(got) == 7
         assert np.abs(got - svd_reference_meet(p, q)).max() <= 1e-12
 
 
 def test_near_lines_keep_the_inequalities():
-    # a ^ b would be a line off both a and b by 5e-7 if the Gram cut alone decided it
+    # a ^ b would be a line off both a and b by 5e-7 if a 1e-8 cut on C^dagger C's eigenvalues decided it
     theta = 1e-6
     a, b, c = (span_projector(v) for v in ([1.0, 0.0], [np.cos(theta), np.sin(theta)], [0.0, 1.0]))
     report = distributivity_check(a, b, c)
@@ -393,9 +392,11 @@ def test_distributivity_check_makes_two_svd_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     rng = np.random.default_rng(31)
-    for _ in range(3):
-        distributivity_check(*(proj(random_projector(rng, 16, 8)) for _ in range(3)))
-    assert calls == [(6, 16, 16), (4, 16, 16)] * 3
+    triples = [[random_projector(rng, 16, 8) for _ in range(3)] for _ in range(3)]
+    triples.append(shared_ranges(rng, 16, 7, [0.0, 1e-6, -1e-6]))  # near-degenerate: meets at 1e-6 rad
+    for mats in triples:
+        distributivity_check(*(proj(m) for m in mats))
+    assert calls == [(6, 16, 16), (4, 16, 16)] * 4
 
 
 STACK_REJECTIONS = {

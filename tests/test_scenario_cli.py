@@ -390,8 +390,8 @@ def test_run_lattice_reports_violation(tmp_path):
 
 
 def test_run_lattice_at_the_dimension_cap_has_exact_ranks(tmp_path):
-    # nested ranges r_b < r_c < r_a at d = 256: the null eigenvalues of every meet's Gram
-    # matrix must stay below the 1e-8 cut and the others (1 or 2) above it
+    # nested ranges r_b < r_c < r_a at d = 256: the null singular values of every meet's
+    # stacked complements must stay below the 1e-10 cut and the others (1 or sqrt(2)) above it
     d = scenario.MAX_LATTICE_DIM
     u = random_unitary(np.random.default_rng(53), d)
     a, b, c = (u[:, :r] @ u[:, :r].conj().T for r in (192, 64, 128))

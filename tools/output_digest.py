@@ -7,8 +7,9 @@ Usage, once per checkout, from the repository root:
 The gamowlab package is the one on the path. The scenarios are the benchmark
 pools of seeds 1-3 of every workload, written by ``perfbench/workloads.py``
 into a temporary directory, the three demo scenarios the package writes, and
-three two-resonance probes with seeded random Hermitian observables, one per
-evolution variant, since every benchmark pool and demo scenario is HERMITIAN:
+probes of what neither reaches. Every benchmark pool and demo scenario is
+HERMITIAN, so three two-resonance probes with seeded random Hermitian
+observables take one evolution variant each:
 
 * ``two_resonance_overflow``, HERMITIAN: a fast width of 2 on the grid
   [0, 200] pushes the alpha/beta scale e^{2 t Gamma} past the float range;
@@ -18,17 +19,37 @@ evolution variant, since every benchmark pool and demo scenario is HERMITIAN:
   filtered warning, on the grid [-1, 6].
 
 The two grids through t = 0 keep widths at 2 or below, so nothing leaves the
-float range. Each scenario runs through ``scenario.run_file`` in this
-process. The digest covers, per scenario in a fixed order: its name relative
-to the temporary directory, its input bytes, its exit code, its stdout with
-that directory's path replaced, every warning it raised, and the name and
-bytes of every output file. The output is the scenario count, the BLAS thread
-count and the digest. ``perfbench/`` is only read: no bytecode is written for
-it.
+float range. Every pool and demo triple meets at principal angles far from
+the rank cutoff, so three lattice probes put meets next to it:
+
+* ``near_lines_1e-10`` and ``near_lines_1e-06``: the lines through (1, 0),
+  (cos theta, sin theta) and (0, 1) in C^2, at theta = 1e-10 rad (inside
+  the cutoff's 1.4e-10 rad, so the first two lines meet) and 1e-6 rad;
+* ``near_ranges_c16``: rank-8 ranges in C^16 that share 7 directions, the
+  8th tilted by 0, 1.5e-4 and -1.5e-4 rad.
+
+Every pool, demo and probe above exits 0, so two more probes end in the
+other exit codes:
+
+* ``invalid_projector``: a lattice scenario whose first matrix is I / 2,
+  which fails validation (exit 2);
+* ``invertible_growth``: the demo resonance scenario with one width-2
+  resonance, INVERTIBLE conjugation and the grid [0, 400] in 3 steps,
+  whose evolved entries pass the float range at run time (exit 3).
+
+Each scenario runs through ``scenario.run_file`` in this process. The digest
+covers, per scenario in a fixed order: its name relative to the temporary
+directory, its input bytes, its exit code, its stdout (the summary or the
+diagnostic) with that directory's path replaced, every warning it raised,
+and the name and bytes of every output file. The output is the scenario
+count, the BLAS thread count and the digest. ``perfbench/`` is only read: no
+bytecode is written for it.
 
 BLAS runs on one thread, set before numpy is imported, as in
-``perfbench/run.py``: a large matrix product splits its sums by the thread
-count, so the same scenario can give other last bits under another count.
+``perfbench/run.py``: ``cmatrix._sumsq`` takes its sums of squares as inner
+products, which OpenBLAS splits by the thread count once they are longer
+than 10,000 entries, so a 128x128 resonance scenario can give other last
+bits of its norms under another count.
 A digest is only comparable with one from the same machine, numpy and BLAS
 build, and thread count.
 """
@@ -61,7 +82,7 @@ from gamowlab import scenario  # noqa: E402
 SEEDS = (1, 2, 3)
 
 
-def _probes() -> dict[str, dict]:
+def _probes(demo_resonance: dict) -> dict[str, dict]:
     rng = np.random.default_rng(1806)
 
     def probe(resonances, variant, t_start, t_end, steps):
@@ -74,10 +95,33 @@ def _probes() -> dict[str, dict]:
             "observables": [workloads._encode(workloads._hermitian(rng, 4)) for _ in range(2)],
         }
 
+    def lattice(mats):
+        return {"kind": "lattice", "observables": [workloads._encode(m) for m in mats]}
+
+    def lines(theta):
+        directions = ([1.0, 0.0], [np.cos(theta), np.sin(theta)], [0.0, 1.0])
+        return lattice([workloads._projector(np.array([v]).T) for v in directions])
+
+    u = workloads._unitary(np.random.default_rng(41), 16)
+    ranges = []
+    for theta in (0.0, 1.5e-4, -1.5e-4):
+        basis = u[:, :8].copy()
+        basis[:, 7] = np.cos(theta) * u[:, 7] + np.sin(theta) * u[:, 8]
+        ranges.append(workloads._projector(basis))
     return {
         "two_resonance_overflow": probe([(0.3, 0.2), (-0.7, 2.0)], "hermitian", 0.0, 200.0, 101),
         "two_resonance_invertible": probe([(0.5, 0.4), (-1.25, 2.0)], "invertible", -1.0, 6.0, 71),
         "two_resonance_semigroup_d": probe([(0.0, 1.0), (0.5, 0.3)], "semigroup_d", -1.0, 6.0, 71),
+        "near_lines_1e-10": lines(1e-10),
+        "near_lines_1e-06": lines(1e-6),
+        "near_ranges_c16": lattice(ranges),
+        "invalid_projector": lattice([np.eye(2) / 2, np.eye(2), np.zeros((2, 2))]),
+        "invertible_growth": {
+            **demo_resonance,
+            "resonances": [{"energy": 0.0, "width": 2.0}],
+            "variant": "invertible",
+            "grid": {"t_start": 0.0, "t_end": 400.0, "steps": 3},
+        },
     }
 
 
@@ -88,8 +132,9 @@ def _scenarios(tmp: Path) -> list[Path]:
             manifest = workloads.generate(workload, seed, tmp / f"seed{seed}")
             paths += [Path(entry["path"]) for entry in manifest["scenarios"]]
     paths += scenario.write_demo_files(tmp / "demos")
+    demo_resonance = json.loads((tmp / "demos" / "demo_resonance.json").read_text(encoding="utf-8"))
     (tmp / "probe").mkdir()
-    for name, payload in _probes().items():
+    for name, payload in _probes(demo_resonance).items():
         probe = tmp / "probe" / f"{name}.json"
         probe.write_text(json.dumps(payload) + "\n", encoding="utf-8")
         paths.append(probe)
