@@ -7,6 +7,12 @@ with explicit shape errors and finiteness checks on construction.
 
 Every Frobenius norm comes from one scaled kernel, :func:`_frobenius_norms`,
 which also handles the numpy warnings of squares outside the float range.
+The one exception is the projector lattice: its checks compare the plain
+sums of squares of :func:`_sumsq` with their tolerances, on entries the
+checks have already bounded, so no sum can overflow, and one that
+underflows belongs to a norm far below every tolerance. The scaled
+kernel's range test would send each exactly zero member, such as the
+defect of an empty meet, down its rescale path.
 
 Dimensions stay tiny (a few dozen at most), so everything is dense
 ``numpy.complex128``. Families of observables travel as ``(k, d, d)``
@@ -142,14 +148,14 @@ def _pair_cross_norms(vectors: np.ndarray) -> np.ndarray:
     products and the later reshape run on contiguous memory (fancy indexing
     on the last axis would return it F-ordered, and the reshape would copy).
     Per pair and leading index the call holds at most three operands at once
-    (144 bytes), then the 64-byte commutator and its conjugate in the norm
-    kernel. ``take`` copies a read-only index array, 24 bytes per pair once
-    per call, so a one-step call peaks at 168 bytes per pair (tracemalloc,
-    k = 64) and a 34-step call at 147 (k = 8). All cross products go
-    through one 2-d product with the exact weights of :data:`_TWO_I_PAULIS`
-    into commutators, and those through the scaled norm kernel, so they are
-    as safe from the float range as its norms. Every row's bits are those of
-    the call on its own stack.
+    (144 bytes), then the 64-byte commutator and the 64 bytes of its squared
+    float parts in the norm kernel. ``take`` copies a read-only index array,
+    24 bytes per pair once per call, so a one-step call peaks at 168 bytes
+    per pair (tracemalloc, k = 64) and a 34-step call at 147 (k = 8). All
+    cross products go through one 2-d product with the exact weights of
+    :data:`_TWO_I_PAULIS` into commutators, and those through the scaled
+    norm kernel, so they are as safe from the float range as its norms.
+    Every row's bits are those of the call on its own stack.
     """
     k = vectors.shape[-2]
     a1, b2, a2, b1 = _cross_indices(k)
@@ -168,12 +174,16 @@ def _pair_cross_norms(vectors: np.ndarray) -> np.ndarray:
 
 
 def _sumsq(stack: np.ndarray) -> np.ndarray:
-    """Plain sums of squared entry moduli of the members of an (m, r, c) stack, as batched inner products.
+    """Plain sums of squared entry moduli of the members of an (m, r, c) stack, from one numpy row reduction.
 
-    No scaling: a sum may underflow or overflow (see :func:`_frobenius_norms`).
+    Each member's real and imaginary parts are squared and summed along its
+    row in an order that numpy fixes, whatever the BLAS thread count. The
+    float view needs contiguous rows, which a caller's strided view, such as
+    a reversed slice, may not have. No scaling: a sum may underflow or
+    overflow (see :func:`_frobenius_norms`).
     """
-    rows = stack.reshape(len(stack), stack.shape[-2] * stack.shape[-1])
-    return (rows.conj()[:, None, :] @ rows[:, :, None]).reshape(-1).real
+    parts = np.ascontiguousarray(stack).reshape(len(stack), stack.shape[-2] * stack.shape[-1]).view(np.float64)
+    return (parts * parts).sum(axis=1)
 
 
 def _frobenius_norms(stack: np.ndarray) -> np.ndarray:

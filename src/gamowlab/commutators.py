@@ -141,9 +141,10 @@ def _commutator_chunks(space: GamowSpace, o1, o2, ts: np.ndarray, variant: Evolu
     An evolved entry past the float range reaches the commutators as inf or nan,
     with no numpy warning, and the norm kernel raises ValueError on it.
     """
-    # A grid time, with its consumer, holds up to seven (d, d) complex matrices: the two
-    # evolved observables, the commutator, one product, and the copies the norm kernel and
-    # ansatz_coefficients make, with its share of the small per-time arrays.
+    # A grid time, with its consumer, holds up to seven (d, d) complex matrices' worth: the
+    # two evolved observables, the commutator, one product, the norm kernel's squared float
+    # parts (16 bytes per entry) and the copy ansatz_coefficients makes, with its share of
+    # the small per-time arrays.
     for chunk in _chunks(ts.size, 7 * 16 * space.dim**2):
         with np.errstate(over="ignore", invalid="ignore"):
             op = evolution_operator(space, ts[chunk], variant)

@@ -68,6 +68,9 @@ def test_frobenius_norm_values():
     assert frobenius_norm(np.eye(2)) == pytest.approx(np.sqrt(2), abs=0)
     # entrywise oracle: sqrt(|2i|^2 + |-2i|^2) = 2 sqrt(2)
     assert frobenius_norm([[2j, 0], [0, -2j]]) == pytest.approx(2 * np.sqrt(2), abs=0)
+    # views whose rows are not contiguous in memory
+    assert frobenius_norm(np.array([[1, 2, 3]], dtype=complex)[:, ::-1]) == frobenius_norm([[3, 2, 1]])
+    assert frobenius_norm(np.broadcast_to(1j, (3, 3))) == 3.0
 
 
 def test_frobenius_norm_keeps_digits_of_subnormal_squares():
@@ -140,7 +143,7 @@ def test_pair_commutator_norms_reject_overflow():
         pair_commutator_norms(np.stack([SIGMA_X, SIGMA_Y, a, b]))
 
 
-@pytest.mark.parametrize("k, d", [(2, 2), (8, 2), (9, 2), (4, 3), (1, 2)])
+@pytest.mark.parametrize("k, d", [(2, 2), (8, 2), (9, 2), (4, 3), (1, 2), (2, 128)])
 def test_pair_commutator_norms_of_a_block_equal_the_per_step_calls(k, d):
     rng = np.random.default_rng(11)
     block = rng.normal(size=(5, k, d, d)) + 1j * rng.normal(size=(5, k, d, d))

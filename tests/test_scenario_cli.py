@@ -639,6 +639,34 @@ def test_cli_subprocess_end_to_end(tmp_path):
     assert (tmp_path / "out" / "commutators.csv").exists()
 
 
+def test_blas_thread_count_does_not_move_outputs(tmp_path):
+    # 128x128 matrices: each norm sums 16,384 squared entries, past the length at
+    # which OpenBLAS splits an inner product by thread. On a 1-core runner both
+    # runs may take one thread, so there this test cannot show a dependence.
+    rng = np.random.default_rng(64)
+    path = write_scenario(
+        tmp_path,
+        resonance_payload(
+            resonances=[{"energy": e, "width": w} for e, w in zip(rng.uniform(-1, 1, 64), rng.uniform(0.1, 1, 64))],
+            grid={"t_start": 0.0, "t_end": 2.0, "steps": 6},
+            observables=[encode(random_hermitian(rng, 128)) for _ in range(2)],
+        ),
+    )
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        result = subprocess.run(
+            [sys.executable, "-m", "gamowlab", "run", str(path), "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == 0, result.stdout
+        runs.append((result.stdout, {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
+    assert runs[0] == runs[1]
+
+
 def test_run_damping_reports_commuting_step(tmp_path, capsys):
     path = write_scenario(
         tmp_path,

@@ -42,34 +42,21 @@ covers, per scenario in a fixed order: its name relative to the temporary
 directory, its input bytes, its exit code, its stdout (the summary or the
 diagnostic) with that directory's path replaced, every warning it raised,
 and the name and bytes of every output file. The output is the scenario
-count, the BLAS thread count and the digest. ``perfbench/`` is only read: no
-bytecode is written for it.
-
-BLAS runs on one thread, set before numpy is imported, as in
-``perfbench/run.py``: ``cmatrix._sumsq`` takes its sums of squares as inner
-products, which OpenBLAS splits by the thread count once they are longer
-than 10,000 entries, so a 128x128 resonance scenario can give other last
-bits of its norms under another count.
-A digest is only comparable with one from the same machine, numpy and BLAS
-build, and thread count.
+count and the digest. ``perfbench/`` is only read: no bytecode is written
+for it. A digest is only comparable with one from the same machine, numpy
+and BLAS build.
 """
 
 from __future__ import annotations
 
-import os
-
-BLAS_THREADS = 1
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = str(BLAS_THREADS)
-
-import contextlib  # noqa: E402
-import hashlib  # noqa: E402
-import io  # noqa: E402
-import json  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-import warnings  # noqa: E402
-from pathlib import Path  # noqa: E402
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 sys.dont_write_bytecode = True
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -166,7 +153,7 @@ def main() -> int:
         paths = _scenarios(tmp)
         for path in paths:
             digest.update(json.dumps(_record(path, tmp), sort_keys=True).encode() + b"\n")
-    print(f"{len(paths)} scenarios, {BLAS_THREADS} BLAS thread, sha256 {digest.hexdigest()}")
+    print(f"{len(paths)} scenarios, sha256 {digest.hexdigest()}")
     return 0
 
 
