@@ -7,12 +7,15 @@ with explicit shape errors and finiteness checks on construction.
 
 Every Frobenius norm comes from one scaled kernel, :func:`_frobenius_norms`,
 which also handles the numpy warnings of squares outside the float range.
-The one exception is the projector lattice: its checks compare the plain
-sums of squares of :func:`_sumsq` with their tolerances, on entries the
-checks have already bounded, so no sum can overflow, and one that
-underflows belongs to a norm far below every tolerance. The scaled
-kernel's range test would send each exactly zero member, such as the
-defect of an empty meet, down its rescale path.
+The qubit pair kernel, :func:`_pair_cross_norms`, sums its own squares in
+the order of the norm kernel's row reduction, so to the same bits, and
+hands a chunk with any sum outside the kernel's range to it. The one
+exception is the projector lattice: its checks compare the plain sums of
+squares of :func:`_sumsq` with their tolerances, on entries the checks
+have already bounded, so no sum can overflow, and one that underflows
+belongs to a norm far below every tolerance. The scaled kernel's range
+test would send each exactly zero member, such as the defect of an empty
+meet, down its rescale path.
 
 Dimensions stay tiny (a few dozen at most), so everything is dense
 ``numpy.complex128``. Families of observables travel as ``(k, d, d)``
@@ -127,14 +130,12 @@ def _cross_indices(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     """Indices into a flattened (..., 3k) stack of Pauli vectors of a_{m+1}, b_{m+2}, a_{m+2} and b_{m+1}.
 
     Each is a (P, 3) array over the pairs (a, b) of :func:`_pairs` and the
-    components m of a x b; read-only, as they are shared.
+    components m of a x b. They stay writeable, as ``take`` copies a read-only
+    index array on every call; only :func:`_pair_cross_norms` reads them.
     """
     i, j = _pairs(k)
     nxt, after = np.array([1, 2, 0]), np.array([2, 0, 1])
-    indices = tuple(3 * side[:, None] + part for side, part in ((i, nxt), (j, after), (i, after), (j, nxt)))
-    for index in indices:
-        index.setflags(write=False)
-    return indices
+    return tuple(3 * side[:, None] + part for side, part in ((i, nxt), (j, after), (i, after), (j, nxt)))
 
 
 def _pair_cross_norms(vectors: np.ndarray) -> np.ndarray:
@@ -147,15 +148,19 @@ def _pair_cross_norms(vectors: np.ndarray) -> np.ndarray:
     flattened vectors, which returns a C-ordered (..., P, 3) array, so the
     products and the later reshape run on contiguous memory (fancy indexing
     on the last axis would return it F-ordered, and the reshape would copy).
-    Per pair and leading index the call holds at most three operands at once
-    (144 bytes), then the 64-byte commutator and the 64 bytes of its squared
-    float parts in the norm kernel. ``take`` copies a read-only index array,
-    24 bytes per pair once per call, so a one-step call peaks at 168 bytes
-    per pair (tracemalloc, k = 64) and a 34-step call at 147 (k = 8). All
-    cross products go through one 2-d product with the exact weights of
-    :data:`_TWO_I_PAULIS` into commutators, and those through the scaled
-    norm kernel, so they are as safe from the float range as its norms.
-    Every row's bits are those of the call on its own stack.
+    All cross products go through one 2-d product with the exact weights of
+    :data:`_TWO_I_PAULIS` into commutators. The squares of their float parts
+    are summed by three strided adds, ((p0+p1)+(p2+p3)) + ((p4+p5)+(p6+p7)),
+    the order numpy's pairwise row reduction takes on a row of 8, so each
+    sum has the bits of :func:`_sumsq`'s, without its per-row cost. If any
+    sum falls outside the range test of :func:`_frobenius_norms`, the chunk's
+    commutators go through that kernel, so they are as safe from the float
+    range as its norms. Per pair and leading index the call holds at most
+    three operands at once (144 bytes), then the 64-byte commutator, the 64
+    bytes of its squared float parts and the 32 bytes of their first sums: a
+    one-step call peaks at 161 bytes per pair (tracemalloc, k = 64) and a
+    34-step call at 162 (k = 8). Every row's bits are those of the call on
+    its own stack.
     """
     k = vectors.shape[-2]
     a1, b2, a2, b1 = _cross_indices(k)
@@ -168,9 +173,17 @@ def _pair_cross_norms(vectors: np.ndarray) -> np.ndarray:
         cross -= other
         del other
         comm = cross.reshape(-1, 3) @ _TWO_I_PAULIS
-    shape = cross.shape[:-1]
-    del cross
-    return _frobenius_norms(comm.reshape(-1, 2, 2)).reshape(shape)
+        shape = cross.shape[:-1]
+        del cross
+        parts = comm.view(np.float64)
+        squares = parts * parts
+        sums = squares[:, 0::2] + squares[:, 1::2]
+        del squares
+        sums = sums[:, 0::2] + sums[:, 1::2]
+        sumsq = sums[:, 0] + sums[:, 1]
+        if sumsq.size and not (sumsq.max() <= _SUMSQ_HUGE and sumsq.min() >= _SUMSQ_TINY):
+            return _frobenius_norms(comm.reshape(-1, 2, 2)).reshape(shape)
+        return np.sqrt(sumsq).reshape(shape)
 
 
 def _sumsq(stack: np.ndarray) -> np.ndarray:

@@ -14,6 +14,9 @@ lattice:   observables (exactly three projector matrices of equal size)
 Validation builds every object a run uses from its kind's field table; constructor
 errors become ``field: message`` diagnostics, and a top-level key the kind does not
 read becomes a ``scenario: unknown key`` diagnostic. ``MAX_*`` cap the size of a run.
+Each kind's ``observables`` list is converted as one stack, with one shape and one
+finiteness check; only a list that fails them is built again matrix by matrix, to
+name the first bad one. Entries must be JSON numbers: a string is not read as one.
 
 Both commutator series are computed in :mod:`gamowlab.commutators`; this module
 only formats and writes them. A resonance run reduces each chunk of
@@ -100,14 +103,19 @@ def _capped_list(raw, cap: int, what: str):
     return raw
 
 
-def _each(raw, build, count: int | None = None) -> list:
-    """Build every item of a nonempty list, of ``count`` items if given."""
+def _items(raw, count: int | None = None) -> list:
+    """``raw``, if it is a nonempty list, of ``count`` items if given."""
     if not isinstance(raw, list) or not raw:
         raise ValueError("must be a nonempty list")
     if count is not None and len(raw) != count:
         raise ValueError(f"must hold exactly {count} items, got {len(raw)}")
+    return raw
+
+
+def _each(raw, build, count: int | None = None) -> list:
+    """Build every item of a nonempty list, of ``count`` items if given."""
     items = []
-    for i, item in enumerate(raw):
+    for i, item in enumerate(_items(raw, count)):
         try:
             items.append(build(item))
         except ValueError as exc:
@@ -115,11 +123,27 @@ def _each(raw, build, count: int | None = None) -> list:
     return items
 
 
-def _matrix(raw, dim: int | None = None) -> np.ndarray:
+def _floats(raw) -> np.ndarray:
+    """``raw`` as a float array, if every entry is a JSON number: strings are not parsed as numbers.
+
+    numpy's dtype discovery gives a string entry a string or object array; an
+    object array also holds ints past the int64 range, and is checked entry by
+    entry. Booleans still pass as 0 and 1, since one mixed with numbers leaves
+    no trace in the discovered dtype.
+    """
     try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # also an int past the float range
+        arr = np.asarray(raw)
+        if arr.dtype.kind == "O" and all(isinstance(x, (int, float)) for x in arr.flat):
+            arr = arr.astype(float)  # an int past the float range raises OverflowError
+        if arr.dtype.kind not in "biuf":
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
         raise ValueError("entries must be [re, im] pairs of numbers") from None
+    return arr.astype(float, copy=False)
+
+
+def _matrix(raw, dim: int | None = None) -> np.ndarray:
+    arr = _floats(raw)
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"must be a square matrix of [re, im] pairs, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
@@ -129,15 +153,39 @@ def _matrix(raw, dim: int | None = None) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _matrices(raw: list, dim: int | None = None, row_cap: int | None = None) -> np.ndarray:
+    """The (k, d, d) stack of the matrices of a list that :func:`_items` passed, of ``dim`` rows if given.
+
+    An item of more than ``row_cap`` rows fails before anything is converted. One
+    conversion, one shape check and one finiteness scan serve the whole list; if any
+    fails, the items are built one by one with :func:`_matrix`, whose diagnostic names
+    the first bad one, and if none is, they differ in size.
+    """
+    if row_cap is None or not any(isinstance(m, list) and len(m) > row_cap for m in raw):
+        try:
+            arr = _floats(raw)
+        except ValueError:
+            arr = None
+        if (
+            arr is not None and arr.ndim == 4 and arr.shape[3] == 2 and arr.shape[1] == arr.shape[2]
+            and dim in (None, arr.shape[1]) and np.isfinite(arr).all()
+        ):
+            return arr[..., 0] + 1j * arr[..., 1]
+    mats = _each(raw, lambda m: _matrix(m if row_cap is None else _capped_list(m, row_cap, "matrix rows"), dim))
+    if len({m.shape for m in mats}) != 1:  # only a lattice triple leaves the dimension free
+        raise ValueError("lattice projectors must share a dimension")
+    return np.stack(mats)
+
+
 def _encode_matrix(mat: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(mat, dtype=complex)]
 
 
 def _damping_stack(raw, _) -> np.ndarray:
-    mats = _each(_capped_list(raw, MAX_DAMPING_OBSERVABLES, "observables"), lambda m: _matrix(m, 2))
+    mats = _matrices(_items(_capped_list(raw, MAX_DAMPING_OBSERVABLES, "observables")), 2)
     if len(mats) < 2:
         raise ValueError("damping scenarios need at least two matrices")
-    return np.stack(mats)
+    return mats
 
 
 def _resonance(item) -> Resonance:
@@ -164,10 +212,7 @@ def _fit_start(raw, b) -> int:
 
 
 def _projectors(raw, _) -> list[qlattice.Projector]:
-    mats = _each(raw, lambda m: _matrix(_capped_list(m, MAX_LATTICE_DIM, "matrix rows")), 3)
-    if len({m.shape for m in mats}) != 1:
-        raise ValueError("lattice projectors must share a dimension")
-    return _each(mats, qlattice.Projector)
+    return _each(list(_matrices(_items(raw, 3), row_cap=MAX_LATTICE_DIM)), qlattice.Projector)
 
 
 _DAMPING_FIELDS = (
@@ -187,7 +232,7 @@ _RESONANCE_FIELDS = (
     (None, "grid", lambda _, b: _capped(b["times"].size * b["space"].dim**2, MAX_TRAJECTORY_ENTRIES, "trajectory entries")),
     ("eps", "eps", lambda raw, _: _number(raw, above=0)),
     ("fit_start", "fit_window", _fit_start),
-    ("observables", "observables", lambda raw, b: _each(raw, lambda m: _matrix(m, b["space"].dim), 2)),
+    ("observables", "observables", lambda raw, b: _matrices(_items(raw, 2), b["space"].dim)),
 )
 _LATTICE_FIELDS = (("projectors", "observables", _projectors),)
 

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gamowlab.cmatrix import (
+    _PAULIS,
     _frobenius_norms,
     _pair_cross_norms,
     _pauli_vectors,
+    _sumsq,
     as_complex_matrix,
     commutator,
     frobenius_norm,
@@ -236,3 +238,35 @@ def test_norm_kernel_of_empty_and_nan_stacks():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflow"):
             _pair_cross_norms(np.full((3, 3), np.nan, dtype=np.complex128))
+        with pytest.raises(ValueError, match="overflow"):
+            _pair_cross_norms(np.full((2, 3, 3), 1e200, dtype=np.complex128) * [1, -1j, 2])
+
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100, 1e-200], ids=["1", "1e-100", "1e+100", "1e-200"])
+def test_pair_cross_norms_of_whole_stacks_keep_the_norm_kernel_bits(scale):
+    # the kernel sums its own squares and hands a stack with any sum out of range to the norm
+    # kernel: vectors at 1e-100 and 1e+100 put every commutator at 1e-200 or 1e+200, whose
+    # squares leave the float range; at 1e-200 every cross product underflows to zero
+    rng = np.random.default_rng(17)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shape in [(1, 3), (2, 3), (8, 3), (64, 3), (34, 8, 3), (3, 0, 3), (0, 5, 3)]:
+            vectors = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * scale
+            norms = _pair_cross_norms(vectors)
+            assert norms.shape == (*shape[:-2], shape[-2] * (shape[-2] - 1) // 2)
+            np.testing.assert_array_equal(norms, strided_pair_cross_norms(vectors))
+            mats = (vectors @ _PAULIS).reshape(*shape[:-1], 2, 2)
+            np.testing.assert_allclose(norms, pair_commutator_norms(mats), rtol=1e-13, atol=0)
+
+
+def test_three_strided_adds_sum_squares_in_the_order_of_the_row_reduction():
+    # _pair_cross_norms sums the 8 squared float parts of each 2x2 member as
+    # ((p0+p1)+(p2+p3)) + ((p4+p5)+(p6+p7)), numpy's pairwise order on a row of 8
+    rng = np.random.default_rng(19)
+    for n in (1, 7, 8, 9, 28, 952, 2016, 4099):
+        stack = rng.normal(size=(n, 2, 2)) * np.exp(rng.normal(size=(n, 2, 2)) * 20) + 1j * rng.normal(size=(n, 2, 2))
+        squares = stack.reshape(n, 4).view(np.float64) ** 2
+        sums = squares[:, 0::2] + squares[:, 1::2]
+        sums = sums[:, 0::2] + sums[:, 1::2]
+        np.testing.assert_array_equal(sums[:, 0] + sums[:, 1], _sumsq(stack))

@@ -271,6 +271,67 @@ def test_validate_rejects_what_run_cannot_execute(tmp_path, overrides, expected)
     assert not (tmp_path / "out").exists()
 
 
+STRING_SIGMA_X = [[["0", "0"], ["1", "0"]], [["1", "0"], ["0", "0"]]]
+
+
+def build_outcome(build):
+    """The (dtype, shape, bytes) of the stack ``build`` returns, or its diagnostic as a field table shows it."""
+    try:
+        stack = build()
+    except ValueError as exc:
+        return f"{getattr(exc, 'path', '')}: {exc}"
+    return stack.dtype, stack.shape, stack.tobytes()
+
+
+NUMBERS = "entries must be [re, im] pairs of numbers"
+
+
+@pytest.mark.parametrize(
+    "raw, dim, row_cap, diagnostic",
+    [
+        ([SIGMA_X, SIGMA_Y, SIGMA_Z], 2, None, None),
+        ([encode(random_hermitian(np.random.default_rng(3), 4)) for _ in range(3)], None, None, None),
+        ([SIGMA_X, [[[1, 0], [0, 0]], [[0, 0]]]], 2, None, f"[1]: {NUMBERS}"),
+        ([SIGMA_X, encode(np.eye(3))], 2, None, "[1]: must be 2x2, got 3x3"),
+        ([SIGMA_X, encode(np.diag([1.0, np.nan]))], 2, None, "[1]: entries must be finite"),
+        ([encode(np.diag([1.0, -np.inf])), SIGMA_X], 2, None, "[0]: entries must be finite"),
+        ([SIGMA_X, encode(np.zeros((3, 3))), [[1, 0]]], None, 2, "[1]: 3 matrix rows exceed the cap of 2"),
+        ([SIGMA_Y], 2, None, None),
+        (5, 2, None, ": must be a nonempty list"),
+        ([SIGMA_X, 5, {}], 2, None, "[1]: must be a square matrix of [re, im] pairs, got shape ()"),
+        ([SIGMA_X, [[[10**30, 0], [0, 0]], [[0, 0], [1, 0]]]], 2, None, None),
+        ([SIGMA_X, [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]]], 2, None, f"[1]: {NUMBERS}"),
+        ([STRING_SIGMA_X, SIGMA_Y], 2, None, f"[0]: {NUMBERS}"),
+        ([SIGMA_X, [[[1.5, None], [0, 0]], [[0, 0], [1, 0]]]], 2, None, f"[1]: {NUMBERS}"),
+        ([[[[True, 0], [0, 0.5]], [[0, 0], [1, 0]]], SIGMA_X], 2, None, None),  # still read as 1
+    ],
+    ids=["valid", "valid-4x4", "ragged", "wrong-dimension", "nan", "inf", "over-row-cap", "single",
+         "non-list", "non-list-item", "int-1e30", "int-1e400", "string", "null", "boolean"],
+)
+def test_family_conversion_equals_the_per_item_path(raw, dim, row_cap, diagnostic):
+    # one conversion of the whole list gives the stack, or the diagnostic, of one _matrix per item
+    def per_item():
+        cap = (lambda m: m) if row_cap is None else (lambda m: scenario._capped_list(m, row_cap, "matrix rows"))
+        return np.stack(scenario._each(raw, lambda m: scenario._matrix(cap(m), dim)))
+
+    family = build_outcome(lambda: scenario._matrices(scenario._items(raw), dim, row_cap))
+    assert family == build_outcome(per_item)
+    if diagnostic is None:
+        assert family[:2] == (np.complex128, (len(raw), *np.shape(raw)[1:3]))
+    else:
+        assert family == diagnostic
+
+
+def test_string_matrix_entries_are_a_diagnostic_for_validate_and_run(tmp_path, capsys):
+    # numpy parses "1" as a float; a JSON string is no number, as the scalar fields already hold
+    payload = {"kind": "damping", "p": 0.5, "n_max": 5, "eps": 1e-6, "observables": [STRING_SIGMA_X, SIGMA_Y]}
+    path = write_scenario(tmp_path, payload)
+    assert scenario.validate_file(path) == ["observables[0]: entries must be [re, im] pairs of numbers"]
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().out == "invalid scenario: observables[0]: entries must be [re, im] pairs of numbers\n"
+    assert not (tmp_path / "out").exists()
+
+
 def zero_matrices(count, dim):
     return [encode(np.zeros((dim, dim)))] * count
 
@@ -1040,7 +1101,7 @@ def leaf_paths(node, path=()):
 DEMO_LEAVES = [
     (demo.name, path) for demo in sorted(GOLDEN.glob("*.json")) for path in leaf_paths(json.loads(demo.read_text()))
 ]
-MUTATIONS = [None, "x", True, -1, 0, 0.5, 5e-324, 1e308, float("nan"), float("inf"), [], {}, 10**7, 10**400]
+MUTATIONS = [None, "x", "1", True, -1, 0, 0.5, 5e-324, 1e308, float("nan"), float("inf"), [], {}, 10**7, 10**400]
 
 
 def mutated_demo(name, path, value):

@@ -28,8 +28,23 @@ the rank cutoff, so three lattice probes put meets next to it:
 * ``near_ranges_c16``: rank-8 ranges in C^16 that share 7 directions, the
   8th tilted by 0, 1.5e-4 and -1.5e-4 rad.
 
-Every pool, demo and probe above exits 0, so two more probes end in the
-other exit codes:
+Every damping pool has k = 8 observables over 100 steps with entries of
+order one, so six damping probes with seeded random Hermitian observables
+reach the paths the pools miss:
+
+* ``damping_k64_n300``: k = 64 over 300 steps, one step per chunk of
+  pair norms;
+* ``damping_k2_n5000``: k = 2 over 5,000 steps, many chunks of many steps;
+* ``damping_scale_1e-150`` and ``damping_scale_1e+150``: k = 8 over 100
+  steps with entries scaled by 1e-150 and 1e+150, whose squared commutator
+  parts leave the float range, so the norms take the rescale path;
+* ``damping_scale_1e-160``: the same at 1e-160, whose cross products are
+  subnormal;
+* ``damping_scale_1e+154``: the same at 1e+154, whose commutators pass the
+  float range at run time (exit 3).
+
+Every pool, demo and probe above exits 0 but the last, so two more probes
+end in the other exit codes:
 
 * ``invalid_projector``: a lattice scenario whose first matrix is I / 2,
   which fails validation (exit 2);
@@ -82,6 +97,15 @@ def _probes(demo_resonance: dict) -> dict[str, dict]:
             "observables": [workloads._encode(workloads._hermitian(rng, 4)) for _ in range(2)],
         }
 
+    def damping(k, n_max, scale=1.0):
+        return {
+            "kind": "damping",
+            "p": 0.03,
+            "n_max": n_max,
+            "eps": 1e-6,
+            "observables": [workloads._encode(workloads._hermitian(rng, 2) * scale) for _ in range(k)],
+        }
+
     def lattice(mats):
         return {"kind": "lattice", "observables": [workloads._encode(m) for m in mats]}
 
@@ -102,6 +126,9 @@ def _probes(demo_resonance: dict) -> dict[str, dict]:
         "near_lines_1e-10": lines(1e-10),
         "near_lines_1e-06": lines(1e-6),
         "near_ranges_c16": lattice(ranges),
+        "damping_k64_n300": damping(64, 300),
+        "damping_k2_n5000": damping(2, 5000),
+        **{f"damping_scale_{scale:.0e}": damping(8, 100, scale) for scale in (1e-150, 1e150, 1e-160, 1e154)},
         "invalid_projector": lattice([np.eye(2) / 2, np.eye(2), np.zeros((2, 2))]),
         "invertible_growth": {
             **demo_resonance,
