@@ -5,17 +5,17 @@ evolution operators, metric matrices) is a small dense complex matrix.
 This module wraps the handful of primitives everything else consumes,
 with explicit shape errors and finiteness checks on construction.
 
-Every Frobenius norm comes from one scaled kernel, :func:`_frobenius_norms`,
-which also handles the numpy warnings of squares outside the float range.
-The qubit pair kernel, :func:`_pair_cross_norms`, sums its own squares in
-the order of the norm kernel's row reduction, so to the same bits, and
-hands a chunk with any sum outside the kernel's range to it. The one
-exception is the projector lattice: its checks compare the plain sums of
-squares of :func:`_sumsq` with their tolerances, on entries the checks
-have already bounded, so no sum can overflow, and one that underflows
-belongs to a norm far below every tolerance. The scaled kernel's range
-test would send each exactly zero member, such as the defect of an empty
-meet, down its rescale path.
+Every scaled Frobenius norm, the qubit pair kernel's
+(:func:`_pair_cross_norms`) included, comes from one kernel,
+:func:`_frobenius_norms`, which also handles the numpy warnings of squares
+outside the float range. Its sums of squares come from :func:`_sumsq`, the
+one place that fixes their summation order, that of numpy's row reduction,
+rows of 8 (2x2 members) included. The one exception is the projector
+lattice: its checks compare the plain sums of squares of :func:`_sumsq`
+with their tolerances, on entries the checks have already bounded, so no
+sum can overflow, and one that underflows belongs to a norm far below
+every tolerance. The scaled kernel's range test would send each exactly
+zero member, such as the defect of an empty meet, down its rescale path.
 
 Dimensions stay tiny (a few dozen at most), so everything is dense
 ``numpy.complex128``. Families of observables travel as ``(k, d, d)``
@@ -149,18 +149,14 @@ def _pair_cross_norms(vectors: np.ndarray) -> np.ndarray:
     products and the later reshape run on contiguous memory (fancy indexing
     on the last axis would return it F-ordered, and the reshape would copy).
     All cross products go through one 2-d product with the exact weights of
-    :data:`_TWO_I_PAULIS` into commutators. The squares of their float parts
-    are summed by three strided adds, ((p0+p1)+(p2+p3)) + ((p4+p5)+(p6+p7)),
-    the order numpy's pairwise row reduction takes on a row of 8, so each
-    sum has the bits of :func:`_sumsq`'s, without its per-row cost. If any
-    sum falls outside the range test of :func:`_frobenius_norms`, the chunk's
-    commutators go through that kernel, so they are as safe from the float
-    range as its norms. Per pair and leading index the call holds at most
-    three operands at once (144 bytes), then the 64-byte commutator, the 64
-    bytes of its squared float parts and the 32 bytes of their first sums: a
-    one-step call peaks at 161 bytes per pair (tracemalloc, k = 64) and a
-    34-step call at 162 (k = 8). Every row's bits are those of the call on
-    its own stack.
+    :data:`_TWO_I_PAULIS` into commutators, whose norms come from
+    :func:`_frobenius_norms`, so a member whose sum of squares leaves the
+    float range is rescaled on its own. Per pair and leading index the call
+    holds at most three operands at once (144 bytes), then the 64-byte
+    commutator, the 64 bytes of its squared float parts and the 32 bytes of
+    their first sums: a one-step call peaks at 161 bytes per pair
+    (tracemalloc, k = 64) and a 34-step call at 162 (k = 8). Every row's
+    bits are those of the call on its own stack.
     """
     k = vectors.shape[-2]
     a1, b2, a2, b1 = _cross_indices(k)
@@ -173,30 +169,31 @@ def _pair_cross_norms(vectors: np.ndarray) -> np.ndarray:
         cross -= other
         del other
         comm = cross.reshape(-1, 3) @ _TWO_I_PAULIS
-        shape = cross.shape[:-1]
-        del cross
-        parts = comm.view(np.float64)
-        squares = parts * parts
-        sums = squares[:, 0::2] + squares[:, 1::2]
-        del squares
-        sums = sums[:, 0::2] + sums[:, 1::2]
-        sumsq = sums[:, 0] + sums[:, 1]
-        if sumsq.size and not (sumsq.max() <= _SUMSQ_HUGE and sumsq.min() >= _SUMSQ_TINY):
-            return _frobenius_norms(comm.reshape(-1, 2, 2)).reshape(shape)
-        return np.sqrt(sumsq).reshape(shape)
+    shape = cross.shape[:-1]
+    del cross
+    return _frobenius_norms(comm.reshape(-1, 2, 2)).reshape(shape)
 
 
 def _sumsq(stack: np.ndarray) -> np.ndarray:
-    """Plain sums of squared entry moduli of the members of an (m, r, c) stack, from one numpy row reduction.
+    """Plain sums of squared entry moduli of the members of an (m, r, c) stack, in numpy's row-reduction order.
 
     Each member's real and imaginary parts are squared and summed along its
-    row in an order that numpy fixes, whatever the BLAS thread count. The
-    float view needs contiguous rows, which a caller's strided view, such as
-    a reversed slice, may not have. No scaling: a sum may underflow or
-    overflow (see :func:`_frobenius_norms`).
+    row in the order of numpy's pairwise row reduction, whatever the BLAS
+    thread count. A row of 8, a 2x2 member, is summed as
+    ((p0+p1)+(p2+p3)) + ((p4+p5)+(p6+p7)) by three strided adds, the
+    reduction's own order without its per-row cost. The float view needs
+    contiguous rows, which a caller's strided view, such as a reversed
+    slice, may not have. No scaling: a sum may underflow or overflow (see
+    :func:`_frobenius_norms`).
     """
     parts = np.ascontiguousarray(stack).reshape(len(stack), stack.shape[-2] * stack.shape[-1]).view(np.float64)
-    return (parts * parts).sum(axis=1)
+    squares = parts * parts
+    if squares.shape[1] != 8:
+        return squares.sum(axis=1)
+    sums = squares[:, 0::2] + squares[:, 1::2]
+    del squares
+    sums = sums[:, 0::2] + sums[:, 1::2]
+    return sums[:, 0] + sums[:, 1]
 
 
 def _frobenius_norms(stack: np.ndarray) -> np.ndarray:

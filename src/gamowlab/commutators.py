@@ -173,8 +173,8 @@ def _damping_norms(channel: KrausChannel, observables: np.ndarray, n_max: int) -
     # to the next chunk. These are the same products in the same order as a loop
     # of steps. One cross-norm call per block gives its rows of norms. A step
     # holds its k vectors in the block (48 bytes each), and the budget counts
-    # 192 bytes per pair for the cross-norm call, a bound on the at most 168
-    # it holds (see its docstring).
+    # 192 bytes per pair for the cross-norm call, a bound on the 161 to 162
+    # it peaks at (see its docstring).
     for chunk in _chunks(n_max + 1, 48 * k + 192 * k * (k - 1) // 2):
         block = np.empty((chunk.stop - chunk.start, *vectors.shape), dtype=np.complex128)
         block[0], block[1:] = vectors, scale

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cmatrix import as_complex_matrix
-from .gamow import _ROUND_D_BOX, GamowSpace
+from .gamow import _ROUND_D_BOX, GamowSpace, _swap_slots
 
 __all__ = [
     "EvolutionVariant",
@@ -123,7 +123,7 @@ def heisenberg_evolve(op: EvolutionOperator, obs) -> np.ndarray:
         raise ValueError(f"observable shape {obs.shape} does not match the {dim}x{dim} space")
     v = u.conj()
     if op.variant is not EvolutionVariant.SEMIGROUP_D:
-        v = v.reshape(*u.shape[:-1], -1, 2)[..., ::-1].reshape(u.shape)  # A swaps each D and G slot
+        v = _swap_slots(v)
     else:
         warnings.warn(
             "SEMIGROUP_D has no canonical Heisenberg conjugation; using U O U^dag as an "

@@ -166,11 +166,16 @@ def _as_vector(space: GamowSpace, v) -> np.ndarray:
     return arr
 
 
+def _swap_slots(v: np.ndarray) -> np.ndarray:
+    """A v along the last axis of ``v``, of even length: A swaps each D and G slot."""
+    return v.reshape(*v.shape[:-1], -1, 2)[..., ::-1].reshape(v.shape)
+
+
 def pseudo_product(space: GamowSpace, v, w) -> complex:
-    """Indefinite pairing (v | w) = v^dag A w, conjugate-linear in ``v``; A swaps each D and G slot.
+    """Indefinite pairing (v | w) = v^dag A w, conjugate-linear in ``v``.
 
     ``v`` and ``w`` are 1-d vectors of 2N finite entries.
     """
     v = _as_vector(space, v)
     w = _as_vector(space, w)
-    return complex(v.conj() @ w.reshape(-1, 2)[:, ::-1].ravel())
+    return complex(v.conj() @ _swap_slots(w))

@@ -14,9 +14,10 @@ lattice:   observables (exactly three projector matrices of equal size)
 Validation builds every object a run uses from its kind's field table; constructor
 errors become ``field: message`` diagnostics, and a top-level key the kind does not
 read becomes a ``scenario: unknown key`` diagnostic. ``MAX_*`` cap the size of a run.
-Each kind's ``observables`` list is converted as one stack, with one shape and one
-finiteness check; only a list that fails them is built again matrix by matrix, to
-name the first bad one. Entries must be JSON numbers: a string is not read as one.
+Each kind's ``observables`` list is converted as one stack by one rule, ``_stack``:
+one conversion, then one shape, size and finiteness check; only a list that fails it
+goes through the same rule again matrix by matrix, to name the first bad one. Entries
+must be JSON numbers: a string is not read as one.
 
 Both commutator series are computed in :mod:`gamowlab.commutators`; this module
 only formats and writes them. A resonance run reduces each chunk of
@@ -142,13 +143,18 @@ def _floats(raw) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
-def _matrix(raw, dim: int | None = None) -> np.ndarray:
+def _stack(raw, dim: int | None = None) -> np.ndarray:
+    """The (k, d, d) complex stack of a list of k square matrices of [re, im] pairs, of ``dim`` rows if given.
+
+    The one rule for valid matrices: its diagnostics speak of one matrix, as
+    :func:`_matrices` applies it to a one-item list to name a bad item.
+    """
     arr = _floats(raw)
-    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"must be a square matrix of [re, im] pairs, got shape {arr.shape}")
-    if dim is not None and arr.shape[0] != dim:
-        raise ValueError(f"must be {dim}x{dim}, got {arr.shape[0]}x{arr.shape[1]}")
-    if not np.all(np.isfinite(arr)):
+    if arr.ndim != 4 or arr.shape[3] != 2 or arr.shape[1] != arr.shape[2]:
+        raise ValueError(f"must be a square matrix of [re, im] pairs, got shape {arr.shape[1:]}")
+    if dim is not None and arr.shape[1] != dim:
+        raise ValueError(f"must be {dim}x{dim}, got {arr.shape[1]}x{arr.shape[2]}")
+    if not np.isfinite(arr).all():
         raise ValueError("entries must be finite")
     return arr[..., 0] + 1j * arr[..., 1]
 
@@ -157,24 +163,17 @@ def _matrices(raw: list, dim: int | None = None, row_cap: int | None = None) -> 
     """The (k, d, d) stack of the matrices of a list that :func:`_items` passed, of ``dim`` rows if given.
 
     An item of more than ``row_cap`` rows fails before anything is converted. One
-    conversion, one shape check and one finiteness scan serve the whole list; if any
-    fails, the items are built one by one with :func:`_matrix`, whose diagnostic names
-    the first bad one, and if none is, they differ in size.
+    :func:`_stack` call serves the whole list; if it fails, each item goes through
+    :func:`_stack` on its own, to name the first bad one, and if none is, they differ
+    in size.
     """
     if row_cap is None or not any(isinstance(m, list) and len(m) > row_cap for m in raw):
         try:
-            arr = _floats(raw)
+            return _stack(raw, dim)
         except ValueError:
-            arr = None
-        if (
-            arr is not None and arr.ndim == 4 and arr.shape[3] == 2 and arr.shape[1] == arr.shape[2]
-            and dim in (None, arr.shape[1]) and np.isfinite(arr).all()
-        ):
-            return arr[..., 0] + 1j * arr[..., 1]
-    mats = _each(raw, lambda m: _matrix(m if row_cap is None else _capped_list(m, row_cap, "matrix rows"), dim))
-    if len({m.shape for m in mats}) != 1:  # only a lattice triple leaves the dimension free
-        raise ValueError("lattice projectors must share a dimension")
-    return np.stack(mats)
+            pass
+    _each(raw, lambda m: _stack([m if row_cap is None else _capped_list(m, row_cap, "matrix rows")], dim))
+    raise ValueError("lattice projectors must share a dimension")  # only a lattice triple leaves the dimension free
 
 
 def _encode_matrix(mat: np.ndarray) -> list:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gamowlab import cmatrix
 from gamowlab.cmatrix import (
     _PAULIS,
     _frobenius_norms,
@@ -245,9 +246,9 @@ def test_norm_kernel_of_empty_and_nan_stacks():
 
 @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100, 1e-200], ids=["1", "1e-100", "1e+100", "1e-200"])
 def test_pair_cross_norms_of_whole_stacks_keep_the_norm_kernel_bits(scale):
-    # the kernel sums its own squares and hands a stack with any sum out of range to the norm
-    # kernel: vectors at 1e-100 and 1e+100 put every commutator at 1e-200 or 1e+200, whose
-    # squares leave the float range; at 1e-200 every cross product underflows to zero
+    # the kernel's norms come from the norm kernel: vectors at 1e-100 and 1e+100 put every
+    # commutator at 1e-200 or 1e+200, whose squares leave the float range; at 1e-200 every
+    # cross product underflows to zero
     rng = np.random.default_rng(17)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -261,12 +262,41 @@ def test_pair_cross_norms_of_whole_stacks_keep_the_norm_kernel_bits(scale):
 
 
 def test_three_strided_adds_sum_squares_in_the_order_of_the_row_reduction():
-    # _pair_cross_norms sums the 8 squared float parts of each 2x2 member as
-    # ((p0+p1)+(p2+p3)) + ((p4+p5)+(p6+p7)), numpy's pairwise order on a row of 8
+    # _sumsq sums the 8 squared float parts of each 2x2 member as
+    # ((p0+p1)+(p2+p3)) + ((p4+p5)+(p6+p7)): the bits of numpy's row reduction, also
+    # where squares are subnormal (1e-160) or overflow (1e+160)
     rng = np.random.default_rng(19)
-    for n in (1, 7, 8, 9, 28, 952, 2016, 4099):
-        stack = rng.normal(size=(n, 2, 2)) * np.exp(rng.normal(size=(n, 2, 2)) * 20) + 1j * rng.normal(size=(n, 2, 2))
-        squares = stack.reshape(n, 4).view(np.float64) ** 2
-        sums = squares[:, 0::2] + squares[:, 1::2]
-        sums = sums[:, 0::2] + sums[:, 1::2]
-        np.testing.assert_array_equal(sums[:, 0] + sums[:, 1], _sumsq(stack))
+    for scale in (1.0, 1e-160, 1e160):
+        for n in (0, 1, 7, 8, 9, 1000):
+            stack = rng.normal(size=(n, 2, 2)) * np.exp(rng.normal(size=(n, 2, 2)) * 20) + 1j * rng.normal(size=(n, 2, 2))
+            stack *= scale
+            parts = stack.reshape(n, 4).view(np.float64)
+            with np.errstate(over="ignore"):
+                np.testing.assert_array_equal(_sumsq(stack), (parts * parts).sum(axis=1))
+
+
+def test_a_commuting_pair_takes_one_pass_of_sums(monkeypatch):
+    # X_1 = 2 X_0: the pair's commutator is exactly zero at every step, a sum below the norm
+    # kernel's range, which rescales that member alone; with or without such a pair, the
+    # chunk's squares are summed once, by _sumsq
+    rng = np.random.default_rng(23)
+    stack = rng.normal(size=(8, 2, 2)) + 1j * rng.normal(size=(8, 2, 2))
+    stack = stack + stack.conj().transpose(0, 2, 1)
+    generic = _pauli_vectors(stack) * (0.97 ** np.arange(34))[:, None, None]
+    stack[1] = 2 * stack[0]
+    commuting = _pauli_vectors(stack) * (0.97 ** np.arange(34))[:, None, None]
+    calls = []
+
+    def spy(members):
+        calls.append(members.shape)
+        return _sumsq(members)
+
+    monkeypatch.setattr(cmatrix, "_sumsq", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = [_pair_cross_norms(vectors) for vectors in (generic, commuting)]
+    assert calls == [(34 * 28, 2, 2)] * 2
+    assert norms[0].all() and not norms[1][:, 0].any() and norms[1][:, 1:].all()
+    monkeypatch.undo()
+    np.testing.assert_array_equal(norms[0], strided_pair_cross_norms(generic))
+    np.testing.assert_array_equal(norms[1], strided_pair_cross_norms(commuting))

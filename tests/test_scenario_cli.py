@@ -304,19 +304,23 @@ NUMBERS = "entries must be [re, im] pairs of numbers"
         ([STRING_SIGMA_X, SIGMA_Y], 2, None, f"[0]: {NUMBERS}"),
         ([SIGMA_X, [[[1.5, None], [0, 0]], [[0, 0], [1, 0]]]], 2, None, f"[1]: {NUMBERS}"),
         ([[[[True, 0], [0, 0.5]], [[0, 0], [1, 0]]], SIGMA_X], 2, None, None),  # still read as 1
+        ([SIGMA_X, encode(np.eye(3)), SIGMA_Y], None, scenario.MAX_LATTICE_DIM,
+         ": lattice projectors must share a dimension"),
+        ([SIGMA_X, [[1, 0]], encode(np.zeros((3, 3)))], None, 2,
+         "[1]: must be a square matrix of [re, im] pairs, got shape (1, 2)"),
+        ([encode(np.zeros((3, 3))), SIGMA_X, 5], None, 2, "[0]: 3 matrix rows exceed the cap of 2"),
     ],
     ids=["valid", "valid-4x4", "ragged", "wrong-dimension", "nan", "inf", "over-row-cap", "single",
-         "non-list", "non-list-item", "int-1e30", "int-1e400", "string", "null", "boolean"],
+         "non-list", "non-list-item", "int-1e30", "int-1e400", "string", "null", "boolean",
+         "unequal-sizes", "malformed-then-over-row-cap", "over-row-cap-then-malformed"],
 )
 def test_family_conversion_equals_the_per_item_path(raw, dim, row_cap, diagnostic):
-    # one conversion of the whole list gives the stack, or the diagnostic, of one _matrix per item
-    def per_item():
-        cap = (lambda m: m) if row_cap is None else (lambda m: scenario._capped_list(m, row_cap, "matrix rows"))
-        return np.stack(scenario._each(raw, lambda m: scenario._matrix(cap(m), dim)))
-
+    # a valid family is the plain decode of its [re, im] pairs; a bad one names its first bad item,
+    # whether the item is malformed or over the row cap
     family = build_outcome(lambda: scenario._matrices(scenario._items(raw), dim, row_cap))
-    assert family == build_outcome(per_item)
     if diagnostic is None:
+        arr = np.asarray(raw, dtype=float)
+        assert family == build_outcome(lambda: arr[..., 0] + 1j * arr[..., 1])
         assert family[:2] == (np.complex128, (len(raw), *np.shape(raw)[1:3]))
     else:
         assert family == diagnostic

@@ -29,7 +29,7 @@ the rank cutoff, so three lattice probes put meets next to it:
   8th tilted by 0, 1.5e-4 and -1.5e-4 rad.
 
 Every damping pool has k = 8 observables over 100 steps with entries of
-order one, so six damping probes with seeded random Hermitian observables
+order one, so seven damping probes with seeded random Hermitian observables
 reach the paths the pools miss:
 
 * ``damping_k64_n300``: k = 64 over 300 steps, one step per chunk of
@@ -41,10 +41,13 @@ reach the paths the pools miss:
 * ``damping_scale_1e-160``: the same at 1e-160, whose cross products are
   subnormal;
 * ``damping_scale_1e+154``: the same at 1e+154, whose commutators pass the
-  float range at run time (exit 3).
+  float range at run time (exit 3);
+* ``damping_commuting_pair``: k = 8 over 100 steps with X_1 = 2 X_0, so one
+  pair's commutator is exactly zero at every step and that member alone
+  takes the norm kernel's rescale path.
 
-Every pool, demo and probe above exits 0 but the last, so two more probes
-end in the other exit codes:
+Every pool, demo and probe above exits 0 but ``damping_scale_1e+154``, so
+two more probes end in the other exit codes:
 
 * ``invalid_projector``: a lattice scenario whose first matrix is I / 2,
   which fails validation (exit 2);
@@ -56,15 +59,18 @@ Each scenario runs through ``scenario.run_file`` in this process. The digest
 covers, per scenario in a fixed order: its name relative to the temporary
 directory, its input bytes, its exit code, its stdout (the summary or the
 diagnostic) with that directory's path replaced, every warning it raised,
-and the name and bytes of every output file. The output is the scenario
-count and the digest. ``perfbench/`` is only read: no bytecode is written
-for it. A digest is only comparable with one from the same machine, numpy
-and BLAS build.
+and the name and bytes of every output file. The output is a line naming
+the CPU class, numpy's dispatched CPU features in use and the core OpenBLAS
+chose, then the scenario count and the digest. ``perfbench/`` is only read:
+no bytecode is written for it. Compare two digests only if their CPU lines
+match and they come from the same numpy and BLAS build: numpy's ``exp``
+and BLAS kernels round differently on other CPU classes.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -97,13 +103,16 @@ def _probes(demo_resonance: dict) -> dict[str, dict]:
             "observables": [workloads._encode(workloads._hermitian(rng, 4)) for _ in range(2)],
         }
 
-    def damping(k, n_max, scale=1.0):
+    def damping(k, n_max, scale=1.0, twin=False):
+        mats = [workloads._hermitian(rng, 2) * scale for _ in range(k)]
+        if twin:
+            mats[1] = 2 * mats[0]  # [X_0, X_1] = 0 exactly
         return {
             "kind": "damping",
             "p": 0.03,
             "n_max": n_max,
             "eps": 1e-6,
-            "observables": [workloads._encode(workloads._hermitian(rng, 2) * scale) for _ in range(k)],
+            "observables": [workloads._encode(m) for m in mats],
         }
 
     def lattice(mats):
@@ -129,6 +138,7 @@ def _probes(demo_resonance: dict) -> dict[str, dict]:
         "damping_k64_n300": damping(64, 300),
         "damping_k2_n5000": damping(2, 5000),
         **{f"damping_scale_{scale:.0e}": damping(8, 100, scale) for scale in (1e-150, 1e150, 1e-160, 1e154)},
+        "damping_commuting_pair": damping(8, 100, twin=True),
         "invalid_projector": lattice([np.eye(2) / 2, np.eye(2), np.zeros((2, 2))]),
         "invertible_growth": {
             **demo_resonance,
@@ -173,6 +183,18 @@ def _record(path: Path, tmp: Path) -> dict:
     }
 
 
+def _cpu_class() -> str:
+    """numpy's dispatched CPU features in use and the core of numpy's bundled OpenBLAS, ``unknown`` if it names none."""
+    umath = np._core._multiarray_umath
+    features = " ".join(f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f))
+    corename = getattr(ctypes.CDLL(umath.__file__), "scipy_openblas_get_corename64_", None)
+    core = "unknown"
+    if corename is not None:
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    return f"numpy dispatch: {features}; OpenBLAS core: {core}"
+
+
 def main() -> int:
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmpdir:
@@ -180,6 +202,7 @@ def main() -> int:
         paths = _scenarios(tmp)
         for path in paths:
             digest.update(json.dumps(_record(path, tmp), sort_keys=True).encode() + b"\n")
+    print(_cpu_class())
     print(f"{len(paths)} scenarios, sha256 {digest.hexdigest()}")
     return 0
 
