@@ -41,8 +41,9 @@ __all__ = [
 
 # A plain sum of squared moduli inside [_SUMSQ_TINY, _SUMSQ_HUGE] is exact
 # to roundoff; outside it, squares may have underflowed or overflowed, and
-# the norm is recomputed on entries scaled by the largest modulus (Blue,
-# ACM TOMS 4(1), 1978; Anderson, ACM TOMS 44(1), 2017).
+# the same sum is taken again on the member's float parts shifted by an exact
+# power of two, that of its largest part (Blue, ACM TOMS 4(1), 1978;
+# Anderson, ACM TOMS 44(1), 2017).
 _SUMSQ_TINY = 2.0**-600
 _SUMSQ_HUGE = 2.0**600
 
@@ -199,11 +200,17 @@ def _sumsq(stack: np.ndarray) -> np.ndarray:
 def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
     """Frobenius norms of the members of an (m, r, c) stack: the one norm kernel of the package.
 
-    A plain sum of squares outside [_SUMSQ_TINY, _SUMSQ_HUGE] is recomputed
-    from the member's entries divided by its largest modulus. The numpy
-    warnings of squares that leave the float range are silenced here, as
-    handling that range is the kernel's job. Raises ValueError if an entry
-    or a norm overflowed (is not finite).
+    A member whose plain sum of squares falls outside [_SUMSQ_TINY,
+    _SUMSQ_HUGE] takes the same sum, in the same row-reduction order, of
+    its float parts shifted by 2^-e, where 2^e is the power of two just
+    above its largest part (``np.frexp``); the square root is shifted back
+    by 2^e. Shifts by powers of two are exact, so a norm has one definition
+    at every scale: the norms of 2^k X are 2^k times those of X, bit for
+    bit, unless a part, square or norm of either falls below the normal
+    float range. An exactly zero member has e = 0 and norm 0, with no
+    guard. The numpy warnings of squares that leave the float range are
+    silenced here, as handling that range is the kernel's job. Raises
+    ValueError if an entry or a norm overflowed (is not finite).
     """
     # The range test is one max and one min reduction; NaN fails it, as its
     # comparisons are false. The first max or min reduction of a process maps
@@ -216,10 +223,10 @@ def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
         norms = np.sqrt(sumsq)
         if sumsq.size and not (sumsq.max() <= _SUMSQ_HUGE and sumsq.min() >= _SUMSQ_TINY) and stack.any():
             rescale = ~((sumsq >= _SUMSQ_TINY) & (sumsq <= _SUMSQ_HUGE))
-            moduli = np.abs(stack[rescale].reshape(-1, stack.shape[1] * stack.shape[2]))
-            scale = moduli.max(axis=1, keepdims=True)
-            unit = np.divide(moduli, scale, out=np.zeros_like(moduli), where=scale > 0)
-            norms[rescale] = scale[:, 0] * np.sqrt((unit * unit).sum(axis=1))
+            parts = stack[rescale].reshape(-1, stack.shape[1] * stack.shape[2]).view(np.float64)
+            _, exponent = np.frexp(np.abs(parts).max(axis=1, keepdims=True))
+            scaled = np.ldexp(parts, -exponent)
+            norms[rescale] = np.ldexp(np.sqrt((scaled * scaled).sum(axis=1)), exponent[:, 0])
             if not np.isfinite(norms).all():
                 raise ValueError("matrix entries or their norm overflow the float range")
     return norms

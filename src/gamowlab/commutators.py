@@ -7,7 +7,7 @@ growth counterexample.
 
 The grid is walked in chunks of consecutive times: one evolution operator
 over the chunk's times, both observables evolved as stacks, the commutators
-from two stacked products and their norms from batched inner products.
+from two stacked products and their norms from the norm kernel.
 :func:`trajectory` stacks the chunks; a scenario run reduces each one as it
 comes, to its norms and :func:`ansatz_coefficients`.
 

@@ -300,3 +300,38 @@ def test_a_commuting_pair_takes_one_pass_of_sums(monkeypatch):
     monkeypatch.undo()
     np.testing.assert_array_equal(norms[0], strided_pair_cross_norms(generic))
     np.testing.assert_array_equal(norms[1], strided_pair_cross_norms(commuting))
+
+
+def shifted(stack, k):
+    """The stack with every float part multiplied by 2^k, exactly while no part leaves the normal range."""
+    return np.ldexp(stack.view(np.float64), k).view(np.complex128)
+
+
+@pytest.mark.parametrize("d", [2, 4, 16])
+@pytest.mark.parametrize("k", [-1000, -700, -600, -540, 600, 700, 1000])
+def test_norms_of_a_stack_shifted_by_a_power_of_two_shift_by_it_exactly(d, k):
+    # both sums of the kernel are the same row reduction, on the parts or on the parts
+    # shifted by an exact power of two, so ||2^k X|| = 2^k ||X|| bit for bit, whichever
+    # sum X and 2^k X each take
+    rng = np.random.default_rng(37 + d)
+    stack = rng.normal(size=(1000, d, d)) + 1j * rng.normal(size=(1000, d, d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(_frobenius_norms(shifted(stack, k)), np.ldexp(_frobenius_norms(stack), k))
+
+
+@pytest.mark.parametrize("k", [-600, -540, 600])
+def test_norms_of_a_mixed_stack_shifted_by_a_power_of_two_shift_by_it_exactly(k):
+    # members at scales 1, 2^-320 and 2^320, whose plain sums of squares fall in, below and
+    # above [2^-600, 2^600], and exact zeros, in one call; at each shift some members change
+    # sides of that range, and every part stays normal
+    rng = np.random.default_rng(41)
+    stack = rng.normal(size=(1000, 2, 2)) + 1j * rng.normal(size=(1000, 2, 2))
+    stack[1::4] *= 2.0**-320
+    stack[2::4] *= 2.0**320
+    stack[3::4] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = _frobenius_norms(stack)
+        np.testing.assert_array_equal(_frobenius_norms(shifted(stack, k)), np.ldexp(norms, k))
+    assert not norms[3::4].any() and norms[0::4].all() and norms[1::4].all() and norms[2::4].all()

@@ -640,6 +640,126 @@ def test_runs_are_byte_identical(tmp_path):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+@pytest.mark.parametrize("shift", [-300, 300])
+@pytest.mark.parametrize("kind", ["damping", "resonance"])
+def test_observables_shifted_by_a_power_of_two_shift_the_run_exactly(tmp_path, kind, shift):
+    # norms, alpha and beta are of degree 2 in the observables and the residual of degree 0,
+    # so observables times 2^shift give 2^(2 shift) times the plain run's cells, and its
+    # residuals, bit for bit; log_norm, fit.txt and the summary round, so they are not compared
+    rng = np.random.default_rng(59)
+    if kind == "damping":
+        payload = {"kind": "damping", "p": 0.03, "n_max": 100, "eps": 1e-6}
+        observables = [random_hermitian(rng, 2) for _ in range(8)]
+        scaled, same = ["norm"], []
+    else:
+        resonances = [{"energy": float(rng.uniform(-2, 2)), "width": w} for w in (0.6, 0.9)]
+        payload = resonance_payload(resonances=resonances, grid={"t_start": 0.0, "t_end": 8.0, "steps": 201}, eps=1e-3)
+        observables = [random_hermitian(rng, 4) for _ in range(2)]
+        scaled, same = ["norm", "alpha_re", "alpha_im", "beta_re", "beta_im"], ["ansatz_residual"]
+    runs = []
+    for k in (0, shift):
+        path = write_scenario(tmp_path, {**payload, "observables": [encode(o * 2.0**k) for o in observables]}, f"{k}.json")
+        assert scenario.run_file(path, tmp_path / f"out{k}") == 0
+        header, *rows = (tmp_path / f"out{k}" / "commutators.csv").read_text().splitlines()
+        columns = dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
+        runs.append({name: np.array(columns[name], dtype=float) for name in scaled + same})
+    plain, moved = runs
+    assert plain["norm"].all()
+    for name in scaled:
+        np.testing.assert_array_equal(moved[name], np.ldexp(plain[name], 2 * shift), err_msg=name)
+    for name in same:
+        np.testing.assert_array_equal(moved[name], plain[name], err_msg=name)
+
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+# Other x86-64 CPU classes, emulated per child process: numpy at AVX2 and at X86_V2
+# dispatch, and two other kernel sets of numpy's bundled OpenBLAS.
+CPU_CLASSES = {
+    "avx2": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    "x86_v2": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR X86_V3"},
+    "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+}
+
+# The child prints the digest tool's CPU line, then one JSON line per scenario: its
+# name, exit code and stdout; each run writes its outputs under the directory given.
+CPU_CLASS_CHILD = """
+import contextlib, io, json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from output_digest import _cpu_class
+print(_cpu_class(), flush=True)
+from gamowlab import scenario
+for path in map(Path, sys.argv[3:]):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = scenario.run_file(path, Path(sys.argv[2]) / path.stem)
+    print(json.dumps([path.stem, code, stdout.getvalue()]))
+"""
+
+
+def digest_probes(demo_resonance):
+    """The probe scenarios of ``tools/output_digest.py``, by name; what importing the tool sets is undone."""
+    saved = sys.dont_write_bytecode, list(sys.path)
+    try:
+        sys.path.insert(0, str(TOOLS))
+        import output_digest
+    finally:
+        sys.dont_write_bytecode, sys.path[:] = saved
+    return output_digest._probes(demo_resonance)
+
+
+def cpu_class_run(paths, out, setting):
+    """Run the scenarios in a child with ``setting`` over an environment free of CPU-class variables.
+
+    Returns the child's result, its CPU line (None if it printed none, as when
+    numpy rejects the setting), its scenario records and its output bytes by name.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(scenario.__file__).parents[1]), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", CPU_CLASS_CHILD, str(TOOLS), str(out), *map(str, paths)],
+        capture_output=True,
+        text=True,
+        env={**env, **setting},
+        timeout=300,
+    )
+    cpu, *records = result.stdout.splitlines() or [None]
+    files = {f"{f.parent.name}/{f.name}": f.read_bytes() for f in sorted(out.glob("*/*"))}
+    return result, cpu, [json.loads(record) for record in records], files
+
+
+@pytest.fixture(scope="module")
+def cpu_class_default(tmp_path_factory):
+    """The damping and lattice demos and four digest probes, written once, and their run under the default setting."""
+    tmp = tmp_path_factory.mktemp("cpu_class")
+    scenario.write_demo_files(tmp)
+    probes = digest_probes(json.loads((tmp / "demo_resonance.json").read_text(encoding="utf-8")))
+    paths = [tmp / "demo_damping.json", tmp / "demo_lattice.json"]
+    for name in ("damping_scale_1e-150", "damping_scale_1e+150", "damping_scale_1e-160", "near_lines_1e-10"):
+        paths.append(write_scenario(tmp, probes[name], f"{name}.json"))
+    result, cpu, records, files = cpu_class_run(paths, tmp / "out", {})
+    assert result.returncode == 0, result.stderr
+    assert [code for _, code, _ in records] == [0] * len(paths)
+    return paths, (cpu, records, files)
+
+
+@pytest.mark.parametrize("setting", sorted(CPU_CLASSES))
+def test_damping_and_lattice_bits_hold_on_every_emulated_cpu_class(cpu_class_default, tmp_path, setting):
+    # damping runs of Hermitian observables and lattice runs give the default's exit codes,
+    # stdout and output bytes; a setting the machine cannot emulate, whose child prints no
+    # CPU line or the default's, is skipped
+    paths, (default_cpu, default_records, default_files) = cpu_class_default
+    result, cpu, records, files = cpu_class_run(paths, tmp_path / "out", CPU_CLASSES[setting])
+    if cpu is None or cpu == default_cpu:
+        pytest.skip(f"{setting} is not emulated here: {cpu or result.stderr.strip()}")
+    assert result.returncode == 0, result.stderr
+    assert records == default_records
+    assert files.keys() == default_files.keys()
+    assert [name for name in files if files[name] != default_files[name]] == []
+
+
 # ---------------------------------------------------------------- cli wiring
 
 

@@ -28,9 +28,9 @@ the rank cutoff, so three lattice probes put meets next to it:
 * ``near_ranges_c16``: rank-8 ranges in C^16 that share 7 directions, the
   8th tilted by 0, 1.5e-4 and -1.5e-4 rad.
 
-Every damping pool has k = 8 observables over 100 steps with entries of
-order one, so seven damping probes with seeded random Hermitian observables
-reach the paths the pools miss:
+Every damping pool has k = 8 Hermitian observables over 100 steps with
+entries of order one, so eight damping probes with seeded random observables,
+Hermitian in all but the last, reach the paths the pools miss:
 
 * ``damping_k64_n300``: k = 64 over 300 steps, one step per chunk of
   pair norms;
@@ -44,7 +44,10 @@ reach the paths the pools miss:
   float range at run time (exit 3);
 * ``damping_commuting_pair``: k = 8 over 100 steps with X_1 = 2 X_0, so one
   pair's commutator is exactly zero at every step and that member alone
-  takes the norm kernel's rescale path.
+  takes the norm kernel's rescale path;
+* ``damping_non_hermitian``: k = 8 over 100 steps with complex observables,
+  whose Pauli vectors are complex, so the cross products multiply nonzero
+  imaginary parts.
 
 Every pool, demo and probe above exits 0 but ``damping_scale_1e+154``, so
 two more probes end in the other exit codes:
@@ -103,8 +106,8 @@ def _probes(demo_resonance: dict) -> dict[str, dict]:
             "observables": [workloads._encode(workloads._hermitian(rng, 4)) for _ in range(2)],
         }
 
-    def damping(k, n_max, scale=1.0, twin=False):
-        mats = [workloads._hermitian(rng, 2) * scale for _ in range(k)]
+    def damping(k, n_max, scale=1.0, twin=False, hermitian=True):
+        mats = [(workloads._hermitian(rng, 2) if hermitian else workloads._complex(rng, (2, 2))) * scale for _ in range(k)]
         if twin:
             mats[1] = 2 * mats[0]  # [X_0, X_1] = 0 exactly
         return {
@@ -139,6 +142,7 @@ def _probes(demo_resonance: dict) -> dict[str, dict]:
         "damping_k2_n5000": damping(2, 5000),
         **{f"damping_scale_{scale:.0e}": damping(8, 100, scale) for scale in (1e-150, 1e150, 1e-160, 1e154)},
         "damping_commuting_pair": damping(8, 100, twin=True),
+        "damping_non_hermitian": damping(8, 100, hermitian=False),
         "invalid_projector": lattice([np.eye(2) / 2, np.eye(2), np.zeros((2, 2))]),
         "invertible_growth": {
             **demo_resonance,
