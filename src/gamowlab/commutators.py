@@ -38,6 +38,7 @@ versus off-diagonal parts of the factors). Consequences worth knowing:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,16 +213,29 @@ def fit_window_start(n_times: int, n_resonances: int, window_fraction: float | N
 
 
 def _decay_fit(ts: np.ndarray, norms: np.ndarray) -> DecayFit:
-    """Least-squares slope of log norm versus time at the given points.
+    """Least-squares line of log norm versus time at the given increasing times.
 
-    Points at or below the underflow floor are dropped.
+    Points at or below the underflow floor are dropped. The logs are
+    ``math.log``'s, the ones a resonance run writes: numpy's AVX-512 log rounds
+    some of them one ulp apart. The line is the centred two-pass closed form:
+    slope = sum(dx dy) / sum(dx^2), with dx and dy the points less their means,
+    from elementwise arithmetic and numpy row reductions only, so its bits
+    follow no BLAS or LAPACK kernel. x is the time less the first usable one,
+    over the usable span, and the slope is divided by that span after: x lies
+    in [0, 1], so no sum or square leaves the float range at any grid offset or
+    span. The logs are shifted by their first one before centring, so equal
+    logs give dy = 0 and slope 0 exactly (the rounded mean of equal floats need
+    not be that float).
     """
     usable = norms > UNDERFLOW_FLOOR
     if int(usable.sum()) < 2:
         raise ValueError("fewer than 2 usable points above the underflow floor; no fit")
-    ts = ts[usable]
-    logs = np.log(norms[usable])
-    slope, intercept = np.polyfit(ts, logs, 1)
+    ts, logs = ts[usable], np.fromiter(map(math.log, norms[usable].tolist()), float)
+    span = ts[-1] - ts[0]
+    x, y = (ts - ts[0]) / span, logs - logs[0]
+    dx, dy = x - x.mean(), y - y.mean()
+    slope = (dx * dy).sum() / (dx * dx).sum() / span
+    intercept = logs[0] + y.mean() - slope * (ts[0] + span * x.mean())
     resid = float(np.abs(logs - (slope * ts + intercept)).max())
     return DecayFit(slope=float(slope), intercept=float(intercept), max_abs_residual=resid, n_points=int(usable.sum()))
 

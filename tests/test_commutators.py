@@ -1,5 +1,7 @@
+import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from gamowlab.commutators import (
     UNDERFLOW_FLOOR,
     _commutator_chunks,
     _damping_norms,
+    _decay_fit,
     ansatz_coefficients,
     ansatz_report,
     envelope_fit,
@@ -226,6 +229,49 @@ def test_envelope_fit_window_validation():
     traj = trajectory(space, SIGMA_X, SIGMA_Y, times(11))
     with pytest.raises(ValueError, match="window fraction"):
         envelope_fit(traj, window_fraction=0.0)
+
+
+def exact_least_squares_slope(ts, logs):
+    """The least-squares slope through the float points, in exact rational arithmetic."""
+    t, y = [Fraction(float(v)) for v in ts], [Fraction(float(v)) for v in logs]
+    t_mean, y_mean = sum(t) / len(t), sum(y) / len(y)
+    return sum((a - t_mean) * (b - y_mean) for a, b in zip(t, y)) / sum((a - t_mean) ** 2 for a in t)
+
+
+@pytest.mark.parametrize("span", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("t0", [0.0, -5.0, 1e3, 1e6, 1e10, 1e12])
+def test_decay_fit_slope_is_the_exact_least_squares_slope(t0, span):
+    # a noisy decaying line on [t0, t0 + span]; far from 0 the grid times agree in up to
+    # 15 digits, and the fit still gives the least-squares slope of its float inputs, the
+    # times and the math.log of the norms
+    rng = np.random.default_rng(51)
+    ts = np.linspace(t0, t0 + span, 51)
+    norms = np.exp(rng.uniform(-5.0, 5.0) - rng.uniform(0.1, 5.0) / span * (ts - t0) + rng.normal(0.0, 1e-3, ts.size))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = _decay_fit(ts, norms)
+    exact = exact_least_squares_slope(ts, [math.log(norm) for norm in norms])
+    assert abs(Fraction(fit.slope) - exact) <= Fraction(1e-12) * abs(exact)
+
+
+@pytest.mark.parametrize(
+    "t_start, t_end, rate, slope",
+    [(0.0, 1e-200, 0.5, 0.0), (-1e300, 0.0, 1e-310, -2e-310), (1e308, 1.7e308, 1e-310, -2e-310)],
+    ids=["tiny-span", "huge-span", "huge-times"],
+)
+def test_decay_fit_is_quiet_and_finite_on_extreme_grids(t_start, t_end, rate, slope):
+    # norms 2 sqrt(2) e^{-2 rate (t - t_start)}, as the sigma_x, sigma_y run writes them:
+    # over the tiny span they are all equal, so the least-squares slope is 0; over the
+    # huge spans the log norms resolve the slope -2 rate, to about 2e-7 on [-1e300, 0],
+    # where they vary by 2e-10 only
+    ts = np.linspace(t_start, t_end, 101)
+    norms = 2.0 * np.sqrt(2.0) * np.exp(-2.0 * rate * (ts - t_start))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = _decay_fit(ts, norms)
+    assert np.isfinite([fit.slope, fit.intercept, fit.max_abs_residual]).all()
+    assert fit.n_points == 101
+    assert fit.slope == pytest.approx(slope, rel=1e-6, abs=0.0)
 
 
 # ---------------------------------------------------------------- chunked evaluation

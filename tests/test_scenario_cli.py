@@ -760,6 +760,65 @@ def test_damping_and_lattice_bits_hold_on_every_emulated_cpu_class(cpu_class_def
     assert [name for name in files if files[name] != default_files[name]] == []
 
 
+def written_norms(csv: bytes) -> list[list[bytes]]:
+    """The t, norm and log_norm cells of a resonance ``commutators.csv``."""
+    return [row.split(b",")[:3] for row in csv.splitlines()]
+
+
+@pytest.fixture(scope="module")
+def cpu_class_resonance_default(tmp_path_factory):
+    """The resonance demo and a seeded random pair, written once, and their run under the default setting.
+
+    One norm of the random pair's fit window is a float whose log numpy's AVX-512
+    kernel rounds one ulp away from ``math.log``, and the least-squares lines through
+    the two kernels' logs differ in the last digit of their slope and intercept.
+    """
+    tmp = tmp_path_factory.mktemp("cpu_class_resonance")
+    scenario.write_demo_files(tmp)
+    rng = np.random.default_rng(1394)
+    resonances = [{"energy": float(rng.uniform(-2, 2)), "width": float(rng.uniform(0.1, 1))}]
+    observables = [encode(random_hermitian(rng, 2)) for _ in range(2)]
+    paths = [
+        tmp / "demo_resonance.json",
+        write_scenario(tmp, resonance_payload(resonances=resonances, observables=observables), "random_pair.json"),
+    ]
+    result, cpu, records, files = cpu_class_run(paths, tmp / "out", {})
+    assert result.returncode == 0, result.stderr
+    assert [code for _, code, _ in records] == [0, 0]
+    return paths, (cpu, records, files)
+
+
+@pytest.mark.parametrize("setting", sorted(CPU_CLASSES))
+def test_resonance_fit_holds_on_every_emulated_cpu_class(cpu_class_resonance_default, tmp_path, setting):
+    # the fit reads the written log norms, so a run's stdout and fit.txt hold wherever its
+    # t, norm and log_norm cells do: for the demo in every setting, since its entries 0, +-1
+    # and +-i make every product exact, and for the random pair at least at AVX2 dispatch,
+    # which moves no BLAS product; the demo's commutators.csv holds under the other OpenBLAS
+    # cores only, since its alpha/beta cells follow numpy's real exp, which rounds
+    # differently at AVX2 and X86_V2 dispatch
+    paths, (default_cpu, default_records, default_files) = cpu_class_resonance_default
+    result, cpu, records, files = cpu_class_run(paths, tmp_path / "out", CPU_CLASSES[setting])
+    if cpu is None or cpu == default_cpu:
+        pytest.skip(f"{setting} is not emulated here: {cpu or result.stderr.strip()}")
+    assert result.returncode == 0, result.stderr
+    assert files.keys() == default_files.keys()
+    held = {
+        name: written_norms(files[f"{name}/commutators.csv"]) == written_norms(default_files[f"{name}/commutators.csv"])
+        for name, _, _ in default_records
+    }
+    assert held["demo_resonance"]
+    if setting == "avx2":
+        assert held["random_pair"]
+    for record, default_record in zip(records, default_records):
+        name = default_record[0]
+        assert record[:2] == default_record[:2]
+        if held[name]:
+            assert record == default_record
+            assert files[f"{name}/fit.txt"] == default_files[f"{name}/fit.txt"], name
+    if "OPENBLAS_CORETYPE" in CPU_CLASSES[setting]:
+        assert files["demo_resonance/commutators.csv"] == default_files["demo_resonance/commutators.csv"]
+
+
 # ---------------------------------------------------------------- cli wiring
 
 
@@ -1089,6 +1148,36 @@ def test_run_prints_no_warning(tmp_path, variant, widths, t_end, code):
     )
     assert result.returncode == code
     assert result.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "width, t_start, t_end, expected",
+    [(3e-8, 1e10, 1e10 + 1e-3, -6e-8), (0.5, 0.0, 1e-200, 0.0)],
+    ids=["far-grid", "tiny-span"],
+)
+def test_resonance_fit_on_extreme_grids_is_quiet(tmp_path, width, t_start, t_end, expected):
+    # the sigma_x, sigma_y run on a grid whose times agree in their first 13 digits, and on
+    # one so short that every log norm is equal: the run exits 0 with its one summary line,
+    # nothing reaches stderr, and the fit is the least-squares slope, -2 Gamma on the far
+    # grid and 0 on the tiny span
+    path = write_scenario(
+        tmp_path,
+        resonance_payload(
+            resonances=[{"energy": 0.0, "width": width}],
+            grid={"t_start": t_start, "t_end": t_end, "steps": 101},
+        ),
+    )
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-m", "gamowlab", "run", str(path), "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stdout
+    assert len(result.stdout.splitlines()) == 1
+    assert result.stderr == ""
+    slope = float((out / "fit.txt").read_text().splitlines()[0].removeprefix("slope = "))
+    assert slope == pytest.approx(expected, rel=1e-3, abs=0.0)
 
 
 def resonance_objects(tmp_path, widths, t_end, steps, seed=47):

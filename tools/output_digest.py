@@ -58,6 +58,18 @@ two more probes end in the other exit codes:
   resonance, INVERTIBLE conjugation and the grid [0, 400] in 3 steps,
   whose evolved entries pass the float range at run time (exit 3).
 
+Every resonance pool, demo and probe above fits its decay line on a grid
+that starts at or near t = 0 and spans order one to a few hundred, so three
+probes take the demo resonance scenario, its sigma_x, sigma_y pair with no
+random draw, to grids at the ends of the float range:
+
+* ``fit_far_grid``: width 3e-8 on [1e10, 1e10 + 1e-3], whose times agree in
+  their first 13 digits;
+* ``fit_tiny_span``: width 0.5 on [0, 1e-200], over which every log norm is
+  equal;
+* ``fit_huge_span``: width 1e-310 on [-1e300, 0], whose slope -2e-310 is
+  subnormal.
+
 Each scenario runs through ``scenario.run_file`` in this process. The digest
 covers, per scenario in a fixed order: its name relative to the temporary
 directory, its input bytes, its exit code, its stdout (the summary or the
@@ -118,6 +130,13 @@ def _probes(demo_resonance: dict) -> dict[str, dict]:
             "observables": [workloads._encode(m) for m in mats],
         }
 
+    def fit(width, t_start, t_end):
+        return {
+            **demo_resonance,
+            "resonances": [{"energy": 0.0, "width": width}],
+            "grid": {"t_start": t_start, "t_end": t_end, "steps": 101},
+        }
+
     def lattice(mats):
         return {"kind": "lattice", "observables": [workloads._encode(m) for m in mats]}
 
@@ -150,6 +169,9 @@ def _probes(demo_resonance: dict) -> dict[str, dict]:
             "variant": "invertible",
             "grid": {"t_start": 0.0, "t_end": 400.0, "steps": 3},
         },
+        "fit_far_grid": fit(3e-8, 1e10, 1e10 + 1e-3),
+        "fit_tiny_span": fit(0.5, 0.0, 1e-200),
+        "fit_huge_span": fit(1e-310, -1e300, 0.0),
     }
 
 
