@@ -5,11 +5,21 @@ evolution variant, where O(t) = heisenberg_evolve(U(t), O). The HERMITIAN
 variant is the default for commutator studies; INVERTIBLE is kept for the
 growth counterexample.
 
-The grid is walked in chunks of consecutive times: one evolution operator
-over the chunk's times, both observables evolved as stacks, the commutators
-from two stacked products and their norms from the norm kernel.
-:func:`trajectory` stacks the chunks; a scenario run reduces each one as it
-comes, to its norms and :func:`ansatz_coefficients`.
+Every variant conjugates by diagonals, O(t) = U O U# with U = diag(u) and
+U# = diag(v), so W = U# U = diag(w), w = u v, and
+
+    [U O1 U#, U O2 U#] = U (O1 W O2 - O2 W O1) U# = U (sum_b w_b M_b) U#,
+    M_b[a, c] = O1_ab O2_bc - O2_ab O1_bc,
+
+where the tensor M does not depend on t. The grid is walked in chunks of
+consecutive times, one evolution operator over each chunk's times. Where
+M and one grid time's arrays fit in :data:`CHUNK_BYTES` together (d <= 20),
+M is built once and a chunk's commutators take one GEMM, (c, d) @ (d, d^2),
+and one stacked conjugation. Larger d, and runs whose M or evolved
+observables could pass the float range, keep both observables evolved as
+stacks and two stacked products per chunk. The norms come from the norm
+kernel. :func:`trajectory` stacks the chunks; a scenario run reduces each
+one as it comes, to its norms and :func:`ansatz_coefficients`.
 
 The damping series lives here too: ``_damping_norms`` steps a qubit family's
 Pauli vectors by a channel, a chunk of steps at a time, to worst-pair norms.
@@ -45,7 +55,7 @@ import numpy as np
 
 from .channels import KrausChannel, _pauli_transfer
 from .cmatrix import _frobenius_norms, _pair_cross_norms, _pauli_vectors, as_complex_matrix
-from .evolution import EvolutionVariant, evolution_operator, heisenberg_evolve
+from .evolution import EvolutionVariant, _observable, _sharp_diag, evolution_operator, heisenberg_evolve
 from .gamow import GamowSpace
 
 __all__ = [
@@ -127,32 +137,81 @@ def time_grid(times) -> np.ndarray:
     return ts
 
 
-def _chunks(n_items: int, item_bytes: int):
-    """Slices of consecutive indices, each spanning as many items of ``item_bytes`` as CHUNK_BYTES holds, one at least.
+def _chunks(n_items: int, item_bytes: int, reserved_bytes: int = 0):
+    """Slices of consecutive indices, each spanning as many items of ``item_bytes`` as CHUNK_BYTES holds beside ``reserved_bytes``, one at least.
 
-    ``item_bytes`` is all that one item has alive at the chunk's peak.
+    ``item_bytes`` is all that one item has alive at the chunk's peak;
+    ``reserved_bytes`` is what every chunk shares, alive throughout.
     """
-    step = max(1, CHUNK_BYTES // item_bytes)
+    step = max(1, (CHUNK_BYTES - reserved_bytes) // item_bytes)
     return (slice(lo, min(lo + step, n_items)) for lo in range(0, n_items, step))
+
+
+def _commutator_tensor(o1: np.ndarray, o2: np.ndarray) -> np.ndarray:
+    """The time-independent tensor M of two (d, d) observables, as a C-ordered (d, d^2) array.
+
+    Row b is M_b[a, c] = O1_ab O2_bc - O2_ab O1_bc, flattened. For a
+    diagonal conjugation O(t) = U O U# with U# U = diag(w),
+    [O1(t), O2(t)] = U (sum_b w_b M_b) U#. It is filled a row at a time,
+    so that it holds no temporary of its own size. An entry past the float
+    range is inf or nan, with no numpy warning.
+    """
+    dim = len(o1)
+    tensor = np.empty((dim, dim, dim), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b, row in enumerate(tensor):
+            np.multiply(o1[:, b, None], o2[b], out=row)
+            row -= o2[:, b, None] * o1[b]
+    return tensor.reshape(dim, dim * dim)
 
 
 def _commutator_chunks(space: GamowSpace, o1, o2, ts: np.ndarray, variant: EvolutionVariant):
     """Yield each chunk's slice of the grid ``ts``, its (c, d, d) commutators and their norms.
 
-    An evolved entry past the float range reaches the commutators as inf or nan,
-    with no numpy warning, and the norm kernel raises ValueError on it.
+    The tensor path builds M once (:func:`_commutator_tensor`) and gives a
+    chunk one GEMM, S = w @ M with w = u v the diagonals of U and U# over
+    its times, then ``heisenberg_evolve`` of the stack S. It is taken where
+    M (16 d^3 bytes) and one grid time's arrays fit in CHUNK_BYTES together,
+    d <= 20, M counting against the budget and the chunks getting the rest;
+    where M is finite; and where no entry u_a O_ab v_b of an evolved
+    observable can pass the float range: |u| peaks at an end of the grid,
+    and twice the bound peak^2 max|O| must be finite. Elsewhere each chunk
+    evolves both observables and takes two stacked products. An evolved
+    entry or product past the float range reaches the commutators as inf or
+    nan, with no numpy warning, and the norm kernel raises ValueError on it.
     """
-    # A grid time, with its consumer, holds up to seven (d, d) complex matrices' worth: the
-    # two evolved observables, the commutator, one product, the norm kernel's squared float
-    # parts (16 bytes per entry) and the copy ansatz_coefficients makes, with its share of
-    # the small per-time arrays.
-    for chunk in _chunks(ts.size, 7 * 16 * space.dim**2):
+    dim = space.dim
+    # A grid time, with its consumer, holds up to seven (d, d) complex matrices' worth on the
+    # product path: the two evolved observables, the commutator, one product, the norm
+    # kernel's squared float parts (16 bytes per entry) and the copy ansatz_coefficients
+    # makes, with its share of the small per-time arrays. On the tensor path it holds four
+    # (S and its conjugation beside the consumer's last commutator, or later the commutator,
+    # its squared parts and the copy) and four complex d-vectors' worth of diagonals and
+    # coefficients; tracemalloc reads four matrices and up to 2.1 vectors at d = 2 to 16.
+    tensor_time_bytes = 16 * (4 * dim**2 + 4 * dim)
+    tensor = None
+    if 16 * dim**3 + tensor_time_bytes <= CHUNK_BYTES:
+        o1, o2 = _observable(o1, dim), _observable(o2, dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            peak = float(np.abs(evolution_operator(space, ts[[0, -1]], variant).diag).max())
+        if math.isfinite(2.0 * peak * peak * float(max(np.abs(o1).max(), np.abs(o2).max()))):
+            tensor = _commutator_tensor(o1, o2)
+            if not np.isfinite(tensor).all():
+                tensor = None
+    if tensor is None:
+        chunks = _chunks(ts.size, 7 * 16 * dim**2)
+    else:
+        chunks = _chunks(ts.size, tensor_time_bytes, tensor.nbytes)
+    for chunk in chunks:
         with np.errstate(over="ignore", invalid="ignore"):
             op = evolution_operator(space, ts[chunk], variant)
-            a = heisenberg_evolve(op, o1)
-            b = heisenberg_evolve(op, o2)
-            comm = a @ b
-            comm -= b @ a
+            if tensor is None:
+                a = heisenberg_evolve(op, o1)
+                b = heisenberg_evolve(op, o2)
+                comm = a @ b
+                comm -= b @ a
+            else:
+                comm = heisenberg_evolve(op, ((op.diag * _sharp_diag(op)) @ tensor).reshape(-1, dim, dim))
         yield chunk, comm, _frobenius_norms(comm)
 
 
@@ -186,7 +245,13 @@ def _damping_norms(channel: KrausChannel, observables: np.ndarray, n_max: int) -
 
 
 def trajectory(space: GamowSpace, o1, o2, times, variant=EvolutionVariant.HERMITIAN) -> CommutatorTrajectory:
-    """Evolve both observables and commute them at each grid time, a chunk of times at a time."""
+    """[O1(t), O2(t)] at each grid time, a chunk of times at a time.
+
+    For d <= 20 each chunk conjugates sum_b w_b(t) M_b, the time-independent
+    commutator tensor weighted by W = U# U; for larger d, or where an evolved
+    observable could pass the float range, it evolves both observables and
+    commutes them (see the module docstring).
+    """
     variant = EvolutionVariant(variant)
     ts = time_grid(times)
     values = np.empty((ts.size, space.dim, space.dim), dtype=complex)
@@ -212,25 +277,26 @@ def fit_window_start(n_times: int, n_resonances: int, window_fraction: float | N
     return start
 
 
-def _decay_fit(ts: np.ndarray, norms: np.ndarray) -> DecayFit:
+def _decay_fit(ts: np.ndarray, norms: np.ndarray, logs: np.ndarray) -> DecayFit:
     """Least-squares line of log norm versus time at the given increasing times.
 
-    Points at or below the underflow floor are dropped. The logs are
-    ``math.log``'s, the ones a resonance run writes: numpy's AVX-512 log rounds
-    some of them one ulp apart. The line is the centred two-pass closed form:
-    slope = sum(dx dy) / sum(dx^2), with dx and dy the points less their means,
-    from elementwise arithmetic and numpy row reductions only, so its bits
-    follow no BLAS or LAPACK kernel. x is the time less the first usable one,
-    over the usable span, and the slope is divided by that span after: x lies
-    in [0, 1], so no sum or square leaves the float range at any grid offset or
-    span. The logs are shifted by their first one before centring, so equal
-    logs give dy = 0 and slope 0 exactly (the rounded mean of equal floats need
-    not be that float).
+    ``logs`` are the ``math.log`` of the ``norms``, as a resonance run writes
+    them, so a run passes the ones it wrote: numpy's AVX-512 log rounds some
+    of them one ulp apart. Points whose norm is at or below the underflow
+    floor are dropped, whatever their log. The line is the centred two-pass
+    closed form: slope = sum(dx dy) / sum(dx^2), with dx and dy the points
+    less their means, from elementwise arithmetic and numpy row reductions
+    only, so its bits follow no BLAS or LAPACK kernel. x is the time less the
+    first usable one, over the usable span, and the slope is divided by that
+    span after: x lies in [0, 1], so no sum or square leaves the float range
+    at any grid offset or span. The logs are shifted by their first one
+    before centring, so equal logs give dy = 0 and slope 0 exactly (the
+    rounded mean of equal floats need not be that float).
     """
     usable = norms > UNDERFLOW_FLOOR
     if int(usable.sum()) < 2:
         raise ValueError("fewer than 2 usable points above the underflow floor; no fit")
-    ts, logs = ts[usable], np.fromiter(map(math.log, norms[usable].tolist()), float)
+    ts, logs = ts[usable], logs[usable]
     span = ts[-1] - ts[0]
     x, y = (ts - ts[0]) / span, logs - logs[0]
     dx, dy = x - x.mean(), y - y.mean()
@@ -243,7 +309,9 @@ def _decay_fit(ts: np.ndarray, norms: np.ndarray) -> DecayFit:
 def envelope_fit(traj: CommutatorTrajectory, window_fraction: float | None = None) -> DecayFit:
     """The decay fit of the trajectory's norms on the :func:`fit_window_start` window; see :func:`_decay_fit`."""
     start = fit_window_start(traj.times.size, traj.space.n_resonances, window_fraction)
-    return _decay_fit(traj.times[start:], traj.norms[start:])
+    norms = traj.norms[start:]
+    logs = np.fromiter((math.log(norm) if norm > 0 else -math.inf for norm in norms.tolist()), float, norms.size)
+    return _decay_fit(traj.times[start:], norms, logs)
 
 
 def ansatz_coefficients(space: GamowSpace, times, commutators, norms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -253,7 +321,7 @@ def ansatz_coefficients(space: GamowSpace, times, commutators, norms) -> tuple[n
     holds what :class:`AnsatzReport` describes for ``times[k]``.
     """
     values = np.asarray(commutators)
-    scale = np.exp(2.0 * times[:, None] * space.widths)
+    scale = np.exp(times[:, None] * (2.0 * space.widths))
     diagonal = np.diagonal(values, axis1=1, axis2=2)
     residuals = np.zeros(times.size)
     live = norms > UNDERFLOW_FLOOR

@@ -26,7 +26,12 @@ slots [1::2]), so each conjugation is the entrywise scaling O_ab u_a v_b.
 Given a 1-d array of T times, ``evolution_operator`` returns one operator
 whose ``diag`` is the (T, 2N) stack of those diagonals, and
 ``heisenberg_evolve`` then returns the (T, 2N, 2N) stack of evolved
-observables.
+observables: of one observable at every time, or of a (T, 2N, 2N) stack
+with one observable per time, member k conjugated by row k. A stack is
+taken as it comes, with no finiteness scan: it is a computed operand,
+such as the commutator tensor's middle factor, and an entry of it past
+the float range passes to the result as an overflowed operator entry
+does.
 
 Time is in inverse-energy units with hbar = 1, so widths are inverse
 lifetimes. Negative t is always computed. The converted semigroup domain
@@ -110,28 +115,46 @@ def hermitian_square_law(space: GamowSpace, t: float) -> tuple[np.ndarray, np.nd
     return square, envelope
 
 
+def _observable(obs, dim: int) -> np.ndarray:
+    """``obs`` as a finite (dim, dim) complex matrix, or ValueError."""
+    obs = as_complex_matrix(obs)
+    if obs.shape != (dim, dim):
+        raise ValueError(f"observable shape {obs.shape} does not match the {dim}x{dim} space")
+    return obs
+
+
+def _sharp_diag(op: EvolutionOperator) -> np.ndarray:
+    """The diagonal of U#, A U^dag A, the factor on the right of U O U#; U^dag's for SEMIGROUP_D, with no warning."""
+    v = op.diag.conj()
+    return v if op.variant is EvolutionVariant.SEMIGROUP_D else _swap_slots(v)
+
+
 def heisenberg_evolve(op: EvolutionOperator, obs) -> np.ndarray:
     """Conjugate an observable with the evolution operator: U O U#, with U# = A U^dag A.
 
-    SEMIGROUP_D takes U^dag in place of U# and warns. An operator over T
-    times gives the (T, d, d) stack of evolved observables.
+    SEMIGROUP_D takes U^dag in place of U# and warns, once per call. An
+    operator over T times gives the (T, d, d) stack of evolved observables;
+    ``obs`` is then one (d, d) observable or a (T, d, d) stack of them, one
+    per time, which is not scanned for finiteness (see the module docstring).
     """
-    obs = as_complex_matrix(obs)
     u = op.diag
     dim = u.shape[-1]
-    if obs.shape != (dim, dim):
-        raise ValueError(f"observable shape {obs.shape} does not match the {dim}x{dim} space")
-    v = u.conj()
-    if op.variant is not EvolutionVariant.SEMIGROUP_D:
-        v = _swap_slots(v)
+    if np.ndim(obs) == 3:
+        obs = np.asarray(obs, dtype=np.complex128)
+        if obs.shape != u.shape[:-1] + (dim, dim):
+            raise ValueError(f"stack shape {obs.shape} does not match the operator, which needs {u.shape[:-1] + (dim, dim)}")
     else:
+        obs = _observable(obs, dim)
+    if op.variant is EvolutionVariant.SEMIGROUP_D:
         warnings.warn(
             "SEMIGROUP_D has no canonical Heisenberg conjugation; using U O U^dag as an "
             "extrapolation",
             RuntimeWarning,
             stacklevel=2,
         )
-    return u[..., :, None] * obs * v[..., None, :]
+    evolved = u[..., :, None] * obs
+    evolved *= _sharp_diag(op)[..., None, :]
+    return evolved
 
 
 def semigroup_via_roots(space: GamowSpace, t: float) -> np.ndarray:

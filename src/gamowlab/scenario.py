@@ -310,10 +310,11 @@ def _run_resonance(o: dict) -> tuple[dict[str, list[str]], str]:
     space, times, eps = o["space"], o["times"], o["eps"]
     slow = int(np.argmin(space.widths))
     norms = np.empty(times.size)
+    logs = []
     lines = ["t,norm,log_norm,alpha_re,alpha_im,beta_re,beta_im,ansatz_residual,taqm_valid"]
     # Per chunk: its norms, its (rows, 7) table of CSV numbers, then its lines, so only
     # one chunk's commutators, coefficients and Python floats are alive; math.log, not
-    # np.log, keeps each log_norm to the bit.
+    # np.log, keeps each log_norm to the bit, and the fit reads the logs written.
     for chunk, comm, chunk_norms in commutators._commutator_chunks(space, *o["observables"], times, o["variant"]):
         norms[chunk] = chunk_norms
         alphas, betas, residuals = commutators.ansatz_coefficients(space, times[chunk], comm, chunk_norms)
@@ -321,12 +322,14 @@ def _run_resonance(o: dict) -> tuple[dict[str, list[str]], str]:
         table = np.column_stack([times[chunk], chunk_norms, alpha.real, alpha.imag, beta.real, beta.imag, residuals])
         for t, norm, a_re, a_im, b_re, b_im, residual in table.tolist():
             log_norm = math.log(norm) if norm > 0 else float("-inf")
+            logs.append(log_norm)
             lines.append(
                 f"{t!r},{norm!r},{log_norm!r},{a_re!r},{a_im!r},{b_re!r},{b_im!r},{residual!r},"
                 f"{'true' if t >= 0 else 'false'}"
             )
 
-    fit = commutators._decay_fit(times[o["fit_start"] :], norms[o["fit_start"] :])
+    start = o["fit_start"]
+    fit = commutators._decay_fit(times[start:], norms[start:], np.array(logs[start:]))
     expected = -2.0 * float(space.widths.min())
     deviation = abs(fit.slope - expected)
     below = np.nonzero(norms < eps)[0]

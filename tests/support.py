@@ -134,11 +134,15 @@ def per_time_ansatz(space, traj, k):
 
 
 def chunk_calls(run, *args):
-    """Run ``run(*args)``; return the (item_bytes, slices) of every ``commutators._chunks`` call it made."""
+    """Run ``run(*args)``; return the (item_bytes, slices) of every ``commutators._chunks`` call it made.
+
+    ``item_bytes`` counts the bytes a call reserves for every chunk besides its
+    items: it is what a chunk of one item holds.
+    """
     calls, chunks = [], commutators._chunks
-    def recorded(n_items, item_bytes):
-        slices = list(chunks(n_items, item_bytes))
-        calls.append((item_bytes, slices))
+    def recorded(n_items, item_bytes, reserved_bytes=0):
+        slices = list(chunks(n_items, item_bytes, reserved_bytes))
+        calls.append((reserved_bytes + item_bytes, slices))
         return iter(slices)
     commutators._chunks = recorded
     try:
@@ -149,8 +153,9 @@ def chunk_calls(run, *args):
 
 
 def chunk_length(dim):
-    """Grid times in a full chunk of a (dim, dim) trajectory: the first slice ``commutators._chunks`` cuts from a long grid for the run's item bytes."""
+    """Grid times in a full chunk of a (dim, dim) trajectory: the first slice ``commutators._chunks`` cuts from a grid longer than any chunk."""
     space = new_space([Resonance(0.0, 1.0)] * (dim // 2))
     eye = np.eye(dim, dtype=complex)
-    ((item_bytes, _),) = chunk_calls(commutators.trajectory, space, eye, eye, [0.0])
-    return next(commutators._chunks(2**40, item_bytes)).stop
+    grid = np.arange(commutators.CHUNK_BYTES // (16 * dim**2) + 2.0)  # a chunk holds its commutators at least
+    ((_, slices),) = chunk_calls(commutators.trajectory, space, eye, eye, grid)
+    return slices[0].stop

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gamowlab import commutators
 from gamowlab.channels import damping_channel
 from gamowlab.cmatrix import commutator, frobenius_norm
 from gamowlab.commutators import (
@@ -13,6 +14,7 @@ from gamowlab.commutators import (
     CommutatorTrajectory,
     UNDERFLOW_FLOOR,
     _commutator_chunks,
+    _commutator_tensor,
     _damping_norms,
     _decay_fit,
     ansatz_coefficients,
@@ -22,7 +24,7 @@ from gamowlab.commutators import (
     phase_constancy_check,
     trajectory,
 )
-from gamowlab.evolution import EvolutionVariant, evolution_operator, heisenberg_evolve
+from gamowlab.evolution import EvolutionVariant, _sharp_diag, evolution_operator, heisenberg_evolve
 from gamowlab.gamow import Resonance, new_space
 from support import (
     SIGMA_X,
@@ -50,12 +52,15 @@ def times(n=101, t_end=5.0):
 
 
 def test_trajectory_starts_at_plain_commutator():
+    # at t = 0, U = U# = W = I: the first commutator is the tensor's sum M_0 + M_1, one
+    # rounding of each entry's two terms, within the sum's error bound of [O1, O2]
     rng = np.random.default_rng(1)
     space = space1(energy=1.0)
     o1, o2 = random_hermitian(rng, 2), random_hermitian(rng, 2)
     traj = trajectory(space, o1, o2, times(11))
-    np.testing.assert_array_equal(traj.values[0], commutator(o1, o2))
-    assert traj.norms[0] == frobenius_norm(commutator(o1, o2))
+    np.testing.assert_array_equal(traj.values[0], _commutator_tensor(o1, o2).sum(axis=0).reshape(2, 2))
+    assert traj.norms[0] == frobenius_norm(traj.values[0])
+    assert_within_the_sum_bound(traj.values[0], o1, o2)
 
 
 def test_commuting_pair_gives_zero_trajectory():
@@ -249,7 +254,7 @@ def test_decay_fit_slope_is_the_exact_least_squares_slope(t0, span):
     norms = np.exp(rng.uniform(-5.0, 5.0) - rng.uniform(0.1, 5.0) / span * (ts - t0) + rng.normal(0.0, 1e-3, ts.size))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fit = _decay_fit(ts, norms)
+        fit = _decay_fit(ts, norms, np.array([math.log(norm) for norm in norms]))
     exact = exact_least_squares_slope(ts, [math.log(norm) for norm in norms])
     assert abs(Fraction(fit.slope) - exact) <= Fraction(1e-12) * abs(exact)
 
@@ -268,7 +273,7 @@ def test_decay_fit_is_quiet_and_finite_on_extreme_grids(t_start, t_end, rate, sl
     norms = 2.0 * np.sqrt(2.0) * np.exp(-2.0 * rate * (ts - t_start))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fit = _decay_fit(ts, norms)
+        fit = _decay_fit(ts, norms, np.array([math.log(norm) for norm in norms]))
     assert np.isfinite([fit.slope, fit.intercept, fit.max_abs_residual]).all()
     assert fit.n_points == 101
     assert fit.slope == pytest.approx(slope, rel=1e-6, abs=0.0)
@@ -282,8 +287,8 @@ def random_space(rng, n_res):
     return new_space([Resonance(float(e), float(w)) for e, w in zip(energies, widths)])
 
 
-def per_time_trajectory(space, o1, o2, ts, variant):
-    """The reference: one operator, two conjugations, a commutator and a norm per grid time."""
+def per_time_products(space, o1, o2, ts, variant):
+    """The product path's reference: one operator, two conjugations, a commutator and a norm per grid time."""
     values, norms = [], []
     for t in ts:
         op = evolution_operator(space, t, variant)
@@ -292,19 +297,56 @@ def per_time_trajectory(space, o1, o2, ts, variant):
     return np.array(values), np.array(norms)
 
 
+def per_time_trajectory(space, o1, o2, ts, variant):
+    """The tensor path's reference: one operator, the product w @ M with w = u v, one conjugation and a norm per grid time."""
+    tensor = _commutator_tensor(o1, o2)
+    values, norms = [], []
+    for t in ts:
+        op = evolution_operator(space, t, variant)
+        middle = (op.diag * _sharp_diag(op)) @ tensor
+        values.append(heisenberg_evolve(op, middle.reshape(space.dim, space.dim)))
+        norms.append(frobenius_norm(values[-1]))
+    return np.array(values), np.array(norms)
+
+
+def assert_within_the_sum_bound(values, o1, o2, space=None, ts=None, variant=HERM):
+    """Each entry of ``values`` lies within (d + 4) eps of the condition of its sum from [O1(t), O2(t)] by products.
+
+    The condition of entry (a, c) is sum_b |A_ab| |B_bc| + |B_ab| |A_bc| for the
+    evolved pair A, B at each time (the observables themselves when ``ts`` is
+    None); an entry deep in the subnormal range may also be off by d + 4
+    subnormal quanta, the rounding of each product's terms.
+    """
+    if ts is None:
+        pairs = [(np.asarray(o1), np.asarray(o2))]
+        values = np.asarray(values)[None]
+    else:
+        ops = [evolution_operator(space, t, variant) for t in ts]
+        pairs = [(heisenberg_evolve(op, o1), heisenberg_evolve(op, o2)) for op in ops]
+    dim = len(pairs[0][0])
+    for value, (a, b) in zip(values, pairs):
+        cond = np.abs(a) @ np.abs(b) + np.abs(b) @ np.abs(a)
+        bound = (dim + 4) * (np.finfo(float).eps * cond + np.finfo(float).smallest_subnormal)
+        assert np.all(np.abs(value - commutator(a, b)) <= bound)
+
+
 @pytest.mark.filterwarnings("ignore:SEMIGROUP_D has no canonical")
 @pytest.mark.parametrize("variant", list(EvolutionVariant))
 @pytest.mark.parametrize("n_res", [1, 2, 64])
 def test_chunked_trajectory_equals_the_per_time_loop(variant, n_res):
+    # N = 1 and 2 take the tensor, N = 64 (d = 128) the products; the tensor's values
+    # lie within the products' rounding error
     rng = np.random.default_rng(31 + n_res)
     space = random_space(rng, n_res)
     o1, o2 = random_hermitian(rng, space.dim), random_hermitian(rng, space.dim)
     steps = 5 if n_res == 64 else 2 * chunk_length(space.dim) + 3  # one time per chunk at N = 64
     ts = np.linspace(-0.5, 4.0, steps)
     traj = trajectory(space, o1, o2, ts, variant)
-    values, norms = per_time_trajectory(space, o1, o2, ts, variant)
+    reference = per_time_products if n_res == 64 else per_time_trajectory
+    values, norms = reference(space, o1, o2, ts, variant)
     np.testing.assert_array_equal(traj.values, values)
     np.testing.assert_array_equal(traj.norms, norms)
+    assert_within_the_sum_bound(traj.values, o1, o2, space, ts, variant)
 
 
 @pytest.mark.parametrize("scale", [1e-160, 1e150])
@@ -319,6 +361,7 @@ def test_chunked_norms_take_the_scaled_fallback(scale):
     np.testing.assert_array_equal(traj.values, values)
     np.testing.assert_array_equal(traj.norms, norms)
     assert np.all(np.isfinite(traj.norms)) and np.all(traj.norms > 0)
+    assert_within_the_sum_bound(traj.values, o1, o2, space, ts)
 
 
 def test_chunked_trajectory_rejects_overflow():
@@ -328,6 +371,33 @@ def test_chunked_trajectory_rejects_overflow():
     with warnings.catch_warnings(), pytest.raises(ValueError, match="overflow"):
         warnings.simplefilter("error")
         trajectory(space, SIGMA_X, SIGMA_Y, [0.0, 400.0], EvolutionVariant.INVERTIBLE)
+
+
+@pytest.mark.parametrize(
+    "widths, variant, t_end, tensor",
+    [
+        ((0.5,) * 10, HERM, 4.0, True),  # d = 20: M (128,000 bytes) and one grid time fit in CHUNK_BYTES
+        ((0.5,) * 11, HERM, 4.0, False),  # d = 22: M alone takes 170,368 bytes
+        ((2.0,), EvolutionVariant.INVERTIBLE, 400.0, False),  # |u_G| reaches e^{400}: the evolved pair overflows
+        ((2.0,), HERM, -400.0, False),  # and so it does backwards in time under HERMITIAN
+        ((2.0,), EvolutionVariant.INVERTIBLE, 300.0, True),  # e^{600} max|O| is finite
+    ],
+    ids=["N10", "N11", "invertible-growth", "hermitian-past", "invertible-finite"],
+)
+def test_the_tensor_path_is_taken_where_it_fits_and_the_evolved_pair_is_finite(monkeypatch, widths, variant, t_end, tensor):
+    # the chunks are only scheduled, not run: a tensor path reserves M's bytes in each
+    rng = np.random.default_rng(59)
+    space = new_space([Resonance(float(e), w) for e, w in zip(rng.uniform(-2, 2, len(widths)), widths)])
+    o1, o2 = random_hermitian(rng, space.dim), random_hermitian(rng, space.dim)
+    ts = np.linspace(min(0.0, t_end), max(0.0, t_end), 9)
+    scheduled = []
+    monkeypatch.setattr(commutators, "_chunks", lambda n, item, reserved=0: scheduled.append(reserved) or iter(()))
+    assert list(_commutator_chunks(space, o1, o2, ts, variant)) == []
+    assert scheduled == [16 * space.dim**3 if tensor else 0]
+    monkeypatch.undo()
+    if abs(t_end) == 400.0:  # the products overflow, as the diagnostic says
+        with pytest.raises(ValueError, match="overflow"):
+            trajectory(space, o1, o2, ts, variant)
 
 
 @pytest.mark.parametrize("n_res", [1, 2, 3, 64])
@@ -402,10 +472,11 @@ def test_damping_chunks_keep_the_byte_budget(k, n_max):
     assert_chunks_keep_the_byte_budget(_damping_norms, damping_channel(0.03), observables, n_max)
 
 
-@pytest.mark.parametrize("n_res, steps", [(1, 1001), (2, 1001), (64, 3)])
+@pytest.mark.parametrize("n_res, steps", [(1, 1001), (2, 1001), (10, 9), (64, 3)])
 def test_resonance_chunks_keep_the_byte_budget(n_res, steps):
     # CHUNK_BYTES bounds every array a chunk of grid times holds at once, with the run's
-    # ansatz_coefficients on it, or one grid time's at N = 64
+    # ansatz_coefficients on it, or one grid time's at N = 64; at N = 10 (d = 20) the
+    # commutator tensor's 128,000 bytes count against it
     rng = np.random.default_rng(53 + n_res)
     space = random_space(rng, n_res)
     o1, o2 = random_hermitian(rng, space.dim), random_hermitian(rng, space.dim)

@@ -1,4 +1,5 @@
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,39 @@ def test_time_array_operator_keeps_the_semigroup_warning():
     op = evolution_operator(space, [0.0, 1.0], SEMI)
     with pytest.warns(RuntimeWarning, match="no canonical"):
         assert heisenberg_evolve(op, np.eye(2)).shape == (2, 2, 2)
+
+
+@pytest.mark.filterwarnings("ignore:SEMIGROUP_D has no canonical")
+@pytest.mark.parametrize("variant", [HERM, INV, SEMI])
+def test_a_stack_of_observables_evolves_as_one_observable_per_time(variant):
+    # member k of a (T, d, d) stack is conjugated by row k of an operator over T times,
+    # with the bits of the single-time call on that member
+    rng = np.random.default_rng(31)
+    space = new_space([Resonance(0.3, 0.4), Resonance(-1.2, 1.0), Resonance(0.0, 3.0)])
+    ts = np.array([-1.3, 0.0, 0.7, 3.1, 25.0])
+    stack = random_complex(rng, (ts.size, space.dim, space.dim))
+    evolved = heisenberg_evolve(evolution_operator(space, ts, variant), stack)
+    expected = [heisenberg_evolve(evolution_operator(space, t, variant), obs) for t, obs in zip(ts, stack)]
+    np.testing.assert_array_equal(evolved, np.stack(expected))
+
+
+def test_a_stack_must_hold_one_square_observable_per_time():
+    space = new_space([Resonance(1.0, 0.5)])
+    op = evolution_operator(space, [0.0, 1.0, 2.0], HERM)
+    for shape in ((2, 2, 2), (4, 2, 2), (3, 2, 3), (3, 4, 4)):
+        with pytest.raises(ValueError, match="does not match the operator"):
+            heisenberg_evolve(op, np.zeros(shape, dtype=complex))
+    with pytest.raises(ValueError, match="does not match the operator"):  # one time, no stack
+        heisenberg_evolve(evolution_operator(space, 1.0, HERM), np.zeros((1, 2, 2)))
+
+
+def test_a_stack_under_the_semigroup_warns_once_per_call():
+    space = new_space([Resonance(1.0, 0.5)])
+    op = evolution_operator(space, [0.0, 1.0, 2.0], SEMI)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert heisenberg_evolve(op, np.ones((3, 2, 2))).shape == (3, 2, 2)
+    assert [str(w.message).startswith("SEMIGROUP_D has no canonical") for w in caught] == [True]
 
 
 def test_time_array_rejects_non_finite_entries_and_extra_axes():

@@ -1,11 +1,14 @@
 import ast
+import decimal
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 import tracemalloc
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -625,6 +628,21 @@ def test_demo_outputs_match_golden(tmp_path, demo):
         assert (out / golden.name).read_bytes() == golden.read_bytes()
 
 
+def test_demo_resonance_norms_are_within_4_ulps_of_the_closed_form(tmp_path):
+    # sigma_x and sigma_y at E = 0, Gamma = 0.5: [O1(t), O2(t)] = 2i sigma_z e^{-t}, whose
+    # norm 2 sqrt(2) e^{-t} is taken here in 40-digit decimal arithmetic at each written t
+    scenario.write_demo_files(tmp_path)
+    assert scenario.run_file(tmp_path / "demo_resonance.json", tmp_path / "out") == 0
+    rows = (tmp_path / "out" / "commutators.csv").read_text().splitlines()[1:]
+    assert len(rows) == 101
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        for row in rows:
+            t, norm = map(float, row.split(",")[:2])
+            exact = 2 * Decimal(2).sqrt() * (-Decimal(t)).exp()
+            assert abs(Decimal(norm) - exact) <= 4 * Decimal(math.ulp(norm)), row
+
+
 def test_runs_are_byte_identical(tmp_path):
     demo_dir = tmp_path / "demos"
     scenario.write_demo_files(demo_dir)
@@ -883,17 +901,19 @@ def test_cli_subprocess_end_to_end(tmp_path):
     assert (tmp_path / "out" / "commutators.csv").exists()
 
 
-def test_blas_thread_count_does_not_move_outputs(tmp_path):
+@pytest.mark.parametrize("n_res, steps", [(64, 6), (2, 1001)], ids=["N64", "N2"])
+def test_blas_thread_count_does_not_move_outputs(tmp_path, n_res, steps):
     # 128x128 matrices: each norm sums 16,384 squared entries, past the length at
-    # which OpenBLAS splits an inner product by thread. On a 1-core runner both
-    # runs may take one thread, so there this test cannot show a dependence.
+    # which OpenBLAS splits an inner product by thread; 4x4 ones over 1,001 grid times
+    # take one (c, 4) @ (4, 16) GEMM per chunk of the commutator tensor. On a 1-core
+    # runner both runs may take one thread, so there this test cannot show a dependence.
     rng = np.random.default_rng(64)
     path = write_scenario(
         tmp_path,
         resonance_payload(
-            resonances=[{"energy": e, "width": w} for e, w in zip(rng.uniform(-1, 1, 64), rng.uniform(0.1, 1, 64))],
-            grid={"t_start": 0.0, "t_end": 2.0, "steps": 6},
-            observables=[encode(random_hermitian(rng, 128)) for _ in range(2)],
+            resonances=[{"energy": e, "width": w} for e, w in zip(rng.uniform(-1, 1, n_res), rng.uniform(0.1, 1, n_res))],
+            grid={"t_start": 0.0, "t_end": 2.0, "steps": steps},
+            observables=[encode(random_hermitian(rng, 2 * n_res)) for _ in range(2)],
         ),
     )
     runs = []
@@ -1148,6 +1168,28 @@ def test_run_prints_no_warning(tmp_path, variant, widths, t_end, code):
     )
     assert result.returncode == code
     assert result.stderr == ""
+
+
+def test_coefficients_on_a_grid_past_half_the_float_range_are_quiet_and_finite(tmp_path):
+    # the sigma_x, sigma_y run with Gamma = 1e-310 on [1e308, 1.7e308]: 2 t passes the
+    # float range, but t Gamma <= 0.017, and the scale of the coefficients doubles the
+    # width, not the time, so every alpha/beta cell is finite and numpy does not warn
+    path = write_scenario(
+        tmp_path,
+        resonance_payload(
+            resonances=[{"energy": 0.0, "width": 1e-310}], grid={"t_start": 1e308, "t_end": 1.7e308, "steps": 101}
+        ),
+    )
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "gamowlab", "run", str(path), "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0 and result.stderr == ""
+    rows = (out / "commutators.csv").read_text().splitlines()
+    assert rows[1] == "1e+308,2.7724205152210537,1.0197207708399172,0.0,1.9999999999999982,0.0,-1.9999999999999982,0.0,true"
+    assert all(np.isfinite([float(cell) for cell in row.split(",")[3:7]]).all() for row in rows[1:])
 
 
 @pytest.mark.parametrize(
