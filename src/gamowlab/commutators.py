@@ -176,7 +176,8 @@ def _commutator_chunks(space: GamowSpace, o1, o2, ts: np.ndarray, variant: Evolu
     where M is finite; and where no entry u_a O_ab v_b of an evolved
     observable can pass the float range: |u| peaks at an end of the grid,
     and twice the bound peak^2 max|O| must be finite. Elsewhere each chunk
-    evolves both observables and takes two stacked products. An evolved
+    evolves both observables and takes two stacked products. Both paths
+    check each observable once, before one is chosen. An evolved
     entry or product past the float range reaches the commutators as inf or
     nan, with no numpy warning, and the norm kernel raises ValueError on it.
     """
@@ -190,8 +191,8 @@ def _commutator_chunks(space: GamowSpace, o1, o2, ts: np.ndarray, variant: Evolu
     # coefficients; tracemalloc reads four matrices and up to 2.1 vectors at d = 2 to 16.
     tensor_time_bytes = 16 * (4 * dim**2 + 4 * dim)
     tensor = None
+    o1, o2 = _observable(o1, dim), _observable(o2, dim)
     if 16 * dim**3 + tensor_time_bytes <= CHUNK_BYTES:
-        o1, o2 = _observable(o1, dim), _observable(o2, dim)
         with np.errstate(over="ignore", invalid="ignore"):
             peak = float(np.abs(evolution_operator(space, ts[[0, -1]], variant).diag).max())
         if math.isfinite(2.0 * peak * peak * float(max(np.abs(o1).max(), np.abs(o2).max()))):
@@ -205,9 +206,10 @@ def _commutator_chunks(space: GamowSpace, o1, o2, ts: np.ndarray, variant: Evolu
     for chunk in chunks:
         with np.errstate(over="ignore", invalid="ignore"):
             op = evolution_operator(space, ts[chunk], variant)
-            if tensor is None:
-                a = heisenberg_evolve(op, o1)
-                b = heisenberg_evolve(op, o2)
+            if tensor is None:  # each observable as a stack of itself, one per time, is not scanned again
+                shape = (len(op.diag), dim, dim)
+                a = heisenberg_evolve(op, np.broadcast_to(o1, shape))
+                b = heisenberg_evolve(op, np.broadcast_to(o2, shape))
                 comm = a @ b
                 comm -= b @ a
             else:

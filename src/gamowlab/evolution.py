@@ -29,7 +29,8 @@ whose ``diag`` is the (T, 2N) stack of those diagonals, and
 observables: of one observable at every time, or of a (T, 2N, 2N) stack
 with one observable per time, member k conjugated by row k. A stack is
 taken as it comes, with no finiteness scan: it is a computed operand,
-such as the commutator tensor's middle factor, and an entry of it past
+such as the commutator tensor's middle factor, or an observable checked
+once and broadcast over the times, and an entry of it past
 the float range passes to the result as an overflowed operator entry
 does.
 

@@ -263,7 +263,8 @@ def _build(data, fields) -> tuple[list[str], dict]:
 def load_scenario(path) -> tuple[list[str], Scenario | None]:
     """Parse a scenario file and build its objects; diagnostics are the findings."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         return [f"file: cannot read {path}: {exc}"], None
     try:
@@ -315,18 +316,20 @@ def _run_resonance(o: dict) -> tuple[dict[str, list[str]], str]:
     # Per chunk: its norms, its (rows, 7) table of CSV numbers, then its lines, so only
     # one chunk's commutators, coefficients and Python floats are alive; math.log, not
     # np.log, keeps each log_norm to the bit, and the fit reads the logs written.
-    for chunk, comm, chunk_norms in commutators._commutator_chunks(space, *o["observables"], times, o["variant"]):
-        norms[chunk] = chunk_norms
-        alphas, betas, residuals = commutators.ansatz_coefficients(space, times[chunk], comm, chunk_norms)
-        alpha, beta = alphas[:, slow], betas[:, slow]
-        table = np.column_stack([times[chunk], chunk_norms, alpha.real, alpha.imag, beta.real, beta.imag, residuals])
-        for t, norm, a_re, a_im, b_re, b_im, residual in table.tolist():
-            log_norm = math.log(norm) if norm > 0 else float("-inf")
-            logs.append(log_norm)
-            lines.append(
-                f"{t!r},{norm!r},{log_norm!r},{a_re!r},{a_im!r},{b_re!r},{b_im!r},{residual!r},"
-                f"{'true' if t >= 0 else 'false'}"
-            )
+    with warnings.catch_warnings():  # a SEMIGROUP_D evolution warns that it extrapolates
+        warnings.filterwarnings("ignore", "SEMIGROUP_D has no canonical", RuntimeWarning)
+        for chunk, comm, chunk_norms in commutators._commutator_chunks(space, *o["observables"], times, o["variant"]):
+            norms[chunk] = chunk_norms
+            alphas, betas, residuals = commutators.ansatz_coefficients(space, times[chunk], comm, chunk_norms)
+            alpha, beta = alphas[:, slow], betas[:, slow]
+            table = np.column_stack([times[chunk], chunk_norms, alpha.real, alpha.imag, beta.real, beta.imag, residuals])
+            for t, norm, a_re, a_im, b_re, b_im, residual in table.tolist():
+                log_norm = math.log(norm) if norm > 0 else float("-inf")
+                logs.append(log_norm)
+                lines.append(
+                    f"{t!r},{norm!r},{log_norm!r},{a_re!r},{a_im!r},{b_re!r},{b_im!r},{residual!r},"
+                    f"{'true' if t >= 0 else 'false'}"
+                )
 
     start = o["fit_start"]
     fit = commutators._decay_fit(times[start:], norms[start:], np.array(logs[start:]))
@@ -374,7 +377,7 @@ _KINDS = {"damping": (_DAMPING_FIELDS, _run_damping), "resonance": (_RESONANCE_F
           "lattice": (_LATTICE_FIELDS, _run_lattice)}
 
 
-def _write_files(out: Path, texts: dict[str, str]) -> None:
+def _write_files(out, texts: dict[str, str]) -> None:
     """Write each text to ``out / name``, all of them or none, and raise any OSError again after the cleanup.
 
     Each text is written under a temporary name in ``out``, and all are renamed
@@ -382,27 +385,38 @@ def _write_files(out: Path, texts: dict[str, str]) -> None:
     too if this call made it; after a rename, so do the files under every name,
     an earlier call's included. ``out`` then holds no partial set.
     """
-    created = not out.exists()
-    temps: list[Path] = []
+    out = os.fspath(out) or os.curdir  # an empty path names the working directory, as Path("") does
+    created = not os.path.exists(out)
+    temps: list[str] = []
     renamed = False
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        os.makedirs(out, exist_ok=True)
         for name, text in texts.items():
-            temps.append(out / f".{name}.partial")
-            temps[-1].write_text(text, encoding="utf-8")
+            temps.append(os.path.join(out, f".{name}.partial"))
+            with open(temps[-1], "w", encoding="utf-8") as f:
+                f.write(text)
         for temp, name in zip(temps, texts):
-            os.replace(temp, out / name)
+            os.replace(temp, os.path.join(out, name))
             renamed = True
     except OSError:
         for temp in temps:
-            temp.unlink(missing_ok=True)
+            _remove(temp)
         if renamed:
             for name in texts:
-                if not (out / name).is_dir():  # a directory under an output name is not a file of ours
-                    (out / name).unlink(missing_ok=True)
+                target = os.path.join(out, name)
+                if not os.path.isdir(target):  # a directory under an output name is not a file of ours
+                    _remove(target)
         if created:
             shutil.rmtree(out, ignore_errors=True)
         raise
+
+
+def _remove(path: str) -> None:
+    """Unlink ``path``, if it is there."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
 
 
 def run_file(path, outdir) -> int:
@@ -414,10 +428,8 @@ def run_file(path, outdir) -> int:
     if diagnostics:
         return report_invalid(diagnostics)
     try:
-        with warnings.catch_warnings():  # a SEMIGROUP_D evolution warns that it extrapolates
-            warnings.filterwarnings("ignore", "SEMIGROUP_D has no canonical", RuntimeWarning)
-            files, summary = _KINDS[sc.kind][1](sc.objects)
-        _write_files(Path(outdir), {name: "\n".join(lines) + "\n" for name, lines in files.items()})
+        files, summary = _KINDS[sc.kind][1](sc.objects)
+        _write_files(outdir, {name: "\n".join(lines) + "\n" for name, lines in files.items()})
     except (ValueError, OSError) as exc:
         print(f"runtime error: {exc}")
         return 3

@@ -6,9 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gamowlab import commutators
+from gamowlab import commutators, evolution
 from gamowlab.channels import damping_channel
-from gamowlab.cmatrix import commutator, frobenius_norm
+from gamowlab.cmatrix import as_complex_matrix, commutator, frobenius_norm
 from gamowlab.commutators import (
     CHUNK_BYTES,
     CommutatorTrajectory,
@@ -398,6 +398,22 @@ def test_the_tensor_path_is_taken_where_it_fits_and_the_evolved_pair_is_finite(m
     if abs(t_end) == 400.0:  # the products overflow, as the diagnostic says
         with pytest.raises(ValueError, match="overflow"):
             trajectory(space, o1, o2, ts, variant)
+
+
+@pytest.mark.parametrize("n_res, n_chunks", [(2, 1), (11, 4)], ids=["tensor", "products"])
+def test_each_observable_is_checked_once_per_trajectory(monkeypatch, n_res, n_chunks):
+    # 12 times: one tensor chunk at d = 4, four product chunks at d = 22; either way each
+    # observable is converted and scanned once, not once per chunk
+    rng = np.random.default_rng(61)
+    space = random_space(rng, n_res)
+    o1, o2 = random_hermitian(rng, space.dim), random_hermitian(rng, space.dim)
+    ts = np.linspace(0.0, 4.0, 12)
+    ((_, slices),) = chunk_calls(trajectory, space, o1, o2, ts)
+    assert len(slices) == n_chunks
+    scans = []
+    monkeypatch.setattr(evolution, "as_complex_matrix", lambda obs: scans.append(obs) or as_complex_matrix(obs))
+    trajectory(space, o1, o2, ts)
+    assert len(scans) == 2
 
 
 @pytest.mark.parametrize("n_res", [1, 2, 3, 64])

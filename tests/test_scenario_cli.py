@@ -534,20 +534,33 @@ def test_failed_write_leaves_no_output(tmp_path, monkeypatch, existing):
     out = tmp_path / "out"
     if existing:
         out.mkdir()
-    write_text = Path.write_text
     calls = []
 
-    def failing_second_write(self, *args, **kwargs):
-        calls.append(self.name)
-        if len(calls) == 2:
-            raise OSError("disk full")
-        return write_text(self, *args, **kwargs)
+    def failing_second_write(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            calls.append(os.path.basename(file))
+            if len(calls) == 2:
+                raise OSError("disk full")
+        return open(file, mode, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "write_text", failing_second_write)
+    monkeypatch.setattr(scenario, "open", failing_second_write, raising=False)  # the name scenario looks up first
     assert scenario.run_file(path, out) == 3
     assert len(calls) == 2
     assert out.exists() == existing
     assert not existing or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("demo", ["demo_damping", "demo_resonance", "demo_lattice"])
+def test_run_interns_no_string(tmp_path, monkeypatch, demo):
+    # pathlib interns every path component it parses, and a long-lived process of many
+    # runs would grow its interned-string table; run_file reads and writes through os
+    (path,) = [p for p in scenario.write_demo_files(tmp_path) if p.stem == demo]
+    out = tmp_path / "out"
+    intern, calls = sys.intern, []
+    monkeypatch.setattr(sys, "intern", lambda s: calls.append(s) or intern(s))
+    assert scenario.run_file(path, out) == 0
+    monkeypatch.undo()
+    assert calls == []
 
 
 @pytest.mark.parametrize("earlier_run", [False, True])
