@@ -5,12 +5,16 @@ evolution operators, metric matrices) is a small dense complex matrix.
 This module wraps the handful of primitives everything else consumes,
 with explicit shape errors and finiteness checks on construction.
 
-Every scaled Frobenius norm, the qubit pair kernel's
-(:func:`_pair_cross_norms`) included, comes from one kernel,
-:func:`_frobenius_norms`, which also handles the numpy warnings of squares
-outside the float range. Its sums of squares come from :func:`_sumsq`, the
-one place that fixes their summation order, that of numpy's row reduction,
-rows of 8 (2x2 members) included. The one exception is the projector
+Every scaled Frobenius norm comes from one kernel, :func:`_frobenius_norms`,
+which also handles the numpy warnings of squares outside the float range.
+Its sums of squares come from :func:`_sumsq`, the one place that fixes
+their summation order, that of numpy's row reduction, rows of 8 (2x2
+members) included. The qubit pair kernel (:func:`_pair_cross_norms`) has
+two routes: complex Pauli vectors build the commutators and take this
+kernel; real ones (Hermitian traceless parts) take
+:func:`_real_cross_norms`, whose closed-form sum is :func:`_sumsq`'s, bit
+for bit, and which sends each member out of the plain range to the complex
+route. The one exception is the projector
 lattice: its checks compare the plain sums of squares of :func:`_sumsq`
 with their tolerances, on entries the checks have already bounded, so no
 sum can overflow, and one that underflows belongs to a norm far below
@@ -22,7 +26,8 @@ Dimensions stay tiny (a few dozen at most), so everything is dense
 stacks, so one numpy call serves the whole family; the pair kernel also
 takes leading axes, so one call serves the family at several steps. A
 qubit family can travel as its ``(k, 3)`` Pauli vectors instead, whose
-pair norms come from cross products with no matrix product.
+pair norms come from cross products with no matrix product; the vectors
+are real when the traceless parts are Hermitian.
 """
 
 from __future__ import annotations
@@ -149,15 +154,19 @@ def _pair_cross_norms(vectors: np.ndarray) -> np.ndarray:
     flattened vectors, which returns a C-ordered (..., P, 3) array, so the
     products and the later reshape run on contiguous memory (fancy indexing
     on the last axis would return it F-ordered, and the reshape would copy).
-    All cross products go through one 2-d product with the exact weights of
-    :data:`_TWO_I_PAULIS` into commutators, whose norms come from
-    :func:`_frobenius_norms`, so a member whose sum of squares leaves the
-    float range is rescaled on its own. Per pair and leading index the call
-    holds at most three operands at once (144 bytes), then the 64-byte
-    commutator, the 64 bytes of its squared float parts and the 32 bytes of
-    their first sums: a one-step call peaks at 161 bytes per pair
-    (tracemalloc, k = 64) and a 34-step call at 162 (k = 8). Every row's
-    bits are those of the call on its own stack.
+
+    The vectors' dtype picks the arithmetic. Complex vectors (non-Hermitian
+    traceless parts) send all cross products through one 2-d product with the
+    exact weights of :data:`_TWO_I_PAULIS` into commutators, whose norms come
+    from :func:`_frobenius_norms`. Per pair and leading index that route holds
+    at most three operands at once (144 bytes), then the 64-byte commutator,
+    the 64 bytes of its squared float parts and the 32 bytes of their first
+    sums: a one-step call peaks at 161 bytes per pair (tracemalloc, k = 64)
+    and a 34-step call at 162 (k = 8). Real (float64) vectors take
+    :func:`_real_cross_norms`, which gives the same bits from the real cross
+    products and peaks at 72 bytes per pair (its three operands), at k = 8
+    and k = 64 alike. Every row's bits are those of the call on its own
+    stack, and a real stack's are those of the same stack made complex.
     """
     k = vectors.shape[-2]
     a1, b2, a2, b1 = _cross_indices(k)
@@ -169,10 +178,43 @@ def _pair_cross_norms(vectors: np.ndarray) -> np.ndarray:
         other *= flat.take(b1, axis=-1)
         cross -= other
         del other
+        if cross.dtype == np.float64:
+            return _real_cross_norms(cross)
         comm = cross.reshape(-1, 3) @ _TWO_I_PAULIS
     shape = cross.shape[:-1]
     del cross
     return _frobenius_norms(comm.reshape(-1, 2, 2)).reshape(shape)
+
+
+def _real_cross_norms(cross: np.ndarray) -> np.ndarray:
+    """Frobenius norms of the commutators 2i c.sigma of a (..., P, 3) float64 stack of real cross products c.
+
+    The float parts of 2i c.sigma, row-major, are (0, 2c_z, 2c_y, 2c_x,
+    -2c_y, 2c_x, 0, -2c_z), so :func:`_sumsq`'s
+    ((p0+p1)+(p2+p3)) + ((p4+p5)+(p6+p7)) is (A + A) with
+    A = (2c_z)^2 + ((2c_y)^2 + (2c_x)^2): adding 0 and doubling are exact,
+    and so is the sign of -2c_y under squaring. The plain sum is thus
+    2 ((2c_z)^2 + ((2c_y)^2 + (2c_x)^2)) bit for bit, with no commutator
+    built. A member whose sum leaves [_SUMSQ_TINY, _SUMSQ_HUGE] or is not
+    finite (a zero or tiny commutator, one near the float range's top, an
+    overflowed or NaN product) takes the complex route, ``c @ _TWO_I_PAULIS``
+    and :func:`_frobenius_norms`, on its own, so rescaled norms and the
+    overflow ValueError are those of the complex route; when every such
+    member is an exactly zero cross product, its norm, 0, is already that
+    route's, and none is taken. The caller silences the numpy warnings.
+    """
+    doubled = cross + cross
+    doubled *= doubled
+    sumsq = doubled[..., 2] + (doubled[..., 1] + doubled[..., 0])
+    del doubled
+    sumsq += sumsq
+    norms = np.sqrt(sumsq)
+    if sumsq.size and not (sumsq.max() <= _SUMSQ_HUGE and sumsq.min() >= _SUMSQ_TINY):
+        rescale = ~((sumsq >= _SUMSQ_TINY) & (sumsq <= _SUMSQ_HUGE))
+        members = cross[rescale]
+        if members.any():
+            norms[rescale] = _frobenius_norms((members @ _TWO_I_PAULIS).reshape(-1, 2, 2))
+    return norms
 
 
 def _sumsq(stack: np.ndarray) -> np.ndarray:
@@ -198,7 +240,10 @@ def _sumsq(stack: np.ndarray) -> np.ndarray:
 
 
 def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norms of the members of an (m, r, c) stack: the one norm kernel of the package.
+    """Frobenius norms of the members of an (m, r, c) stack: the norm kernel of the package.
+
+    :func:`_real_cross_norms` reproduces its plain sums, bit for bit, for the
+    commutators of real Pauli vectors, and hands it every other member.
 
     A member whose plain sum of squares falls outside [_SUMSQ_TINY,
     _SUMSQ_HUGE] takes the same sum, in the same row-reduction order, of

@@ -22,7 +22,8 @@ kernel. :func:`trajectory` stacks the chunks; a scenario run reduces each
 one as it comes, to its norms and :func:`ansatz_coefficients`.
 
 The damping series lives here too: ``_damping_norms`` steps a qubit family's
-Pauli vectors by a channel, a chunk of steps at a time, to worst-pair norms.
+Pauli vectors by a channel, a chunk of steps at a time, to worst-pair norms,
+in float64 when every traceless part is Hermitian.
 Both series size their chunks by :data:`CHUNK_BYTES`.
 
 Exact structure for one resonance under the HERMITIAN conjugation, with
@@ -84,6 +85,10 @@ PHASE_TOL = 1e-6
 
 #: Bytes that all the arrays of one chunk of either commutator series hold at
 #: once, temporaries included; a chunk spans one grid time or step at least.
+#: A damping step of k observables and P pairs counts 24 k + 80 P bytes when
+#: its Pauli vectors are real and 48 k + 192 P when they are complex: its k
+#: vectors, and per pair a bound on the 72 or 161 to 162 bytes the cross-norm
+#: call peaks at (tracemalloc, k = 8 and 64).
 CHUNK_BYTES = 192 * 1024
 
 
@@ -224,21 +229,27 @@ def _damping_norms(channel: KrausChannel, observables: np.ndarray, n_max: int) -
     by the channel's 3x3 transfer block, which for amplitude damping is diagonal:
     a step scales r. No cancellation against the identity part, which the
     commutators do not see, loses the decaying z component deep in the decay.
+    The block is real, so a family whose vectors have no imaginary part (every
+    traceless part Hermitian) is stepped and crossed in float64 arithmetic,
+    which gives the bits of the complex route on the same vectors.
     """
     scale = _pauli_transfer(channel).diagonal()
     vectors = _pauli_vectors(observables)
+    real = not vectors.imag.any()
+    if real:
+        vectors = vectors.real.copy()
     k = len(vectors)
+    pairs = k * (k - 1) // 2
     worst = np.empty(n_max + 1)
     # Per chunk of steps, a (steps, k, 3) block: row 0 holds the vectors at the
     # chunk's first step, the other rows hold scale, and one multiply.accumulate
     # fills in each step from the last; the next step after the last row goes on
     # to the next chunk. These are the same products in the same order as a loop
     # of steps. One cross-norm call per block gives its rows of norms. A step
-    # holds its k vectors in the block (48 bytes each), and the budget counts
-    # 192 bytes per pair for the cross-norm call, a bound on the 161 to 162
-    # it peaks at (see its docstring).
-    for chunk in _chunks(n_max + 1, 48 * k + 192 * k * (k - 1) // 2):
-        block = np.empty((chunk.stop - chunk.start, *vectors.shape), dtype=np.complex128)
+    # counts the bytes given at CHUNK_BYTES.
+    step_bytes = 24 * k + 80 * pairs if real else 48 * k + 192 * pairs
+    for chunk in _chunks(n_max + 1, step_bytes):
+        block = np.empty((chunk.stop - chunk.start, *vectors.shape), dtype=vectors.dtype)
         block[0], block[1:] = vectors, scale
         np.multiply.accumulate(block, axis=0, out=block)
         vectors = block[-1] * scale

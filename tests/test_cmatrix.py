@@ -261,6 +261,45 @@ def test_pair_cross_norms_of_whole_stacks_keep_the_norm_kernel_bits(scale):
             np.testing.assert_allclose(norms, pair_commutator_norms(mats), rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100, 1e-150, 1e150, 1e-160, 1e-200],
+                         ids=["1", "1e-100", "1e+100", "1e-150", "1e+150", "1e-160", "1e-200"])
+def test_real_pauli_vectors_take_the_real_route_with_the_complex_bits(scale, monkeypatch):
+    # float64 vectors (Hermitian traceless parts) sum the squared parts of 2i c.sigma in
+    # closed form; members out of the plain sum's range (all of them at 1e+-100, 1e+-150
+    # and 1e-160, whose cross products are subnormal) take the complex route on their
+    # own, unless every such member is exactly zero, as at 1e-200
+    real_calls = []
+    real_cross_norms = cmatrix._real_cross_norms
+    monkeypatch.setattr(cmatrix, "_real_cross_norms", lambda cross: real_calls.append(cross.shape) or real_cross_norms(cross))
+    rng = np.random.default_rng(71)
+    shapes = [(1, 3), (2, 3), (8, 3), (64, 3), (34, 8, 3), (3, 0, 3), (0, 5, 3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shape in shapes:
+            vectors = rng.normal(size=shape) * scale
+            norms = _pair_cross_norms(vectors)
+            assert norms.shape == (*shape[:-2], shape[-2] * (shape[-2] - 1) // 2)
+            np.testing.assert_array_equal(norms, _pair_cross_norms(vectors.astype(complex)))
+        # an exactly commuting pair (X_1 = 2 X_0) beside generic ones, over steps whose
+        # sums are in range, tiny and huge: the zero member's norm is exactly 0
+        vectors = rng.normal(size=(5, 8, 3)) * np.array([1.0, 1e-100, 1e-150, 1e150, 1e-200])[:, None, None]
+        vectors[:, 1] = 2 * vectors[:, 0]
+        norms = _pair_cross_norms(vectors)
+        assert not norms[:, 0].any() and norms[:4, 1:].all()
+        np.testing.assert_array_equal(norms, _pair_cross_norms(vectors.astype(complex)))
+    assert len(real_calls) == len(shapes) + 1
+    # a NaN step, and products or norms past the float range (the digest's 1e+154
+    # probe among them), raise the complex route's ValueError, with no numpy warning
+    for bad in (np.nan, 1e154, 1e200):
+        vectors = rng.normal(size=(3, 4, 3))
+        vectors[1] *= bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for stack in (vectors, vectors.astype(complex)):
+                with pytest.raises(ValueError, match="overflow"):
+                    _pair_cross_norms(stack)
+
+
 def test_three_strided_adds_sum_squares_in_the_order_of_the_row_reduction():
     # _sumsq sums the 8 squared float parts of each 2x2 member as
     # ((p0+p1)+(p2+p3)) + ((p4+p5)+(p6+p7)): the bits of numpy's row reduction, also
@@ -300,6 +339,32 @@ def test_a_commuting_pair_takes_one_pass_of_sums(monkeypatch):
     monkeypatch.undo()
     np.testing.assert_array_equal(norms[0], strided_pair_cross_norms(generic))
     np.testing.assert_array_equal(norms[1], strided_pair_cross_norms(commuting))
+
+
+def test_a_commuting_pair_on_the_real_route_never_reaches_the_norm_kernel(monkeypatch):
+    # real vectors sum squares in closed form; in a chunk with X_1 = 2 X_0 the only members
+    # out of the plain range are the pair's exactly zero cross products, whose norms, 0,
+    # are already exact, so no square is summed again
+    rng = np.random.default_rng(23)
+    stack = rng.normal(size=(8, 2, 2)) + 1j * rng.normal(size=(8, 2, 2))
+    stack = stack + stack.conj().transpose(0, 2, 1)
+    stack[1] = 2 * stack[0]
+    commuting = _pauli_vectors(stack) * (0.97 ** np.arange(34))[:, None, None]
+    assert not commuting.imag.any()
+    calls = []
+
+    def spy(members):
+        calls.append(members.shape)
+        return _sumsq(members)
+
+    monkeypatch.setattr(cmatrix, "_sumsq", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = _pair_cross_norms(commuting.real.copy())
+    assert calls == []
+    assert not norms[:, 0].any() and norms[:, 1:].all()
+    monkeypatch.undo()
+    np.testing.assert_array_equal(norms, _pair_cross_norms(commuting))
 
 
 def shifted(stack, k):

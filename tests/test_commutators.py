@@ -8,7 +8,7 @@ import pytest
 
 from gamowlab import commutators, evolution
 from gamowlab.channels import damping_channel
-from gamowlab.cmatrix import as_complex_matrix, commutator, frobenius_norm
+from gamowlab.cmatrix import _pauli_vectors, as_complex_matrix, commutator, frobenius_norm
 from gamowlab.commutators import (
     CHUNK_BYTES,
     CommutatorTrajectory,
@@ -480,11 +480,22 @@ def assert_chunks_keep_the_byte_budget(run, *args):
     assert peak - kept_bytes <= max(CHUNK_BYTES, item_bytes) + 2**14
 
 
-@pytest.mark.parametrize("k, n_max", [(2, 1500), (8, 100), (9, 100), (64, 3)])
+@pytest.mark.parametrize("k, n_max", [(2, 3500), (8, 100), (9, 100), (64, 3)])
 def test_damping_chunks_keep_the_byte_budget(k, n_max):
-    # CHUNK_BYTES bounds every array a chunk of steps holds at once, or one step's at k = 64
+    # CHUNK_BYTES bounds every array a chunk of steps holds at once, or one step's at k = 64;
+    # Hermitian observables have real Pauli vectors, stepped and crossed in float64, so a
+    # chunk holds 1,536 steps at k = 2
     rng = np.random.default_rng(47 + k)
     observables = np.array([random_hermitian(rng, 2) for _ in range(k)])
+    assert_chunks_keep_the_byte_budget(_damping_norms, damping_channel(0.03), observables, n_max)
+
+
+@pytest.mark.parametrize("k, n_max", [(2, 1500), (8, 100), (9, 100), (64, 3)])
+def test_non_hermitian_damping_chunks_keep_the_byte_budget(k, n_max):
+    # complex Pauli vectors keep the complex route and its larger per-pair budget
+    rng = np.random.default_rng(59 + k)
+    observables = rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
+    assert _pauli_vectors(observables).imag.any()
     assert_chunks_keep_the_byte_budget(_damping_norms, damping_channel(0.03), observables, n_max)
 
 

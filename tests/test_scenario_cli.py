@@ -984,21 +984,32 @@ def matrix_damping_norms(o):
     return np.array(worst)
 
 
-def damping_objects(tmp_path, k, n_max, eps, seed=29, magnitude=1.0):
+def damping_objects(tmp_path, k, n_max, eps, seed=29, magnitude=1.0, hermitian=True):
     rng = np.random.default_rng(seed)
-    observables = [encode(magnitude * random_hermitian(rng, 2)) for _ in range(k)]
+    if hermitian:
+        matrices = [random_hermitian(rng, 2) for _ in range(k)]
+    else:
+        matrices = list(rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2)))
+    observables = [encode(magnitude * m) for m in matrices]
     payload = {"kind": "damping", "p": 0.2, "n_max": n_max, "eps": eps, "observables": observables}
     diagnostics, sc = scenario.load_scenario(write_scenario(tmp_path, payload))
     assert diagnostics == []
     return sc.objects
 
 
-@pytest.mark.parametrize("k, n_max", [(2, 1), (2, 300), (2, 1500), (9, 1), (9, 40), (64, 1), (64, 20)])
-def test_chunked_damping_run_equals_the_per_step_loop(tmp_path, k, n_max):
-    # the run's own chunks: 682, 26 and 1 steps at k = 2, 9 and 64, so 1501 and 41 steps
-    # leave a short last chunk; commuting is first reached at the first step of the second
-    # chunk, the one carried over from the chunk before, or at n_max in a one-chunk run
-    objects = damping_objects(tmp_path, k, n_max, 1e-300)
+@pytest.mark.parametrize(
+    "k, n_max, hermitian",
+    [(2, 1, True), (2, 300, True), (2, 3500, True), (9, 1, True), (9, 100, True), (64, 1, True), (64, 20, True),
+     (9, 40, False)],
+    ids=["2-1", "2-300", "2-3500", "9-1", "9-100", "64-1", "64-20", "9-40-non-hermitian"],
+)
+def test_chunked_damping_run_equals_the_per_step_loop(tmp_path, k, n_max, hermitian):
+    # the run's own chunks: 1,536, 63 and 1 steps at k = 2, 9 and 64 for Hermitian
+    # observables (real Pauli vectors), 26 at k = 9 for complex ones, so 3,501, 101 and
+    # 41 steps leave a short last chunk; commuting is first reached at the first step of
+    # the second chunk, the one carried over from the chunk before, or at n_max in a
+    # one-chunk run
+    objects = damping_objects(tmp_path, k, n_max, 1e-300, hermitian=hermitian)
     ((_, chunks),) = chunk_calls(commutators._damping_norms, objects["channel"], objects["observables"], n_max)
     lengths = [chunk.stop - chunk.start for chunk in chunks]
     assert len(chunks) == 1 or lengths[0] == 1 or lengths[-1] < lengths[0]
@@ -1006,7 +1017,7 @@ def test_chunked_damping_run_equals_the_per_step_loop(tmp_path, k, n_max):
     norms = per_step_damping(objects)[0]["commutators.csv"][1:]
     # eps just above the norm at the target step: commuting is first reached there
     eps = float(np.nextafter(float(norms[target].split(",")[1]), np.inf))
-    objects = damping_objects(tmp_path, k, n_max, eps)
+    objects = damping_objects(tmp_path, k, n_max, eps, hermitian=hermitian)
     expected = per_step_damping(objects)
     assert f"commuting at n={target}" in expected[1]
     files, summary = scenario._run_damping(objects)
@@ -1016,6 +1027,47 @@ def test_chunked_damping_run_equals_the_per_step_loop(tmp_path, k, n_max):
     reference = matrix_damping_norms(objects)
     live = reference > 1e-6 * reference[0]
     np.testing.assert_allclose(norms[live], reference[live], rtol=1e-12, atol=0)
+
+
+def block_dtypes(objects):
+    """Run the damping series on ``objects``; return the dtypes of the blocks it hands the cross-norm kernel."""
+    seen, kernel = set(), commutators._pair_cross_norms
+    def recorded(block):
+        seen.add(block.dtype)
+        return kernel(block)
+    commutators._pair_cross_norms = recorded
+    try:
+        commutators._damping_norms(objects["channel"], objects["observables"], objects["n_max"])
+    finally:
+        commutators._pair_cross_norms = kernel
+    return seen
+
+
+def test_damping_route_follows_the_traceless_parts(tmp_path):
+    # H_j + i c_j I has the Pauli vectors of H_j, with no imaginary part, as the identity
+    # part cancels out of r_3 = (O00 - O11) / 2: it takes the real route and writes the
+    # H_j family's bytes; one non-Hermitian member sends the family to the complex route.
+    # Both routes give the bytes of the complex per-step loop.
+    k, n_max = 8, 100
+    hermitian = damping_objects(tmp_path, k, n_max, 1e-3, seed=67)
+    rng = np.random.default_rng(73)
+    shifted, skewed = [], []
+    for m in hermitian["observables"]:
+        shifted.append(encode(m + 1j * rng.normal() * np.eye(2)))
+        skewed.append(encode(m))
+    skewed[3] = encode(hermitian["observables"][3] + np.array([[0, 0.25j], [0, 0]]))
+    runs = {}
+    for name, observables in (("shifted", shifted), ("skewed", skewed)):
+        payload = {"kind": "damping", "p": 0.2, "n_max": n_max, "eps": 1e-3, "observables": observables}
+        diagnostics, sc = scenario.load_scenario(write_scenario(tmp_path, payload, f"{name}.json"))
+        assert diagnostics == []
+        runs[name] = sc.objects
+    assert block_dtypes(hermitian) == block_dtypes(runs["shifted"]) == {np.dtype(np.float64)}
+    assert block_dtypes(runs["skewed"]) == {np.dtype(np.complex128)}
+    expected = scenario._run_damping(hermitian)
+    assert expected == per_step_damping(hermitian)
+    assert scenario._run_damping(runs["shifted"]) == per_step_damping(runs["shifted"]) == expected
+    assert scenario._run_damping(runs["skewed"]) == per_step_damping(runs["skewed"])
 
 
 @pytest.mark.parametrize("magnitude", [1e-150, 1e150])

@@ -29,7 +29,8 @@ the rank cutoff, so three lattice probes put meets next to it:
   8th tilted by 0, 1.5e-4 and -1.5e-4 rad.
 
 Every damping pool has k = 8 Hermitian observables over 100 steps with
-entries of order one, so eight damping probes with seeded random observables,
+entries of order one (real Pauli vectors, so the pair norms take the
+real route of ``cmatrix._pair_cross_norms``), so eight damping probes with seeded random observables,
 Hermitian in all but the last, reach the paths the pools miss:
 
 * ``damping_k64_n300``: k = 64 over 300 steps, one step per chunk of
@@ -37,17 +38,18 @@ Hermitian in all but the last, reach the paths the pools miss:
 * ``damping_k2_n5000``: k = 2 over 5,000 steps, many chunks of many steps;
 * ``damping_scale_1e-150`` and ``damping_scale_1e+150``: k = 8 over 100
   steps with entries scaled by 1e-150 and 1e+150, whose squared commutator
-  parts leave the float range, so the norms take the rescale path;
+  parts leave the float range, so each member leaves the real route for
+  the norm kernel's rescale path;
 * ``damping_scale_1e-160``: the same at 1e-160, whose cross products are
   subnormal;
 * ``damping_scale_1e+154``: the same at 1e+154, whose commutators pass the
   float range at run time (exit 3);
 * ``damping_commuting_pair``: k = 8 over 100 steps with X_1 = 2 X_0, so one
   pair's commutator is exactly zero at every step and that member alone
-  takes the norm kernel's rescale path;
+  leaves the real route for the norm kernel;
 * ``damping_non_hermitian``: k = 8 over 100 steps with complex observables,
-  whose Pauli vectors are complex, so the cross products multiply nonzero
-  imaginary parts.
+  whose Pauli vectors are complex, so the run takes the complex route and
+  the cross products multiply nonzero imaginary parts.
 
 Every pool, demo and probe above exits 0 but ``damping_scale_1e+154``, so
 two more probes end in the other exit codes:
