@@ -8,13 +8,11 @@ with explicit shape errors and finiteness checks on construction.
 Every scaled Frobenius norm comes from one kernel, :func:`_frobenius_norms`,
 which also handles the numpy warnings of squares outside the float range.
 Its sums of squares come from :func:`_sumsq`, the one place that fixes
-their summation order, that of numpy's row reduction, rows of 8 (2x2
-members) included. The qubit pair kernel (:func:`_pair_cross_norms`) has
-two routes: complex Pauli vectors build the commutators and take this
-kernel; real ones (Hermitian traceless parts) take
-:func:`_real_cross_norms`, whose closed-form sum is :func:`_sumsq`'s, bit
-for bit, and which sends each member out of the plain range to the complex
-route. The one exception is the projector
+their summation order, that of numpy's row reduction. The qubit pair
+kernel (:func:`_pair_cross_norms`) builds no commutator: it sums each
+one's squared float parts in closed form, :func:`_sumsq`'s sum bit for
+bit, for real and complex Pauli vectors alike, and hands each member out
+of the plain range to this kernel. The one exception is the projector
 lattice: its checks compare the plain sums of squares of :func:`_sumsq`
 with their tolerances, on entries the checks have already bounded, so no
 sum can overflow, and one that underflows belongs to a norm far below
@@ -152,21 +150,31 @@ def _pair_cross_norms(vectors: np.ndarray) -> np.ndarray:
     are those of :func:`pair_commutator_norms`. Each operand of
     (a x b)_m = a_{m+1} b_{m+2} - a_{m+2} b_{m+1} is one ``take`` from the
     flattened vectors, which returns a C-ordered (..., P, 3) array, so the
-    products and the later reshape run on contiguous memory (fancy indexing
-    on the last axis would return it F-ordered, and the reshape would copy).
+    products run on contiguous memory (fancy indexing on the last axis would
+    return it F-ordered).
 
-    The vectors' dtype picks the arithmetic. Complex vectors (non-Hermitian
-    traceless parts) send all cross products through one 2-d product with the
-    exact weights of :data:`_TWO_I_PAULIS` into commutators, whose norms come
-    from :func:`_frobenius_norms`. Per pair and leading index that route holds
-    at most three operands at once (144 bytes), then the 64-byte commutator,
-    the 64 bytes of its squared float parts and the 32 bytes of their first
-    sums: a one-step call peaks at 161 bytes per pair (tracemalloc, k = 64)
-    and a 34-step call at 162 (k = 8). Real (float64) vectors take
-    :func:`_real_cross_norms`, which gives the same bits from the real cross
-    products and peaks at 72 bytes per pair (its three operands), at k = 8
-    and k = 64 alike. Every row's bits are those of the call on its own
-    stack, and a real stack's are those of the same stack made complex.
+    No commutator is built. With re = 2 Re c and im = 2 Im c for a cross
+    product c, the float parts of 2i c.sigma, row-major, are (-im_z, re_z,
+    re_y - im_x, re_x + im_y, -re_y - im_x, re_x - im_y, im_z, -re_z): the
+    weights 0, +-2 and +-2i of :data:`_TWO_I_PAULIS` round each once. So
+    :func:`_sumsq`'s ((p0+p1)+(p2+p3)) + ((p4+p5)+(p6+p7)) is
+    (z + upper) + (lower + z), with z = im_z^2 + re_z^2,
+    upper = (re_y - im_x)^2 + (re_x + im_y)^2 and
+    lower = (re_y + im_x)^2 + (re_x - im_y)^2, as fl(-a - b) = -fl(a + b)
+    and squaring drops the sign. Real vectors (Hermitian traceless parts)
+    have no imaginary parts: there upper = lower and z = re_z^2, in float64
+    arithmetic only. A member whose sum leaves [_SUMSQ_TINY, _SUMSQ_HUGE] or
+    is not finite (a zero or tiny commutator, one near the float range's top,
+    an overflowed or NaN product) builds its commutator, ``c @ _TWO_I_PAULIS``,
+    and takes :func:`_frobenius_norms` on its own, so rescaled norms and the
+    overflow ValueError are that kernel's; when every such member is an
+    exactly zero cross product, its norm, 0, is already exact, and none is
+    taken. Every row's bits are those of the call on its own stack, and a
+    real stack's are those of the same stack made complex.
+
+    Per pair and leading index a call holds at most three operands at once,
+    72 bytes for real vectors and 144 for complex ones: tracemalloc reads
+    peaks of 72 to 75 and 144 to 145 bytes per pair-step at k = 8 and 64.
     """
     k = vectors.shape[-2]
     a1, b2, a2, b1 = _cross_indices(k)
@@ -178,42 +186,28 @@ def _pair_cross_norms(vectors: np.ndarray) -> np.ndarray:
         other *= flat.take(b1, axis=-1)
         cross -= other
         del other
-        if cross.dtype == np.float64:
-            return _real_cross_norms(cross)
-        comm = cross.reshape(-1, 3) @ _TWO_I_PAULIS
-    shape = cross.shape[:-1]
-    del cross
-    return _frobenius_norms(comm.reshape(-1, 2, 2)).reshape(shape)
-
-
-def _real_cross_norms(cross: np.ndarray) -> np.ndarray:
-    """Frobenius norms of the commutators 2i c.sigma of a (..., P, 3) float64 stack of real cross products c.
-
-    The float parts of 2i c.sigma, row-major, are (0, 2c_z, 2c_y, 2c_x,
-    -2c_y, 2c_x, 0, -2c_z), so :func:`_sumsq`'s
-    ((p0+p1)+(p2+p3)) + ((p4+p5)+(p6+p7)) is (A + A) with
-    A = (2c_z)^2 + ((2c_y)^2 + (2c_x)^2): adding 0 and doubling are exact,
-    and so is the sign of -2c_y under squaring. The plain sum is thus
-    2 ((2c_z)^2 + ((2c_y)^2 + (2c_x)^2)) bit for bit, with no commutator
-    built. A member whose sum leaves [_SUMSQ_TINY, _SUMSQ_HUGE] or is not
-    finite (a zero or tiny commutator, one near the float range's top, an
-    overflowed or NaN product) takes the complex route, ``c @ _TWO_I_PAULIS``
-    and :func:`_frobenius_norms`, on its own, so rescaled norms and the
-    overflow ValueError are those of the complex route; when every such
-    member is an exactly zero cross product, its norm, 0, is already that
-    route's, and none is taken. The caller silences the numpy warnings.
-    """
-    doubled = cross + cross
-    doubled *= doubled
-    sumsq = doubled[..., 2] + (doubled[..., 1] + doubled[..., 0])
-    del doubled
-    sumsq += sumsq
-    norms = np.sqrt(sumsq)
-    if sumsq.size and not (sumsq.max() <= _SUMSQ_HUGE and sumsq.min() >= _SUMSQ_TINY):
-        rescale = ~((sumsq >= _SUMSQ_TINY) & (sumsq <= _SUMSQ_HUGE))
-        members = cross[rescale]
-        if members.any():
-            norms[rescale] = _frobenius_norms((members @ _TWO_I_PAULIS).reshape(-1, 2, 2))
+        doubled = cross + cross
+        if doubled.dtype == np.float64:
+            doubled *= doubled
+            z, upper = doubled[..., 2], doubled[..., 1] + doubled[..., 0]
+            lower = upper
+        else:
+            re, im = doubled.real, doubled.imag
+            z = np.square(im[..., 2]) + np.square(re[..., 2])
+            upper = np.square(re[..., 1] - im[..., 0]) + np.square(re[..., 0] + im[..., 1])
+            lower = np.square(re[..., 1] + im[..., 0]) + np.square(re[..., 0] - im[..., 1])
+            del re, im  # views that would keep doubled alive
+        sumsq = z + upper
+        sumsq += lower + z
+        del doubled, z, upper, lower
+        norms = np.sqrt(sumsq)
+        if sumsq.size and not (sumsq.max() <= _SUMSQ_HUGE and sumsq.min() >= _SUMSQ_TINY):
+            rescale = ~((sumsq >= _SUMSQ_TINY) & (sumsq <= _SUMSQ_HUGE))
+            members = cross[rescale]
+            del cross
+            if members.any():
+                members = (members @ _TWO_I_PAULIS).reshape(-1, 2, 2)  # their commutators, in their place
+                norms[rescale] = _frobenius_norms(members)
     return norms
 
 
@@ -222,28 +216,22 @@ def _sumsq(stack: np.ndarray) -> np.ndarray:
 
     Each member's real and imaginary parts are squared and summed along its
     row in the order of numpy's pairwise row reduction, whatever the BLAS
-    thread count. A row of 8, a 2x2 member, is summed as
-    ((p0+p1)+(p2+p3)) + ((p4+p5)+(p6+p7)) by three strided adds, the
-    reduction's own order without its per-row cost. The float view needs
-    contiguous rows, which a caller's strided view, such as a reversed
+    thread count; a row of 8 float parts, a 2x2 member, is summed as
+    ((p0+p1)+(p2+p3)) + ((p4+p5)+(p6+p7)), the order
+    :func:`_pair_cross_norms` writes out in closed form. The float view
+    needs contiguous rows, which a caller's strided view, such as a reversed
     slice, may not have. No scaling: a sum may underflow or overflow (see
     :func:`_frobenius_norms`).
     """
     parts = np.ascontiguousarray(stack).reshape(len(stack), stack.shape[-2] * stack.shape[-1]).view(np.float64)
-    squares = parts * parts
-    if squares.shape[1] != 8:
-        return squares.sum(axis=1)
-    sums = squares[:, 0::2] + squares[:, 1::2]
-    del squares
-    sums = sums[:, 0::2] + sums[:, 1::2]
-    return sums[:, 0] + sums[:, 1]
+    return (parts * parts).sum(axis=1)
 
 
 def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
     """Frobenius norms of the members of an (m, r, c) stack: the norm kernel of the package.
 
-    :func:`_real_cross_norms` reproduces its plain sums, bit for bit, for the
-    commutators of real Pauli vectors, and hands it every other member.
+    :func:`_pair_cross_norms` reproduces its plain sums, bit for bit, for
+    qubit commutators, and hands it every member out of their range.
 
     A member whose plain sum of squares falls outside [_SUMSQ_TINY,
     _SUMSQ_HUGE] takes the same sum, in the same row-reduction order, of

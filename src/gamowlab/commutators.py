@@ -85,9 +85,10 @@ PHASE_TOL = 1e-6
 
 #: Bytes that all the arrays of one chunk of either commutator series hold at
 #: once, temporaries included; a chunk spans one grid time or step at least.
-#: A damping step of k observables and P pairs counts 24 k + 80 P bytes when
-#: its Pauli vectors are real and 48 k + 192 P when they are complex: its k
-#: vectors, and per pair a bound on the 72 or 161 to 162 bytes the cross-norm
+#: A damping step of k observables and P pairs counts 3 k + 10 P vector
+#: entries, 24 k + 80 P bytes when its Pauli vectors are real and
+#: 48 k + 160 P when they are complex: its k vectors, and per pair a bound on
+#: the 72 or 144 bytes (three cross-product operands) that the cross-norm
 #: call peaks at (tracemalloc, k = 8 and 64).
 CHUNK_BYTES = 192 * 1024
 
@@ -231,12 +232,11 @@ def _damping_norms(channel: KrausChannel, observables: np.ndarray, n_max: int) -
     commutators do not see, loses the decaying z component deep in the decay.
     The block is real, so a family whose vectors have no imaginary part (every
     traceless part Hermitian) is stepped and crossed in float64 arithmetic,
-    which gives the bits of the complex route on the same vectors.
+    which gives the bits of the same vectors stepped as complex ones.
     """
     scale = _pauli_transfer(channel).diagonal()
     vectors = _pauli_vectors(observables)
-    real = not vectors.imag.any()
-    if real:
+    if not vectors.imag.any():
         vectors = vectors.real.copy()
     k = len(vectors)
     pairs = k * (k - 1) // 2
@@ -247,8 +247,7 @@ def _damping_norms(channel: KrausChannel, observables: np.ndarray, n_max: int) -
     # to the next chunk. These are the same products in the same order as a loop
     # of steps. One cross-norm call per block gives its rows of norms. A step
     # counts the bytes given at CHUNK_BYTES.
-    step_bytes = 24 * k + 80 * pairs if real else 48 * k + 192 * pairs
-    for chunk in _chunks(n_max + 1, step_bytes):
+    for chunk in _chunks(n_max + 1, vectors.itemsize * (3 * k + 10 * pairs)):
         block = np.empty((chunk.stop - chunk.start, *vectors.shape), dtype=vectors.dtype)
         block[0], block[1:] = vectors, scale
         np.multiply.accumulate(block, axis=0, out=block)

@@ -3,6 +3,7 @@
 import numpy as np
 
 from gamowlab import commutators
+from gamowlab.channels import damping_channel
 from gamowlab.cmatrix import _TWO_I_PAULIS, _frobenius_norms, _pairs, commutator, frobenius_norm
 from gamowlab.commutators import UNDERFLOW_FLOOR
 from gamowlab.evolution import EvolutionVariant, evolution_operator
@@ -158,4 +159,15 @@ def chunk_length(dim):
     eye = np.eye(dim, dtype=complex)
     grid = np.arange(commutators.CHUNK_BYTES // (16 * dim**2) + 2.0)  # a chunk holds its commutators at least
     ((_, slices),) = chunk_calls(commutators.trajectory, space, eye, eye, grid)
+    return slices[0].stop
+
+
+def damping_chunk_length(k, hermitian):
+    """Steps in a full chunk of a damping run of k observables: the first slice ``commutators._chunks`` cuts from a run longer than any chunk.
+
+    Hermitian observables have real Pauli vectors; the others, here i sigma_x, complex ones.
+    """
+    observables = np.array([SIGMA_X if hermitian else 1j * SIGMA_X] * k)
+    n_max = commutators.CHUNK_BYTES // (24 * k)  # a step holds its k real vectors at least
+    ((_, slices),) = chunk_calls(commutators._damping_norms, damping_channel(0.5), observables, n_max)
     return slices[0].stop

@@ -244,11 +244,14 @@ def test_norm_kernel_of_empty_and_nan_stacks():
 
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100, 1e-200], ids=["1", "1e-100", "1e+100", "1e-200"])
+@pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100, 1e-150, 1e150, 1e-160, 1e-200],
+                         ids=["1", "1e-100", "1e+100", "1e-150", "1e+150", "1e-160", "1e-200"])
 def test_pair_cross_norms_of_whole_stacks_keep_the_norm_kernel_bits(scale):
-    # the kernel's norms come from the norm kernel: vectors at 1e-100 and 1e+100 put every
-    # commutator at 1e-200 or 1e+200, whose squares leave the float range; at 1e-200 every
-    # cross product underflows to zero
+    # complex vectors (non-Hermitian traceless parts) sum the squared parts of 2i c.sigma in
+    # closed form: vectors at 1e+-100 and 1e+-150 put every commutator at 1e+-200 or
+    # 1e+-300, whose squares leave the float range, so every member builds its commutator
+    # for the norm kernel; at 1e-160 the cross products are subnormal, and agree with the
+    # matrix products to a few units of the least subnormal; at 1e-200 they underflow to zero
     rng = np.random.default_rng(17)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -258,24 +261,27 @@ def test_pair_cross_norms_of_whole_stacks_keep_the_norm_kernel_bits(scale):
             assert norms.shape == (*shape[:-2], shape[-2] * (shape[-2] - 1) // 2)
             np.testing.assert_array_equal(norms, strided_pair_cross_norms(vectors))
             mats = (vectors @ _PAULIS).reshape(*shape[:-1], 2, 2)
-            np.testing.assert_allclose(norms, pair_commutator_norms(mats), rtol=1e-13, atol=0)
+            np.testing.assert_allclose(norms, pair_commutator_norms(mats), rtol=1e-13, atol=1e-320)
+        # a commuting pair (X_1 = 2 X_0) beside generic ones: complex multiplies that fuse a
+        # product into an add leave some of its cross products a rounding residue, others
+        # exactly zero, and every member keeps the reference's bits
+        vectors = (rng.normal(size=(34, 8, 3)) + 1j * rng.normal(size=(34, 8, 3))) * scale
+        vectors[:, 1] = 2 * vectors[:, 0]
+        np.testing.assert_array_equal(_pair_cross_norms(vectors), strided_pair_cross_norms(vectors))
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100, 1e-150, 1e150, 1e-160, 1e-200],
                          ids=["1", "1e-100", "1e+100", "1e-150", "1e+150", "1e-160", "1e-200"])
-def test_real_pauli_vectors_take_the_real_route_with_the_complex_bits(scale, monkeypatch):
+def test_real_pauli_vectors_take_the_real_route_with_the_complex_bits(scale):
     # float64 vectors (Hermitian traceless parts) sum the squared parts of 2i c.sigma in
-    # closed form; members out of the plain sum's range (all of them at 1e+-100, 1e+-150
-    # and 1e-160, whose cross products are subnormal) take the complex route on their
-    # own, unless every such member is exactly zero, as at 1e-200
-    real_calls = []
-    real_cross_norms = cmatrix._real_cross_norms
-    monkeypatch.setattr(cmatrix, "_real_cross_norms", lambda cross: real_calls.append(cross.shape) or real_cross_norms(cross))
+    # float64 arithmetic, with the bits of the same vectors made complex; members out of
+    # the plain sum's range (all of them at 1e+-100, 1e+-150 and 1e-160, whose cross
+    # products are subnormal) build their commutators for the norm kernel, unless every
+    # such member is exactly zero, as at 1e-200
     rng = np.random.default_rng(71)
-    shapes = [(1, 3), (2, 3), (8, 3), (64, 3), (34, 8, 3), (3, 0, 3), (0, 5, 3)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for shape in shapes:
+        for shape in [(1, 3), (2, 3), (8, 3), (64, 3), (34, 8, 3), (3, 0, 3), (0, 5, 3)]:
             vectors = rng.normal(size=shape) * scale
             norms = _pair_cross_norms(vectors)
             assert norms.shape == (*shape[:-2], shape[-2] * (shape[-2] - 1) // 2)
@@ -287,9 +293,9 @@ def test_real_pauli_vectors_take_the_real_route_with_the_complex_bits(scale, mon
         norms = _pair_cross_norms(vectors)
         assert not norms[:, 0].any() and norms[:4, 1:].all()
         np.testing.assert_array_equal(norms, _pair_cross_norms(vectors.astype(complex)))
-    assert len(real_calls) == len(shapes) + 1
+        np.testing.assert_array_equal(norms, strided_pair_cross_norms(vectors))
     # a NaN step, and products or norms past the float range (the digest's 1e+154
-    # probe among them), raise the complex route's ValueError, with no numpy warning
+    # probe among them), raise the norm kernel's ValueError, with no numpy warning
     for bad in (np.nan, 1e154, 1e200):
         vectors = rng.normal(size=(3, 4, 3))
         vectors[1] *= bad
@@ -301,9 +307,10 @@ def test_real_pauli_vectors_take_the_real_route_with_the_complex_bits(scale, mon
 
 
 def test_three_strided_adds_sum_squares_in_the_order_of_the_row_reduction():
-    # _sumsq sums the 8 squared float parts of each 2x2 member as
-    # ((p0+p1)+(p2+p3)) + ((p4+p5)+(p6+p7)): the bits of numpy's row reduction, also
-    # where squares are subnormal (1e-160) or overflow (1e+160)
+    # the closed forms of _pair_cross_norms rely on numpy's row reduction summing the 8
+    # squared float parts of each 2x2 member as ((p0+p1)+(p2+p3)) + ((p4+p5)+(p6+p7)),
+    # the order of three strided adds, also where squares are subnormal (1e-160) or
+    # overflow (1e+160); _sumsq is that row reduction
     rng = np.random.default_rng(19)
     for scale in (1.0, 1e-160, 1e160):
         for n in (0, 1, 7, 8, 9, 1000):
@@ -311,19 +318,32 @@ def test_three_strided_adds_sum_squares_in_the_order_of_the_row_reduction():
             stack *= scale
             parts = stack.reshape(n, 4).view(np.float64)
             with np.errstate(over="ignore"):
-                np.testing.assert_array_equal(_sumsq(stack), (parts * parts).sum(axis=1))
+                squares = parts * parts
+                pairs = squares[:, 0::2] + squares[:, 1::2]
+                quads = pairs[:, 0::2] + pairs[:, 1::2]
+                np.testing.assert_array_equal(squares.sum(axis=1), quads[:, 0] + quads[:, 1])
+                np.testing.assert_array_equal(_sumsq(stack), quads[:, 0] + quads[:, 1])
 
 
-def test_a_commuting_pair_takes_one_pass_of_sums(monkeypatch):
-    # X_1 = 2 X_0: the pair's commutator is exactly zero at every step, a sum below the norm
-    # kernel's range, which rescales that member alone; with or without such a pair, the
-    # chunk's squares are summed once, by _sumsq
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["float64", "complex128"])
+def test_a_commuting_pair_never_reaches_the_norm_kernel(dtype, monkeypatch):
+    # the pair kernel sums squares in closed form; in a chunk with X_1 = 2 X_0 the only
+    # members out of the plain range are the pair's exactly zero cross products, whose
+    # norms, 0, are already exact, so no square is summed again; Hermitian observables
+    # give real vectors, non-Hermitian ones complex vectors
     rng = np.random.default_rng(23)
     stack = rng.normal(size=(8, 2, 2)) + 1j * rng.normal(size=(8, 2, 2))
-    stack = stack + stack.conj().transpose(0, 2, 1)
-    generic = _pauli_vectors(stack) * (0.97 ** np.arange(34))[:, None, None]
+    if dtype == np.float64:
+        stack = stack + stack.conj().transpose(0, 2, 1)
+    else:
+        # i times a Hermitian matrix has a purely imaginary Pauli vector, whose pair's complex
+        # products cancel exactly however the CPU's multiply rounds
+        stack[0] = 1j * (stack[0] + stack[0].conj().T)
     stack[1] = 2 * stack[0]
     commuting = _pauli_vectors(stack) * (0.97 ** np.arange(34))[:, None, None]
+    assert commuting.real.any() and (commuting.imag.any() == (dtype == np.complex128))
+    if dtype == np.float64:
+        commuting = commuting.real.copy()
     calls = []
 
     def spy(members):
@@ -333,38 +353,11 @@ def test_a_commuting_pair_takes_one_pass_of_sums(monkeypatch):
     monkeypatch.setattr(cmatrix, "_sumsq", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        norms = [_pair_cross_norms(vectors) for vectors in (generic, commuting)]
-    assert calls == [(34 * 28, 2, 2)] * 2
-    assert norms[0].all() and not norms[1][:, 0].any() and norms[1][:, 1:].all()
-    monkeypatch.undo()
-    np.testing.assert_array_equal(norms[0], strided_pair_cross_norms(generic))
-    np.testing.assert_array_equal(norms[1], strided_pair_cross_norms(commuting))
-
-
-def test_a_commuting_pair_on_the_real_route_never_reaches_the_norm_kernel(monkeypatch):
-    # real vectors sum squares in closed form; in a chunk with X_1 = 2 X_0 the only members
-    # out of the plain range are the pair's exactly zero cross products, whose norms, 0,
-    # are already exact, so no square is summed again
-    rng = np.random.default_rng(23)
-    stack = rng.normal(size=(8, 2, 2)) + 1j * rng.normal(size=(8, 2, 2))
-    stack = stack + stack.conj().transpose(0, 2, 1)
-    stack[1] = 2 * stack[0]
-    commuting = _pauli_vectors(stack) * (0.97 ** np.arange(34))[:, None, None]
-    assert not commuting.imag.any()
-    calls = []
-
-    def spy(members):
-        calls.append(members.shape)
-        return _sumsq(members)
-
-    monkeypatch.setattr(cmatrix, "_sumsq", spy)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        norms = _pair_cross_norms(commuting.real.copy())
+        norms = _pair_cross_norms(commuting)
     assert calls == []
     assert not norms[:, 0].any() and norms[:, 1:].all()
     monkeypatch.undo()
-    np.testing.assert_array_equal(norms, _pair_cross_norms(commuting))
+    np.testing.assert_array_equal(norms, strided_pair_cross_norms(commuting))
 
 
 def shifted(stack, k):

@@ -32,6 +32,7 @@ from support import (
     block_xy_pair,
     chunk_calls,
     chunk_length,
+    damping_chunk_length,
     factored_snapshot,
     per_time_ansatz,
     random_hermitian,
@@ -484,7 +485,9 @@ def assert_chunks_keep_the_byte_budget(run, *args):
 def test_damping_chunks_keep_the_byte_budget(k, n_max):
     # CHUNK_BYTES bounds every array a chunk of steps holds at once, or one step's at k = 64;
     # Hermitian observables have real Pauli vectors, stepped and crossed in float64, so a
-    # chunk holds 1,536 steps at k = 2
+    # chunk holds 1,536 steps at k = 2; n_max is raised to a full chunk where a larger
+    # budget would leave one chunk
+    n_max = max(n_max, damping_chunk_length(k, hermitian=True))
     rng = np.random.default_rng(47 + k)
     observables = np.array([random_hermitian(rng, 2) for _ in range(k)])
     assert_chunks_keep_the_byte_budget(_damping_norms, damping_channel(0.03), observables, n_max)
@@ -492,7 +495,9 @@ def test_damping_chunks_keep_the_byte_budget(k, n_max):
 
 @pytest.mark.parametrize("k, n_max", [(2, 1500), (8, 100), (9, 100), (64, 3)])
 def test_non_hermitian_damping_chunks_keep_the_byte_budget(k, n_max):
-    # complex Pauli vectors keep the complex route and its larger per-pair budget
+    # complex Pauli vectors cross in complex arithmetic, twice the bytes per step of real
+    # ones, so a chunk holds 768 steps at k = 2; n_max is raised as above
+    n_max = max(n_max, damping_chunk_length(k, hermitian=False))
     rng = np.random.default_rng(59 + k)
     observables = rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
     assert _pauli_vectors(observables).imag.any()

@@ -25,6 +25,7 @@ from gamowlab.gamow import MAX_RESONANCES, Resonance, new_space
 from support import (
     chunk_calls,
     chunk_length,
+    damping_chunk_length,
     pauli_vector,
     per_time_ansatz,
     random_hermitian,
@@ -998,17 +999,19 @@ def damping_objects(tmp_path, k, n_max, eps, seed=29, magnitude=1.0, hermitian=T
 
 
 @pytest.mark.parametrize(
-    "k, n_max, hermitian",
-    [(2, 1, True), (2, 300, True), (2, 3500, True), (9, 1, True), (9, 100, True), (64, 1, True), (64, 20, True),
-     (9, 40, False)],
+    "k, n_max, min_chunks, hermitian",
+    [(2, 1, 1, True), (2, 300, 1, True), (2, 3500, 3, True), (9, 1, 1, True), (9, 100, 2, True), (64, 1, 1, True),
+     (64, 20, 2, True), (9, 40, 2, False)],
     ids=["2-1", "2-300", "2-3500", "9-1", "9-100", "64-1", "64-20", "9-40-non-hermitian"],
 )
-def test_chunked_damping_run_equals_the_per_step_loop(tmp_path, k, n_max, hermitian):
+def test_chunked_damping_run_equals_the_per_step_loop(tmp_path, k, n_max, min_chunks, hermitian):
     # the run's own chunks: 1,536, 63 and 1 steps at k = 2, 9 and 64 for Hermitian
-    # observables (real Pauli vectors), 26 at k = 9 for complex ones, so 3,501, 101 and
-    # 41 steps leave a short last chunk; commuting is first reached at the first step of
+    # observables (real Pauli vectors), 31 at k = 9 for complex ones, so 3,501, 101 and
+    # 41 steps leave a short last chunk; n_max is raised to span min_chunks chunks where
+    # a larger budget would leave fewer. Commuting is first reached at the first step of
     # the second chunk, the one carried over from the chunk before, or at n_max in a
     # one-chunk run
+    n_max = max(n_max, (min_chunks - 1) * damping_chunk_length(k, hermitian))
     objects = damping_objects(tmp_path, k, n_max, 1e-300, hermitian=hermitian)
     ((_, chunks),) = chunk_calls(commutators._damping_norms, objects["channel"], objects["observables"], n_max)
     lengths = [chunk.stop - chunk.start for chunk in chunks]
@@ -1045,9 +1048,9 @@ def block_dtypes(objects):
 
 def test_damping_route_follows_the_traceless_parts(tmp_path):
     # H_j + i c_j I has the Pauli vectors of H_j, with no imaginary part, as the identity
-    # part cancels out of r_3 = (O00 - O11) / 2: it takes the real route and writes the
-    # H_j family's bytes; one non-Hermitian member sends the family to the complex route.
-    # Both routes give the bytes of the complex per-step loop.
+    # part cancels out of r_3 = (O00 - O11) / 2: it steps float64 vectors and writes the
+    # H_j family's bytes; one non-Hermitian member makes the family's vectors complex.
+    # Both give the bytes of the complex per-step loop.
     k, n_max = 8, 100
     hermitian = damping_objects(tmp_path, k, n_max, 1e-3, seed=67)
     rng = np.random.default_rng(73)

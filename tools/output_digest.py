@@ -29,27 +29,33 @@ the rank cutoff, so three lattice probes put meets next to it:
   8th tilted by 0, 1.5e-4 and -1.5e-4 rad.
 
 Every damping pool has k = 8 Hermitian observables over 100 steps with
-entries of order one (real Pauli vectors, so the pair norms take the
-real route of ``cmatrix._pair_cross_norms``), so eight damping probes with seeded random observables,
-Hermitian in all but the last, reach the paths the pools miss:
+entries of order one (real Pauli vectors, whose pair norms
+``cmatrix._pair_cross_norms`` sums in float64 arithmetic), so ten damping
+probes with seeded random observables, Hermitian in all but the last three,
+reach the paths the pools miss:
 
 * ``damping_k64_n300``: k = 64 over 300 steps, one step per chunk of
   pair norms;
 * ``damping_k2_n5000``: k = 2 over 5,000 steps, many chunks of many steps;
 * ``damping_scale_1e-150`` and ``damping_scale_1e+150``: k = 8 over 100
   steps with entries scaled by 1e-150 and 1e+150, whose squared commutator
-  parts leave the float range, so each member leaves the real route for
+  parts leave the float range, so each member builds its commutator for
   the norm kernel's rescale path;
 * ``damping_scale_1e-160``: the same at 1e-160, whose cross products are
   subnormal;
 * ``damping_scale_1e+154``: the same at 1e+154, whose commutators pass the
   float range at run time (exit 3);
 * ``damping_commuting_pair``: k = 8 over 100 steps with X_1 = 2 X_0, so one
-  pair's commutator is exactly zero at every step and that member alone
-  leaves the real route for the norm kernel;
+  pair's commutator is exactly zero at every step, out of the plain range,
+  and its norm, 0, is exact with no rescale;
 * ``damping_non_hermitian``: k = 8 over 100 steps with complex observables,
-  whose Pauli vectors are complex, so the run takes the complex route and
-  the cross products multiply nonzero imaginary parts.
+  whose Pauli vectors are complex, so the run steps and crosses them in
+  complex arithmetic and the cross products multiply nonzero imaginary parts;
+* ``damping_non_hermitian_scale_1e-150``: the same with entries scaled by
+  1e-150, so each complex member builds its commutator for the rescale path;
+* ``damping_non_hermitian_commuting_pair``: the same with X_1 = 2 X_0, whose
+  pair's complex cross products are exactly zero or, where the CPU fuses a
+  complex multiply's product into its add, a rounding residue.
 
 Every pool, demo and probe above exits 0 but ``damping_scale_1e+154``, so
 two more probes end in the other exit codes:
@@ -164,6 +170,8 @@ def _probes(demo_resonance: dict) -> dict[str, dict]:
         **{f"damping_scale_{scale:.0e}": damping(8, 100, scale) for scale in (1e-150, 1e150, 1e-160, 1e154)},
         "damping_commuting_pair": damping(8, 100, twin=True),
         "damping_non_hermitian": damping(8, 100, hermitian=False),
+        "damping_non_hermitian_scale_1e-150": damping(8, 100, 1e-150, hermitian=False),
+        "damping_non_hermitian_commuting_pair": damping(8, 100, twin=True, hermitian=False),
         "invalid_projector": lattice([np.eye(2) / 2, np.eye(2), np.zeros((2, 2))]),
         "invertible_growth": {
             **demo_resonance,
