@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cmatrix import _PAULIS, as_complex_matrix, frobenius_norm
+from .cmatrix import _PAULIS, _square, frobenius_norm
 
 __all__ = [
     "KrausChannel",
@@ -74,12 +74,7 @@ class KrausChannel:
             raise ValueError(f"channel dimension must be positive, got {self.dim}")
         if len(self.kraus) == 0:
             raise ValueError("a channel needs at least one Kraus operator")
-        ops = tuple(as_complex_matrix(k) for k in self.kraus)
-        for k in ops:
-            if k.shape != (self.dim, self.dim):
-                raise ValueError(
-                    f"Kraus operator of shape {k.shape} does not match dimension {self.dim}"
-                )
+        ops = tuple(_square(k, self.dim) for k in self.kraus)
         total = sum(k.conj().T @ k for k in ops)
         defect = frobenius_norm(total - np.eye(self.dim))
         if defect > COMPLETENESS_TOL:
@@ -108,9 +103,7 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self) -> None:
-        m = as_complex_matrix(self.mat)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got {m.shape}")
+        m = _square(self.mat)
         if frobenius_norm(m - m.conj().T) > HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian to 1e-12")
         if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
@@ -228,9 +221,7 @@ def damping_closed_form(p: float, n: int, obs) -> np.ndarray:
         raise ValueError(f"damping probability must lie in [0, 1], got {p}")
     if n < 0:
         raise ValueError(f"iteration count must be nonnegative, got {n}")
-    obs = as_complex_matrix(obs)
-    if obs.shape != (2, 2):
-        raise ValueError(f"closed form needs a 2x2 observable, got shape {obs.shape}")
+    obs = _square(obs, 2)
     half = np.sqrt(1.0 - p) ** n
     full = (1.0 - p) ** n
     out = np.empty((2, 2), dtype=complex)
@@ -247,7 +238,4 @@ def damping_limit(obs) -> np.ndarray:
     This is the limit for every p in (0, 1]; at p = 0 the channel is the
     identity map and nothing converges.
     """
-    obs = as_complex_matrix(obs)
-    if obs.shape != (2, 2):
-        raise ValueError(f"damping limit needs a 2x2 observable, got shape {obs.shape}")
-    return obs[0, 0] * np.eye(2, dtype=complex)
+    return _square(obs, 2)[0, 0] * np.eye(2, dtype=complex)

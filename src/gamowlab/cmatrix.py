@@ -3,7 +3,11 @@
 Every operator in this package (observables, density matrices, channels,
 evolution operators, metric matrices) is a small dense complex matrix.
 This module wraps the handful of primitives everything else consumes,
-with explicit shape errors and finiteness checks on construction.
+with explicit shape errors and finiteness checks on construction. Every
+argument that is one operator (an observable, a Kraus operator, a state,
+a projector) passes one rule, :func:`_square`: a finite square complex
+matrix, of a given size where one is due, or one ValueError wording.
+Stacks, vectors and scenario input keep checks of their own shape.
 
 Every scaled Frobenius norm comes from one kernel, :func:`_frobenius_norms`,
 which also handles the numpy warnings of squares outside the float range.
@@ -74,14 +78,19 @@ def as_complex_matrix(data) -> np.ndarray:
     return mat
 
 
+def _square(data, dim: int | None = None) -> np.ndarray:
+    """``data`` as a finite square complex matrix, ``dim`` x ``dim`` if given: the rule for every single-matrix argument."""
+    mat = as_complex_matrix(data)
+    rows, cols = mat.shape
+    if rows != cols or (dim is not None and rows != dim):
+        raise ValueError(f"expected a {'square' if dim is None else f'{dim}x{dim}'} matrix, got shape {mat.shape}")
+    return mat
+
+
 def commutator(a, b) -> np.ndarray:
     """a @ b - b @ a for square matrices of equal dimension."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
-        raise ValueError(f"commutator needs square matrices, got {a.shape} and {b.shape}")
-    if a.shape != b.shape:
-        raise ValueError(f"commutator needs equal dimensions, got {a.shape} and {b.shape}")
+    a = _square(a)
+    b = _square(b, len(a))
     return a @ b - b @ a
 
 
@@ -256,10 +265,12 @@ def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
         norms = np.sqrt(sumsq)
         if sumsq.size and not (sumsq.max() <= _SUMSQ_HUGE and sumsq.min() >= _SUMSQ_TINY) and stack.any():
             rescale = ~((sumsq >= _SUMSQ_TINY) & (sumsq <= _SUMSQ_HUGE))
+            # a copy of the members' float parts, shifted and squared in place
             parts = stack[rescale].reshape(-1, stack.shape[1] * stack.shape[2]).view(np.float64)
-            _, exponent = np.frexp(np.abs(parts).max(axis=1, keepdims=True))
-            scaled = np.ldexp(parts, -exponent)
-            norms[rescale] = np.ldexp(np.sqrt((scaled * scaled).sum(axis=1)), exponent[:, 0])
+            _, exponent = np.frexp(np.maximum(parts.max(axis=1, keepdims=True), -parts.min(axis=1, keepdims=True)))
+            np.ldexp(parts, -exponent, out=parts)
+            parts *= parts
+            norms[rescale] = np.ldexp(np.sqrt(parts.sum(axis=1)), exponent[:, 0])
             if not np.isfinite(norms).all():
                 raise ValueError("matrix entries or their norm overflow the float range")
     return norms

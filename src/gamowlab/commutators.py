@@ -55,8 +55,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import KrausChannel, _pauli_transfer
-from .cmatrix import _frobenius_norms, _pair_cross_norms, _pauli_vectors, as_complex_matrix
-from .evolution import EvolutionVariant, _observable, _sharp_diag, evolution_operator, heisenberg_evolve
+from .cmatrix import _frobenius_norms, _pair_cross_norms, _pauli_vectors, _square
+from .evolution import EvolutionVariant, _sharp_diag, evolution_operator, heisenberg_evolve
 from .gamow import GamowSpace
 
 __all__ = [
@@ -197,7 +197,7 @@ def _commutator_chunks(space: GamowSpace, o1, o2, ts: np.ndarray, variant: Evolu
     # coefficients; tracemalloc reads four matrices and up to 2.1 vectors at d = 2 to 16.
     tensor_time_bytes = 16 * (4 * dim**2 + 4 * dim)
     tensor = None
-    o1, o2 = _observable(o1, dim), _observable(o2, dim)
+    o1, o2 = _square(o1, dim), _square(o2, dim)
     if 16 * dim**3 + tensor_time_bytes <= CHUNK_BYTES:
         with np.errstate(over="ignore", invalid="ignore"):
             peak = float(np.abs(evolution_operator(space, ts[[0, -1]], variant).diag).max())
@@ -394,9 +394,7 @@ def growth_witness(space: GamowSpace, obs, t: float) -> float:
         raise ValueError("growth witness is a single-resonance demonstration")
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    obs = as_complex_matrix(obs)
-    if obs.shape != (2, 2):
-        raise ValueError(f"observable must be 2x2, got {obs.shape}")
+    obs = _square(obs, 2)
     ref = abs(obs[1, 0])
     if ref == 0:
         raise ValueError("witness undefined: observable has zero lower-left entry")

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cmatrix import as_complex_matrix
+from .cmatrix import _square
 from .gamow import _ROUND_D_BOX, GamowSpace, _swap_slots
 
 __all__ = [
@@ -116,14 +116,6 @@ def hermitian_square_law(space: GamowSpace, t: float) -> tuple[np.ndarray, np.nd
     return square, envelope
 
 
-def _observable(obs, dim: int) -> np.ndarray:
-    """``obs`` as a finite (dim, dim) complex matrix, or ValueError."""
-    obs = as_complex_matrix(obs)
-    if obs.shape != (dim, dim):
-        raise ValueError(f"observable shape {obs.shape} does not match the {dim}x{dim} space")
-    return obs
-
-
 def _sharp_diag(op: EvolutionOperator) -> np.ndarray:
     """The diagonal of U#, A U^dag A, the factor on the right of U O U#; U^dag's for SEMIGROUP_D, with no warning."""
     v = op.diag.conj()
@@ -145,7 +137,7 @@ def heisenberg_evolve(op: EvolutionOperator, obs) -> np.ndarray:
         if obs.shape != u.shape[:-1] + (dim, dim):
             raise ValueError(f"stack shape {obs.shape} does not match the operator, which needs {u.shape[:-1] + (dim, dim)}")
     else:
-        obs = _observable(obs, dim)
+        obs = _square(obs, dim)
     if op.variant is EvolutionVariant.SEMIGROUP_D:
         warnings.warn(
             "SEMIGROUP_D has no canonical Heisenberg conjugation; using U O U^dag as an "

@@ -50,7 +50,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cmatrix import _pairs, _sumsq, as_complex_matrix, pair_commutator_norms
+from .cmatrix import _pairs, _square, _sumsq, pair_commutator_norms
 
 __all__ = [
     "Projector",
@@ -79,9 +79,7 @@ class Projector:
     mat: np.ndarray
 
     def __post_init__(self) -> None:
-        m = as_complex_matrix(self.mat)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"projector must be square, got {m.shape}")
+        m = _square(self.mat)
         _check_projectors(np.stack([m, np.eye(m.shape[0]) - m]))
         object.__setattr__(self, "mat", m)
 
@@ -224,12 +222,11 @@ def abelian_certificate(observables: Sequence) -> AbelianCertificate:
     pair realizing the largest commutator norm (None for a single
     observable).
     """
-    mats = [as_complex_matrix(o) for o in observables]
-    if len(mats) == 0:
+    mats = []
+    for obs in observables:  # every member the size of the first
+        mats.append(_square(obs, len(mats[0]) if mats else None))
+    if not mats:
         raise ValueError("abelian certificate needs at least one observable")
-    dims = {m.shape for m in mats}
-    if len(dims) != 1 or any(s[0] != s[1] for s in dims):
-        raise ValueError(f"observables must be square and share a dimension, got {sorted(dims)}")
     norms = pair_commutator_norms(np.stack(mats))
     if norms.size == 0:
         return AbelianCertificate(abelian=True, worst_pair=None, worst_norm=0.0)

@@ -113,10 +113,10 @@ def _items(raw, count: int | None = None) -> list:
     return raw
 
 
-def _each(raw, build, count: int | None = None) -> list:
-    """Build every item of a nonempty list, of ``count`` items if given."""
+def _each(raw, build) -> list:
+    """Build every item of a nonempty list."""
     items = []
-    for i, item in enumerate(_items(raw, count)):
+    for i, item in enumerate(_items(raw)):
         try:
             items.append(build(item))
         except ValueError as exc:

@@ -56,7 +56,7 @@ def test_kraus_channel_rejects_incomplete_family():
 
 
 def test_kraus_channel_rejects_shape_mismatch():
-    with pytest.raises(ValueError, match="does not match dimension"):
+    with pytest.raises(ValueError, match=r"^expected a 2x2 matrix, got shape \(3, 3\)$"):
         KrausChannel(dim=2, kraus=(np.eye(3),))
 
 

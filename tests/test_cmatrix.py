@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gamowlab import cmatrix
+from gamowlab.channels import DensityMatrix, KrausChannel, damping_closed_form, damping_limit
 from gamowlab.cmatrix import (
     _PAULIS,
     _frobenius_norms,
@@ -18,6 +20,10 @@ from gamowlab.cmatrix import (
     frobenius_norm,
     pair_commutator_norms,
 )
+from gamowlab.commutators import growth_witness, trajectory
+from gamowlab.evolution import EvolutionVariant, evolution_operator, heisenberg_evolve
+from gamowlab.gamow import Resonance, new_space
+from gamowlab.qlattice import Projector, abelian_certificate
 from support import SIGMA_X, SIGMA_Y, SIGMA_Z, strided_pair_cross_norms
 
 finite_complex = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
@@ -60,10 +66,40 @@ def test_commutator_with_identity_is_zero():
 
 
 def test_commutator_rejects_mismatched_dims():
-    with pytest.raises(ValueError, match="equal dimensions"):
+    with pytest.raises(ValueError, match=r"^expected a 2x2 matrix, got shape \(3, 3\)$"):
         commutator(np.eye(2), np.eye(3))
     with pytest.raises(ValueError, match="square"):
         commutator(np.ones((2, 3)), np.ones((3, 2)))
+
+
+ONE_RESONANCE = new_space([Resonance(1.0, 0.5)])
+
+# Every public entry point whose argument is one matrix, fed through cmatrix._square, and the
+# size that argument is due: 2 for a 2x2, None for any square matrix.
+SQUARE_RULE_ENTRIES = {
+    "commutator-first": (lambda m: commutator(m, np.eye(2)), None),
+    "commutator-second": (lambda m: commutator(np.eye(2), m), 2),
+    "KrausChannel": (lambda m: KrausChannel(dim=2, kraus=(m,)), 2),
+    "DensityMatrix": (DensityMatrix, None),
+    "damping_closed_form": (lambda m: damping_closed_form(0.5, 3, m), 2),
+    "damping_limit": (damping_limit, 2),
+    "heisenberg_evolve": (
+        lambda m: heisenberg_evolve(evolution_operator(ONE_RESONANCE, 1.0, EvolutionVariant.HERMITIAN), m), 2
+    ),
+    "trajectory": (lambda m: trajectory(ONE_RESONANCE, np.eye(2), m, [0.0, 1.0]), 2),
+    "growth_witness": (lambda m: growth_witness(ONE_RESONANCE, m, 1.0), 2),
+    "Projector": (Projector, None),
+    "abelian_certificate-first": (lambda m: abelian_certificate([m]), None),
+    "abelian_certificate-later": (lambda m: abelian_certificate([np.eye(2), m]), 2),
+}
+
+
+@pytest.mark.parametrize("entry, dim", list(SQUARE_RULE_ENTRIES.values()), ids=list(SQUARE_RULE_ENTRIES))
+def test_every_single_matrix_argument_takes_the_square_rule(entry, dim):
+    # a 3x3 where a 2x2 is due, a 2x3 where any square matrix is
+    bad, due = (np.eye(3), "2x2") if dim == 2 else (np.ones((2, 3)), "square")
+    with pytest.raises(ValueError, match=f"^expected a {due} matrix, got shape {re.escape(str(bad.shape))}$"):
+        entry(bad)
 
 
 def test_frobenius_norm_values():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gamowlab import commutators, evolution
+from gamowlab import cmatrix, commutators
 from gamowlab.channels import damping_channel
 from gamowlab.cmatrix import _pauli_vectors, as_complex_matrix, commutator, frobenius_norm
 from gamowlab.commutators import (
@@ -401,6 +401,24 @@ def test_the_tensor_path_is_taken_where_it_fits_and_the_evolved_pair_is_finite(m
             trajectory(space, o1, o2, ts, variant)
 
 
+def test_an_overflowed_tensor_falls_back_to_the_products():
+    # at |O| ~ 1e155 the peak guard passes (|u| <= 1 for t >= 0 under HERMITIAN), but M's
+    # products pass the float range; from t = 10 on, over three product chunks, the
+    # commutators themselves are finite again
+    rng = np.random.default_rng(71)
+    space = random_space(rng, 2)
+    o1, o2 = 1e155 * random_hermitian(rng, 4), 1e155 * random_hermitian(rng, 4)
+    ts = np.linspace(10.0, 20.0, 2 * chunk_length(space.dim) + 3)
+    assert not np.isfinite(_commutator_tensor(o1, o2)).all()
+    ((_, slices),) = chunk_calls(trajectory, space, o1, o2, ts)
+    assert len(slices) > 1
+    traj = trajectory(space, o1, o2, ts)
+    values, norms = per_time_products(space, o1, o2, ts, HERM)
+    np.testing.assert_array_equal(traj.values, values)
+    np.testing.assert_array_equal(traj.norms, norms)
+    assert np.all(np.isfinite(traj.norms))
+
+
 @pytest.mark.parametrize("n_res, n_chunks", [(2, 1), (11, 4)], ids=["tensor", "products"])
 def test_each_observable_is_checked_once_per_trajectory(monkeypatch, n_res, n_chunks):
     # 12 times: one tensor chunk at d = 4, four product chunks at d = 22; either way each
@@ -412,7 +430,7 @@ def test_each_observable_is_checked_once_per_trajectory(monkeypatch, n_res, n_ch
     ((_, slices),) = chunk_calls(trajectory, space, o1, o2, ts)
     assert len(slices) == n_chunks
     scans = []
-    monkeypatch.setattr(evolution, "as_complex_matrix", lambda obs: scans.append(obs) or as_complex_matrix(obs))
+    monkeypatch.setattr(cmatrix, "as_complex_matrix", lambda obs: scans.append(obs) or as_complex_matrix(obs))
     trajectory(space, o1, o2, ts)
     assert len(scans) == 2
 

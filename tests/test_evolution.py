@@ -183,7 +183,7 @@ def test_semigroup_conjugation_warns():
 def test_heisenberg_evolve_shape_check():
     space = new_space([Resonance(1.0, 0.5)])
     op = evolution_operator(space, 1.0, HERM)
-    with pytest.raises(ValueError, match="does not match"):
+    with pytest.raises(ValueError, match=r"^expected a 2x2 matrix, got shape \(3, 3\)$"):
         heisenberg_evolve(op, np.eye(3))
 
 
